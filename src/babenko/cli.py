@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: bifpoints, trace, profile, rcurve, verify.  Options may come
-from flags, from a JSON config file (--config), or from the environment
-(BABENKO_OUTDIR, BABENKO_WORKERS).  Exit codes: 0 success, 2 bad
-configuration, 3 numerical hard failure, 4 verification failure.
+from flags, from a JSON config file (--config), or, for the output
+directory, from the environment (BABENKO_OUTDIR).  Requested branches are
+traced one after another in this process.  Exit codes: 0 success, 2 bad
+configuration or a malformed branch file, 3 numerical hard failure,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,7 +55,6 @@ class RunConfig:
     residual_tol: float = 1e-10
     outdir: Path = Path(".")
     fmt: str = "csv"
-    workers: int = 1
 
     def validate(self) -> "RunConfig":
         if not self.depth > 0:
@@ -65,8 +65,6 @@ class RunConfig:
             )
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers}")
         for spec in self.branches:
             if spec["mode"] < 1:
                 raise ConfigError(f"branch mode must be positive, got {spec['mode']}")
@@ -93,7 +91,7 @@ def _parse_branch_spec(text: str) -> dict:
     return {"mode": mode, "amplitude_max": None, "navigate": navigate}
 
 
-def _build_config(config_path, depth, modes, branch, amplitude_max, step, fmt, out, workers) -> RunConfig:
+def _build_config(config_path, depth, modes, branch, amplitude_max, step, fmt, out) -> RunConfig:
     cfg = RunConfig()
     if config_path:
         try:
@@ -106,7 +104,6 @@ def _build_config(config_path, depth, modes, branch, amplitude_max, step, fmt, o
         cfg.residual_tol = float(doc.get("residual_tol", cfg.residual_tol))
         cfg.fmt = doc.get("format", cfg.fmt)
         cfg.outdir = Path(doc.get("outdir", cfg.outdir))
-        cfg.workers = int(doc.get("workers", cfg.workers))
         for spec in doc.get("branches", []):
             if isinstance(spec, str):
                 cfg.branches.append(_parse_branch_spec(spec))
@@ -130,10 +127,6 @@ def _build_config(config_path, depth, modes, branch, amplitude_max, step, fmt, o
         cfg.outdir = Path(out)
     elif "BABENKO_OUTDIR" in os.environ:
         cfg.outdir = Path(os.environ["BABENKO_OUTDIR"])
-    if workers is not None:
-        cfg.workers = workers
-    elif "BABENKO_WORKERS" in os.environ:
-        cfg.workers = int(os.environ["BABENKO_WORKERS"])
     for text in branch or ():
         cfg.branches.append(_parse_branch_spec(text))
     if amplitude_max is not None:
@@ -152,7 +145,6 @@ def _common_options(fn):
     fn = click.option("--step", type=float, default=None, help="Initial amplitude step.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)(fn)
     fn = click.option("--out", type=click.Path(), default=None, help="Output directory.")(fn)
-    fn = click.option("--workers", type=int, default=None)(fn)
     return fn
 
 
@@ -182,9 +174,8 @@ def bifpoints(n_max, **kw):
             click.echo("%d,%.17g" % (n, mu))
 
 
-def _trace_one(args):
-    """Trace one primary branch (worker-safe); returns the Branch list."""
-    spec, depth, ccfg = args
+def _trace_one(spec, depth, ccfg):
+    """Trace one primary branch and, if requested, its secondaries."""
     ccfg.amplitude_max = spec["amplitude_max"]
     branch = start_branch(spec["mode"], 0.01, depth, ccfg)
     continue_branch(branch, depth, ccfg)
@@ -203,17 +194,11 @@ def trace(**kw):
     if not cfg.branches:
         click.echo("no branches requested", err=True)
         sys.exit(EXIT_OK)
-    jobs = [(spec, cfg.depth, cfg.continuation()) for spec in cfg.branches]
     hard_failure = False
     traced: list[Branch] = []
     try:
-        if cfg.workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                for branches in pool.map(_trace_one, jobs):
-                    traced.extend(branches)
-        else:
-            for job in jobs:
-                traced.extend(_trace_one(job))
+        for spec in cfg.branches:
+            traced.extend(_trace_one(spec, cfg.depth, cfg.continuation()))
     except (SolveFailure, DomainError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
@@ -224,6 +209,13 @@ def trace(**kw):
             hard_failure = True
     click.echo(str(bio.write_events(traced, cfg.outdir, cfg.depth)))
     sys.exit(EXIT_NUMERICAL if hard_failure else EXIT_OK)
+
+
+def _read_branch(path) -> bio.BranchData:
+    try:
+        return bio.read_branch(path)
+    except bio.BranchFormatError as exc:
+        raise ConfigError(str(exc))
 
 
 def _select_point(data: bio.BranchData, selector: str):
@@ -258,7 +250,7 @@ def _select_point(data: bio.BranchData, selector: str):
 @click.option("--out", type=click.Path(), default=None)
 def profile(branch_file, selector, M, fmt, out):
     """Reconstruct the free-surface profile of one stored solution."""
-    data = bio.read_branch(branch_file)
+    data = _read_branch(branch_file)
     idx = _select_point(data, selector)
     pt = data.points[idx]
     try:
@@ -278,7 +270,7 @@ def profile(branch_file, selector, M, fmt, out):
 @click.option("--out", type=click.Path(), default=None)
 def rcurve(branch_file, fmt, out):
     """Emit the conformal-radius series r(sup norm) along a stored branch."""
-    data = bio.read_branch(branch_file)
+    data = _read_branch(branch_file)
     series = np.array([(row["sup_norm"], row["r"]) for row in data.table])
     if out is None:
         out = Path(branch_file).with_suffix(f".rcurve.{fmt}")
@@ -306,7 +298,7 @@ def verify(branch_files, out, sample):
                        "detail": detail})
 
     for bf in branch_files:
-        data = bio.read_branch(bf)
+        data = _read_branch(bf)
         pts = data.points
         if not pts:
             record("sidecar_present", data.label, False, "no solutions sidecar")

@@ -106,20 +106,23 @@ def trivial_bifurcation_mu(n: int, depth) -> float:
     return math.tanh(n * h) / n
 
 
-def _constraint_for(sys: DiscreteSystem, x: np.ndarray, a: float) -> ProjectionConstraint:
-    """Closing row sign * w(t*) = a at the crest t* of the predictor x.
+def _constraint_for(c: np.ndarray, a: float) -> ProjectionConstraint:
+    """Closing row sign * w(t*) = a at the crest t* of the predictor c.
 
-    The row sign * cos(k t*) acts on the coefficients T x; at t* = 0 it is
-    the row of ones, w(0) = sum c_k.  A crest at 0 or pi stays there, so
-    the converged point has sup_norm == a.
+    The row is sign * cos(k t*); at t* = 0 it is the row of ones,
+    w(0) = sum c_k.  A crest at 0 or pi stays there, so the converged point
+    has sup_norm == a.
     """
-    t, v = series_peak(sys.T @ x)
-    row = math.copysign(1.0, v) * np.cos(np.arange(sys.N) * t)
-    return ProjectionConstraint(row @ sys.T, a)
+    t, v = series_peak(c)
+    return ProjectionConstraint(math.copysign(1.0, v) * np.cos(np.arange(c.size) * t), a)
 
 
 def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None) -> Branch:
-    """Seed branch C_n from the small-amplitude predictor (mu_n, s cos nt)."""
+    """Seed branch C_n from the small-amplitude predictor (mu_n, s cos nt).
+
+    The corrector pins w(t_c) = |s| at the predictor's crest, t_c = 0 for
+    s > 0 and t_c = pi/n for s < 0.
+    """
     cfg = cfg or ContinuationConfig()
     if not 0 < abs(s) <= 0.05:
         raise ValueError(f"seed amplitude must satisfy 0 < |s| <= 0.05, got {s}")
@@ -128,11 +131,13 @@ def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None)
     mu_n = trivial_bifurcation_mu(n, depth)
     err: SolveFailure | None = None
     for attempt in range(5):
-        x = s * np.cos(n * sys.grid.nodes)
-        con = _constraint_for(sys, x, abs(s))
+        c = np.zeros(sys.N)
+        c[n] = s
+        t_c = 0.0 if s > 0 else np.pi / n
+        con = ProjectionConstraint(np.cos(np.arange(sys.N) * t_c), abs(s))
         try:
             pt = newton_solve(
-                SpectralField(sys.grid, nodal=x), mu_n, depth, con,
+                SpectralField(sys.grid, coeffs=c), mu_n, depth, con,
                 cfg.newton, system=sys,
             )
             return Branch(label=f"C{n}", mode=n, points=[pt])
@@ -153,15 +158,15 @@ def _solve_at_amplitude(
     """One corrector solve at target amplitude a with a secant predictor."""
     if prev2 is not None and prev.sup_norm != prev2.sup_norm:
         t = (a - prev.sup_norm) / (prev.sup_norm - prev2.sup_norm)
-        x = prev.nodal + t * (prev.nodal - prev2.nodal)
+        c = prev.coeffs + t * (prev.coeffs - prev2.coeffs)
         mu = prev.mu + t * (prev.mu - prev2.mu)
     else:
         scale = a / prev.sup_norm if prev.sup_norm > 0 else 1.0
-        x = prev.nodal * scale
+        c = prev.coeffs * scale
         mu = prev.mu
-    con = _constraint_for(sys, x, a)
     return newton_solve(
-        SpectralField(sys.grid, nodal=x), mu, depth, con, cfg.newton, system=sys
+        SpectralField(sys.grid, coeffs=c), mu, depth, _constraint_for(c, a),
+        cfg.newton, system=sys,
     )
 
 
@@ -173,19 +178,22 @@ def _solve_at_projection(
     target: float,
     prev: SolutionPoint,
     prev2: SolutionPoint | None,
-    phi_x: np.ndarray,
 ) -> SolutionPoint:
-    """Corrector solve with the null-projection closing row at the given target."""
-    t_prev = float(row @ prev.nodal)
-    if prev2 is not None and t_prev != (t_prev2 := float(row @ prev2.nodal)):
+    """Corrector solve with the null-projection closing row at the given target.
+
+    The row is a unit coefficient vector phi, so without a secant the
+    predictor steps along phi itself.
+    """
+    t_prev = float(row @ prev.coeffs)
+    if prev2 is not None and t_prev != (t_prev2 := float(row @ prev2.coeffs)):
         t = (target - t_prev) / (t_prev - t_prev2)
-        x = prev.nodal + t * (prev.nodal - prev2.nodal)
+        c = prev.coeffs + t * (prev.coeffs - prev2.coeffs)
         mu = prev.mu + t * (prev.mu - prev2.mu)
     else:
-        x, mu = prev.nodal + (target - t_prev) * phi_x, prev.mu
+        c, mu = prev.coeffs + (target - t_prev) * row, prev.mu
     con = ProjectionConstraint(row, target)
     return newton_solve(
-        SpectralField(sys.grid, nodal=x), mu, depth, con, cfg.newton, system=sys
+        SpectralField(sys.grid, coeffs=c), mu, depth, con, cfg.newton, system=sys
     )
 
 
@@ -259,13 +267,13 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
             # local slope d(amplitude)/d(projection)
             eff = step
             if prev2 is not None:
-                dt = float(proj_row @ (prev.nodal - prev2.nodal))
+                dt = float(proj_row @ (prev.coeffs - prev2.coeffs))
                 da = prev.sup_norm - prev2.sup_norm
                 if dt != 0 and da > 0:
                     slope = da / abs(dt)
                     if slope > 0:
                         eff = min(eff, 0.35 * gap / slope)
-            target = float(proj_row @ prev.nodal) + math.copysign(
+            target = float(proj_row @ prev.coeffs) + math.copysign(
                 eff, branch.aux.get("proj_direction", 1.0)
             )
 
@@ -274,8 +282,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
                 pt = _solve_at_amplitude(sys, depth, cfg, a, prev, prev2)
             else:
                 pt = _solve_at_projection(
-                    sys, depth, cfg, proj_row, target, prev, prev2,
-                    branch.aux["phi_x"],
+                    sys, depth, cfg, proj_row, target, prev, prev2
                 )
             if 0.5 * pt.mu - pt.sup_norm <= 0:
                 raise SolveFailure("iterate beyond the limiting height mu/2")
@@ -409,17 +416,17 @@ def _is_fold(A: np.ndarray, dF_dmu: np.ndarray) -> bool:
 
 def _interp_point(p0: SolutionPoint, p1: SolutionPoint, a: float):
     t = (a - p0.sup_norm) / (p1.sup_norm - p0.sup_norm)
-    return p0.nodal + t * (p1.nodal - p0.nodal), p0.mu + t * (p1.mu - p0.mu)
+    return p0.coeffs + t * (p1.coeffs - p0.coeffs), p0.mu + t * (p1.mu - p0.mu)
 
 
 def _solve_between(
     sys: DiscreteSystem, depth, cfg: ContinuationConfig,
     p0: SolutionPoint, p1: SolutionPoint, a: float,
 ) -> SolutionPoint:
-    x, mu = _interp_point(p0, p1, a)
-    con = _constraint_for(sys, x, a)
+    c, mu = _interp_point(p0, p1, a)
     return newton_solve(
-        SpectralField(sys.grid, nodal=x), mu, depth, con, cfg.newton, system=sys
+        SpectralField(sys.grid, coeffs=c), mu, depth, _constraint_for(c, a),
+        cfg.newton, system=sys,
     )
 
 
@@ -436,7 +443,8 @@ def detect_secondary_bifurcations(
     neighbours are re-scanned on a finer amplitude grid, so nearby
     crossings of the same class are resolved individually when the
     resolution allows.  Detected events (with null-vector estimates) are
-    appended to branch.events and returned.
+    returned and replace the branch's earlier secondary_bifurcation events,
+    so repeated calls leave the same events.
     """
     cfg = cfg or ContinuationConfig()
     if len(branch.points) < 3:
@@ -535,8 +543,9 @@ def detect_secondary_bifurcations(
                                 events.append(ev)
             i += 1
 
-    for ev in events:
-        branch.events.append(ev)
+    branch.events = [
+        e for e in branch.events if e.kind != "secondary_bifurcation"
+    ] + events
     return events
 
 
@@ -560,28 +569,25 @@ def _switch_along(
 
     The amplitude constraint cannot separate the emanating branch from its
     parent (both pass through the event), so the corrector pins the
-    component along phi instead: the closing row becomes phi . w = eps,
-    and the resulting branch is continued in that projection.  Raises
-    SolveFailure if every eps collapses back onto the parent.
+    component along phi instead: the closing row becomes phi . c = eps on
+    the coefficients, and the resulting branch is continued in that
+    projection.  Raises SolveFailure if every eps collapses back onto the
+    parent.
     """
     depth = as_depth(depth)
     sys = get_system(cfg.N, depth.h)
     c_ev = np.asarray(event.diagnostics["w_coeffs"], dtype=float)
     phi_c = np.asarray(phi_c, dtype=float)
     phi_c = phi_c / np.linalg.norm(phi_c)
-    x_ev = sys.S @ c_ev
-    phi_x = sys.S @ phi_c
-    # projection functional in nodal variables: phi_c . (T x)
-    proj_row = phi_c @ sys.T
     mu_ev = float(event.diagnostics.get("mu_at_event", event.mu))
 
     last_exc: Exception | None = None
     for eps_rel in (2e-3, 1e-3, 4e-3):
         eps = eps_rel * event.amplitude
-        con = ProjectionConstraint(proj_row, float(proj_row @ x_ev) + eps)
+        con = ProjectionConstraint(phi_c, float(phi_c @ c_ev) + eps)
         try:
             pt = newton_solve(
-                SpectralField(sys.grid, nodal=x_ev + eps * phi_x),
+                SpectralField(sys.grid, coeffs=c_ev + eps * phi_c),
                 mu_ev, depth, con, cfg.newton, system=sys,
             )
         except SolveFailure as exc:
@@ -592,10 +598,9 @@ def _switch_along(
                 label=f"{branch.label}x", mode=None, points=[pt],
                 parent=branch.label, parent_mode=branch.mode,
                 aux={
-                    "proj_row": proj_row,
+                    "proj_row": phi_c,
                     "proj_direction": 1.0,
                     "proj_step": eps,
-                    "phi_x": phi_x,
                 },
             )
         last_exc = SolveFailure("iterate collapsed back onto the parent branch")

@@ -25,6 +25,7 @@ from .spectral import CosineGrid, SpectralField
 __all__ = [
     "FORMAT_VERSION",
     "BranchData",
+    "BranchFormatError",
     "write_branch",
     "read_branch",
     "write_events",
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+
+class BranchFormatError(ValueError):
+    """A branch file or its solution sidecar is not in the expected format."""
 
 
 def _f(x: float) -> str:
@@ -153,54 +158,70 @@ def _parse_header_meta(line: str) -> dict:
 
 
 def read_branch(path) -> BranchData:
-    """Load a branch table (CSV or JSON) and, if present, its solution sidecar."""
+    """Load a branch table (CSV or JSON) and, if present, its solution sidecar.
+
+    Raises BranchFormatError when either file is not a well-formed branch
+    file: a missing or truncated header, a row that does not parse, or a
+    sidecar row whose length does not match its N.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"branch file not found: {path}")
+    try:
+        label, depth, table = _read_table(path)
+        sidecar = path.parent / f"{label}.solutions.csv"
+        points = _read_sidecar(sidecar, depth) if sidecar.exists() else []
+    except BranchFormatError:
+        raise
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise BranchFormatError(f"malformed branch data for {path}: {exc!r}") from exc
+    return BranchData(label=label, depth=depth, table=table, points=points)
+
+
+def _read_table(path: Path) -> tuple[str, float, list]:
     if path.suffix == ".json":
         doc = json.loads(path.read_text())
-        if doc.get("format") != "babenko-branch":
-            raise ValueError(f"{path} is not a branch file")
-        label, depth, table = doc["label"], float(doc["depth"]), doc["points"]
-        sidecar = path.parent / f"{label}.solutions.csv"
-    else:
-        lines = path.read_text().splitlines()
-        if not lines or not lines[0].startswith("# babenko-branch"):
-            raise ValueError(f"{path} is not a branch file")
-        meta = _parse_header_meta(lines[1])
-        label, depth = meta["label"], float(meta["depth"])
-        cols = lines[2].split(",")
-        table = []
-        for line in lines[3:]:
-            if not line:
-                continue
-            vals = line.split(",")
-            row = dict(zip(cols, vals))
-            for key in ("a_target", "mu", "sup_norm", "mean", "r", "residual"):
-                row[key] = float(row[key])
-            row["index"] = int(row["index"])
-            table.append(row)
-        sidecar = path.parent / f"{label}.solutions.csv"
+        if not isinstance(doc, dict) or doc.get("format") != "babenko-branch":
+            raise BranchFormatError(f"{path} is not a branch file")
+        return doc["label"], float(doc["depth"]), doc["points"]
+    lines = path.read_text().splitlines()
+    if not lines or not lines[0].startswith("# babenko-branch"):
+        raise BranchFormatError(f"{path} is not a branch file")
+    meta = _parse_header_meta(lines[1])
+    cols = lines[2].split(",")
+    table = []
+    for line in lines[3:]:
+        if not line:
+            continue
+        row = dict(zip(cols, line.split(",")))
+        for key in ("a_target", "mu", "sup_norm", "mean", "r", "residual"):
+            row[key] = float(row[key])
+        row["index"] = int(row["index"])
+        table.append(row)
+    return meta["label"], float(meta["depth"]), table
 
-    points: list[SolutionPoint] = []
-    if sidecar.exists():
-        slines = sidecar.read_text().splitlines()
-        smeta = _parse_header_meta(slines[1])
-        N = int(smeta["N"])
-        grid = CosineGrid(N)
-        for line in slines[3:]:
-            if not line:
-                continue
-            vals = line.split(",")
-            mu = float(vals[1])
-            coeffs = np.array([float(v) for v in vals[2 : 2 + N]])
-            points.append(
-                SolutionPoint.from_solution(
-                    SpectralField(grid, coeffs=coeffs), mu, depth,
-                    residual_norm=float("nan"), iterations=0,
-                )
+
+def _read_sidecar(sidecar: Path, depth: float) -> list[SolutionPoint]:
+    slines = sidecar.read_text().splitlines()
+    N = int(_parse_header_meta(slines[1])["N"])
+    grid = CosineGrid(N)
+    points = []
+    for line in slines[3:]:
+        if not line:
+            continue
+        vals = line.split(",")
+        if len(vals) != N + 2:
+            raise BranchFormatError(
+                f"{sidecar}: row has {len(vals) - 2} coefficients, expected N={N}"
             )
-    return BranchData(label=label, depth=depth, table=table, points=points)
+        coeffs = np.array([float(v) for v in vals[2:]])
+        points.append(
+            SolutionPoint.from_solution(
+                SpectralField(grid, coeffs=coeffs), float(vals[1]), depth,
+                residual_norm=float("nan"), iterations=0,
+            )
+        )
+    return points
 
 
 def write_events(branches: list[Branch], outdir, depth: float) -> Path:

@@ -1,13 +1,16 @@
 """Discrete steady-wave system and Newton iteration.
 
-The unknowns are the N nodal values of w plus the wave-speed parameter mu.
-The nonlinear residual couples the depth-parametrized multiplier operators
-with exactly dealiased quadratic products; a linear closing row fixes the
-signed value of w at a frozen node (ConstraintSpec) or any linear functional
-of the nodal values, such as the series value at a crest
-(ProjectionConstraint).  Jacobians are assembled densely, either
-analytically (including the chain-rule terms through the conformal-radius
-functional) or by central differences.
+The unknowns are the N cosine coefficients of w plus the wave-speed
+parameter mu.  The nonlinear residual couples the depth-parametrized
+multiplier symbols with exactly dealiased quadratic products; a linear
+closing row fixes the signed value of w at a collocation node
+(ConstraintSpec) or any linear functional of the coefficients, such as the
+series value at a crest (ProjectionConstraint).  The analytic Jacobian,
+including the chain-rule terms through the conformal-radius functional, is
+assembled from the structured product matrices of spectral.product_matrix:
+diagonal symbols, column scalings and rank-one column-0 terms, with no
+change of basis.  Newton judges convergence on the nodal values of the
+residual.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ from .spectral import (
     as_depth,
     dlambda_dr,
     dmu_dr,
-    inverse_transform_matrix,
     lambda_symbol,
     mu_symbol_total,
+    product_coeffs,
+    product_matrix,
     series_peak,
-    transform_matrix,
+    transform_inverse,
 )
 
 __all__ = [
@@ -73,38 +77,37 @@ class InadmissibleIterate(SolveFailure):
 class NewtonConfig:
     residual_tol: float = 1e-10
     max_iter: int = 50
-    jacobian_mode: str = "analytic"  # or "finite-difference"
-    fd_step: float = 1e-7
 
     def __post_init__(self):
         if not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.jacobian_mode not in ("analytic", "finite-difference"):
-            raise ValueError(f"unknown jacobian_mode {self.jacobian_mode!r}")
 
 
 @dataclass
 class ConstraintSpec:
-    """Frozen amplitude constraint sign * w[node_index] = target_amplitude."""
+    """Frozen amplitude constraint sign * w(x_j) = target_amplitude.
+
+    x_j is collocation node j = node_index of the N-node grid; on the
+    coefficients the closing row is sign * cos(k x_j).
+    """
 
     node_index: int
     sign: int
     target_amplitude: float
 
-    def value(self, x: np.ndarray) -> float:
-        return self.sign * x[self.node_index] - self.target_amplitude
+    def row(self, c: np.ndarray) -> np.ndarray:
+        x_j = np.pi * (2 * self.node_index + 1) / (2 * c.size)
+        return self.sign * np.cos(np.arange(c.size) * x_j)
 
-    def row(self, x: np.ndarray) -> np.ndarray:
-        r = np.zeros(x.size)
-        r[self.node_index] = self.sign
-        return r
+    def value(self, c: np.ndarray) -> float:
+        return float(self.row(c) @ c) - self.target_amplitude
 
 
 @dataclass
 class ProjectionConstraint:
-    """Linear closing row vector . w = target (nodal space).
+    """Linear closing row vector . c = target on the cosine coefficients.
 
     Continuation pins the series value at a crest with it, and secondary
     branches are stepped along a null-vector projection with it.
@@ -113,10 +116,10 @@ class ProjectionConstraint:
     vector: np.ndarray
     target: float
 
-    def value(self, x: np.ndarray) -> float:
-        return float(self.vector @ x) - self.target
+    def value(self, c: np.ndarray) -> float:
+        return float(self.vector @ c) - self.target
 
-    def row(self, x: np.ndarray) -> np.ndarray:
+    def row(self, c: np.ndarray) -> np.ndarray:
         return self.vector
 
 
@@ -163,11 +166,10 @@ class SolutionPoint:
 
 
 class DiscreteSystem:
-    """Dense assembly of the collocation system at fixed N and depth h.
+    """The collocation system at fixed N and depth h, on coefficient vectors.
 
-    Works on raw coefficient vectors; the public wrappers below convert
-    from and to SpectralField values.  Instances cache the transform
-    matrices and the refined product grid, so reuse one per (N, h).
+    The public wrappers below convert from and to SpectralField values.
+    Instances hold O(N) data only; get_system reuses one per (N, h).
     """
 
     # margin keeping exp(-h - mean) away from 1 during damped iterations
@@ -179,24 +181,6 @@ class DiscreteSystem:
         if self.h <= 0:
             raise ValueError("depth must be positive")
         self.grid = CosineGrid(self.N)
-        self.S = inverse_transform_matrix(self.grid)  # coeffs -> nodal
-        self.T = transform_matrix(self.grid)  # nodal -> coeffs
-        fine = CosineGrid(2 * self.N)
-        # evaluate N coefficients on the 2N grid / analyse 2N nodal down to N modes
-        self.S2 = inverse_transform_matrix(fine)[:, : self.N]
-        self.T2 = transform_matrix(fine)[: self.N, :]
-
-    # -- products ----------------------------------------------------------
-
-    def prod_coeffs(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-        """Dealiased coefficients of the pointwise product."""
-        return self.T2 @ ((self.S2 @ cu) * (self.S2 @ cv))
-
-    def prod_matrix(self, c: np.ndarray) -> np.ndarray:
-        """Linear map u -> dealiased product with the field of coefficients c."""
-        return (self.T2 * (self.S2 @ c)) @ self.S2
-
-    # -- residuals ---------------------------------------------------------
 
     def _radius(self, mean: float) -> float:
         rho = np.exp(-self.h - mean)
@@ -211,111 +195,58 @@ class DiscreteSystem:
         # only guards wild transient iterates against overflow
         return float(np.exp(np.clip(-self.h - g0, -745.0, 46.0)))
 
-    @staticmethod
-    def _project_out_mean(c: np.ndarray) -> np.ndarray:
-        out = c.copy()
-        out[0] = 0.0
-        return out
-
     def residual(self, c: np.ndarray, mu: float) -> np.ndarray:
         """Depth-parametrized residual in coefficient space."""
         rho = self._radius(c[0])
-        lam = lambda_symbol(rho, self.N)
-        muh = mu_symbol_total(rho, self.N)
-        g = -self.prod_coeffs(c, lam * c)  # coefficients of -w * (J w)
-        sigma = self._sigma(g[0])
-        mus = mu_symbol_total(sigma, self.N)
-        w2 = self.prod_coeffs(c, c)
-        return (
-            muh * c
-            - mu * self._project_out_mean(c)
-            - mus * g
-            + 0.5 * self._project_out_mean(w2)
-        )
-
-    def residual_fixed_r(self, c: np.ndarray, mu: float, r: float) -> np.ndarray:
-        """Fixed-radius residual in coefficient space."""
-        lam = lambda_symbol(r, self.N)
-        mur = mu_symbol_total(r, self.N)
-        w2 = self.prod_coeffs(c, c)
-        wJw = self.prod_coeffs(c, lam * c)
-        return (
-            mur * c
-            + mur * wJw
-            + 0.5 * self._project_out_mean(w2)
-            - mu * self._project_out_mean(c)
-        )
-
-    # -- Jacobian ----------------------------------------------------------
+        g = -product_coeffs(c, lambda_symbol(rho, self.N) * c)  # -w * (J w)
+        mus = mu_symbol_total(self._sigma(g[0]), self.N)
+        out = mu_symbol_total(rho, self.N) * c - mus * g
+        # the mean mode carries neither mu * w nor w^2 / 2
+        out[1:] += 0.5 * product_coeffs(c, c)[1:] - mu * c[1:]
+        return out
 
     def jacobian(self, c: np.ndarray, mu: float):
         """Analytic d(residual)/dc and d(residual)/dmu in coefficient space."""
         N = self.N
         rho = self._radius(c[0])
         lam = lambda_symbol(rho, N)
-        muh = mu_symbol_total(rho, N)
-        dlam = dlambda_dr(rho, N)
-        dmuh = dmu_dr(rho, N)
-
         Jw = lam * c
-        Pw = self.prod_matrix(c)
-        PJw = self.prod_matrix(Jw)
+        Pw = product_matrix(c)
         g = -(Pw @ Jw)
         sigma = self._sigma(g[0])
         mus = mu_symbol_total(sigma, N)
-        dmus = dmu_dr(sigma, N)
 
-        # d(J w)/dc: diagonal symbol plus rank-one correction through rho
-        dJw = np.diag(lam)
-        dJw[:, 0] += -rho * dlam * c
-        dg = -(PJw + Pw @ dJw)
+        # dg/dc = -D with D = P(Jw) + P(w) d(Jw)/dc, where d(Jw)/dc is
+        # diag(lam) plus the column-0 chain rule term through rho = exp(-h - c_0)
+        D = product_matrix(Jw)
+        D += Pw * lam
+        D[:, 0] -= Pw @ (rho * dlambda_dr(rho, N) * c)
 
-        A = np.diag(muh)
-        A[:, 0] += -rho * dmuh * c
-        Qm = np.eye(N)
-        Qm[0, 0] = 0.0
-        A -= mu * Qm
-        # middle term -mus(sigma(c)) * g(c)
-        A -= mus[:, None] * dg
-        A -= np.outer(dmus * g, -sigma * dg[0, :])
-        A += Qm @ Pw
+        # middle term -mus(sigma(c)) * g(c), sigma = exp(-h - g_0)
+        A = D * mus[:, None]
+        A -= np.outer(sigma * dmu_dr(sigma, N) * g, D[0])
+        # the L-type term mu_h(rho) * w, with its column-0 chain rule term
+        A.flat[:: N + 1] += mu_symbol_total(rho, N)
+        A[:, 0] -= rho * dmu_dr(rho, N) * c
+        # w^2 / 2 and -mu * w, which the mean mode's row does not carry
+        Pw[0] = 0.0
+        A += Pw
+        A.flat[N + 1 :: N + 1] -= mu
 
-        dF_dmu = -self._project_out_mean(c)
+        dF_dmu = -c
+        dF_dmu[0] = 0.0
         return A, dF_dmu
 
-    # -- stacked system (nodal unknowns + mu) ------------------------------
+    def stacked_residual(self, c: np.ndarray, mu: float, constraint) -> np.ndarray:
+        """Residual coefficients followed by the closing row's value."""
+        return np.append(self.residual(c, mu), constraint.value(c))
 
-    def stacked_residual(self, x: np.ndarray, mu: float, constraint) -> np.ndarray:
-        Fc = self.residual(self.T @ x, mu)
-        return np.concatenate([self.S @ Fc, [constraint.value(x)]])
-
-    def stacked_jacobian(
-        self,
-        x: np.ndarray,
-        mu: float,
-        constraint,
-        cfg: NewtonConfig,
-    ) -> np.ndarray:
+    def stacked_jacobian(self, c: np.ndarray, mu: float, constraint) -> np.ndarray:
+        """(N+1) x (N+1) Jacobian of stacked_residual in (c, mu)."""
         N = self.N
         J = np.zeros((N + 1, N + 1))
-        if cfg.jacobian_mode == "analytic":
-            A, dmu = self.jacobian(self.T @ x, mu)
-            J[:N, :N] = self.S @ A @ self.T
-            J[:N, N] = self.S @ dmu
-        else:
-            step = cfg.fd_step
-            for i in range(N + 1):
-                xp, xm = x.copy(), x.copy()
-                mup = mum = mu
-                if i < N:
-                    xp[i] += step
-                    xm[i] -= step
-                else:
-                    mup, mum = mu + step, mu - step
-                rp = self.S @ self.residual(self.T @ xp, mup)
-                rm = self.S @ self.residual(self.T @ xm, mum)
-                J[:N, i] = (rp - rm) / (2.0 * step)
-        J[N, :N] = constraint.row(x)
+        J[:N, :N], J[:N, N] = self.jacobian(c, mu)
+        J[N, :N] = constraint.row(c)
         return J
 
 
@@ -336,12 +267,15 @@ def residual_modified(w: SpectralField, mu: float, depth) -> SpectralField:
 
 
 def residual_fixed_r(w: SpectralField, mu: float, r: float) -> SpectralField:
-    """Residual of the fixed-radius equation at (w, mu)."""
+    """Residual of the fixed-radius equation at (w, mu); free of the depth."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"conformal radius must lie in (0, 1), got {r}")
-    # depth value is irrelevant here; reuse a cached system keyed on 1.0
-    sys = get_system(w.grid.N, 1.0)
-    return SpectralField(w.grid, coeffs=sys.residual_fixed_r(w.coeffs, mu, r))
+    c, N = w.coeffs, w.grid.N
+    lam = lambda_symbol(r, N)
+    mur = mu_symbol_total(r, N)
+    out = mur * c + mur * product_coeffs(c, lam * c)
+    out[1:] += 0.5 * product_coeffs(c, c)[1:] - mu * c[1:]
+    return SpectralField(w.grid, coeffs=out)
 
 
 def assemble_jacobian(
@@ -349,17 +283,15 @@ def assemble_jacobian(
     mu: float,
     depth,
     constraint: ConstraintSpec,
-    cfg: NewtonConfig | None = None,
 ) -> np.ndarray:
     """(N+1) x (N+1) Jacobian of the stacked system at (w, mu)."""
-    cfg = cfg or NewtonConfig()
     sys = get_system(w.grid.N, as_depth(depth).h)
-    return sys.stacked_jacobian(w.nodal, mu, constraint, cfg)
+    return sys.stacked_jacobian(w.coeffs, mu, constraint)
 
 
-def _make_point(sys: DiscreteSystem, x, mu, res_norm, iters, history) -> SolutionPoint:
+def _make_point(sys: DiscreteSystem, c, mu, res_norm, iters, history) -> SolutionPoint:
     return SolutionPoint.from_solution(
-        SpectralField(sys.grid, nodal=x.copy()), mu, sys.h, res_norm, iters, history
+        SpectralField(sys.grid, coeffs=c.copy()), mu, sys.h, res_norm, iters, history
     )
 
 
@@ -378,24 +310,26 @@ def newton_solve(
     """
     cfg = cfg or NewtonConfig()
     sys = system or get_system(initial_w.grid.N, as_depth(depth).h)
-    x = initial_w.nodal.copy()
+    c = initial_w.coeffs.copy()
     mu = float(initial_mu)
 
-    if x[0] != x[0]:  # NaN guard on the seed
+    if c[0] != c[0]:  # NaN guard on the seed
         raise NewtonDiverged("seed contains NaN")
 
-    def res(x, mu):
-        return sys.stacked_residual(x, mu, constraint)
+    def res(c, mu):
+        # coefficients for the step, nodal values for the convergence test
+        R = sys.stacked_residual(c, mu, constraint)
+        nodal = transform_inverse(R[:-1], sys.grid)
+        return R, max(np.max(np.abs(nodal)), abs(R[-1]))
 
-    R = res(x, mu)
-    norm = np.max(np.abs(R))
+    R, norm = res(c, mu)
     history = [norm]
     norm0 = max(norm, 1.0)
 
     for it in range(cfg.max_iter):
         if norm <= cfg.residual_tol:
-            return _make_point(sys, x, mu, norm, it, history)
-        J = sys.stacked_jacobian(x, mu, constraint, cfg)
+            return _make_point(sys, c, mu, norm, it, history)
+        J = sys.stacked_jacobian(c, mu, constraint)
         try:
             step = np.linalg.solve(J, -R)
         except np.linalg.LinAlgError as exc:
@@ -407,25 +341,23 @@ def newton_solve(
         # residual cannot be evaluated
         scale = 1.0
         for _ in range(9):
-            x_new = x + scale * step[:-1]
+            c_new = c + scale * step[:-1]
             mu_new = mu + scale * step[-1]
-            mean_new = (sys.T @ x_new)[0]
-            if mean_new > -sys.h + sys.MEAN_MARGIN:
+            if c_new[0] > -sys.h + sys.MEAN_MARGIN:
                 break
             scale *= 0.5
         else:
             raise InadmissibleIterate(
-                f"iterate mean {mean_new} stayed below -h after damping"
+                f"iterate mean {c_new[0]} stayed below -h after damping"
             )
-        x, mu = x_new, mu_new
-        R = res(x, mu)
-        norm = np.max(np.abs(R))
+        c, mu = c_new, mu_new
+        R, norm = res(c, mu)
         history.append(norm)
         if not np.isfinite(norm) or norm > 1e8 * norm0:
             raise NewtonDiverged(f"residual norm {norm} after {it + 1} iterations")
 
     if norm <= cfg.residual_tol:
-        return _make_point(sys, x, mu, norm, cfg.max_iter, history)
+        return _make_point(sys, c, mu, norm, cfg.max_iter, history)
     raise NewtonMaxIter(
         f"no convergence in {cfg.max_iter} iterations (residual {norm:.3e})"
     )

@@ -4,9 +4,10 @@ Even 2*pi-periodic functions are represented on (0, pi) either by their
 values at the shifted collocation nodes x_n = pi*(2n-1)/(2N) or by the
 coefficients of cos(k*t), k = 0..N-1.  The two representations are linked
 by type-II/III discrete cosine transforms.  On top of the transforms this
-module provides the diagonal Fourier-multiplier operators of the
+module provides the diagonal Fourier-multiplier symbols of the
 finite-depth wave problem and their depth-parametrized (nonlinear)
-variants, plus an exactly dealiased pointwise product.
+operators, plus the exactly dealiased pointwise product and its
+structured matrix, from which the solver assembles its Newton system.
 """
 
 from __future__ import annotations
@@ -14,32 +15,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
 __all__ = [
     "DomainError",
     "CosineGrid",
     "SpectralField",
-    "MultiplierSpec",
     "DepthParams",
     "R_MAX",
     "transform_forward",
     "transform_inverse",
     "transform_matrix",
     "inverse_transform_matrix",
-    "project_mean",
     "lambda_symbol",
     "mu_symbol",
     "mu_symbol_total",
     "hilbert_symbol",
     "dlambda_dr",
     "dmu_dr",
-    "lambda_seq",
-    "mu_seq",
     "r_of_w",
-    "apply_multiplier",
     "apply_Jh",
     "apply_Lh",
+    "product_coeffs",
+    "product_matrix",
     "dealiased_product",
     "series_peak",
     "as_depth",
@@ -177,11 +176,6 @@ class SpectralField:
         return f"SpectralField(N={self.grid.N}, mean={self.mean:.3e})"
 
 
-def project_mean(w: SpectralField) -> float:
-    """Mean over a period of the reconstructed function (constant-mode coefficient)."""
-    return w.mean
-
-
 @dataclass(frozen=True)
 class DepthParams:
     """Mean water depth in nondimensional (wavelength-scaled) units."""
@@ -272,40 +266,12 @@ def dmu_dr(r: float, N: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """Diagonal operator given by a scalar sequence over cosine modes."""
-
-    symbol: np.ndarray
-    family: str  # "J", "L" or "hilbert"
-    r: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbol", np.asarray(self.symbol, dtype=float))
-
-
-def lambda_seq(r: float, N: int) -> MultiplierSpec:
-    return MultiplierSpec(lambda_symbol(r, N), "J", float(r))
-
-
-def mu_seq(r: float, N: int) -> MultiplierSpec:
-    return MultiplierSpec(mu_symbol(r, N), "L", float(r))
-
-
 def r_of_w(w: SpectralField, depth) -> float:
     """Conformal radius functional exp(-h - mean(w)).
 
     Total; callers needing a radius in (0, 1) must check the result.
     """
     return float(np.exp(-as_depth(depth).h - w.mean))
-
-
-def apply_multiplier(spec: MultiplierSpec, u: SpectralField) -> SpectralField:
-    if spec.symbol.size != u.grid.N:
-        raise ValueError(
-            f"symbol length {spec.symbol.size} does not match grid size {u.grid.N}"
-        )
-    return SpectralField(u.grid, coeffs=spec.symbol * u.coeffs)
 
 
 def apply_Jh(w: SpectralField, depth) -> SpectralField:
@@ -325,26 +291,51 @@ def apply_Lh(u: SpectralField, depth) -> SpectralField:
     return SpectralField(u.grid, coeffs=mu_symbol_total(r, u.grid.N) * u.coeffs)
 
 
-def _padded_nodal(coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Evaluate an N-mode cosine series on the M-node grid, M >= N."""
-    cp = np.zeros(M)
+def _padded_nodal(coeffs: np.ndarray, grid: CosineGrid) -> np.ndarray:
+    """Evaluate an N-mode cosine series on a grid of at least N nodes."""
+    cp = np.zeros(grid.N)
     cp[: coeffs.size] = coeffs
-    return transform_inverse(cp, CosineGrid(M))
+    return transform_inverse(cp, grid)
 
 
-def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Cosine coefficients of the pointwise product u*v.
+def product_coeffs(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """Cosine coefficients of the pointwise product of two N-mode series.
 
     Both factors are evaluated on a 2N-node grid, multiplied there and the
     result truncated back to N modes.  A product of two N-mode series has
     at most 2N-1 modes, so the retained coefficients are exact.
     """
-    if u.grid.N != v.grid.N:
-        raise ValueError(f"grid mismatch: {u.grid.N} vs {v.grid.N}")
-    N = u.grid.N
+    N = cu.size
+    if cv.size != N:
+        raise ValueError(f"length mismatch: {N} vs {cv.size}")
     fine = CosineGrid(2 * N)
-    prod = _padded_nodal(u.coeffs, 2 * N) * _padded_nodal(v.coeffs, 2 * N)
-    return SpectralField(u.grid, coeffs=transform_forward(prod, fine)[:N])
+    prod = _padded_nodal(cu, fine) * _padded_nodal(cv, fine)
+    return transform_forward(prod, fine)[:N]
+
+
+def product_matrix(c: np.ndarray) -> np.ndarray:
+    """Matrix of the linear map u -> product_coeffs(c, u).
+
+    By cos(jt) cos(mt) = (cos((j-m)t) + cos((j+m)t)) / 2 its entries are
+    (c_|k-m| + c_(k+m)) / 2, Toeplitz plus Hankel with c_j = 0 for j >= N,
+    except that row 0 holds c_m / 2 for m >= 1 and the diagonal gains
+    c_0 / 2 for k >= 1 (column 0 equals c).
+    """
+    c = np.asarray(c, dtype=float)
+    N = c.size
+    # strided views: v[N-1+k-m] = c_|k-m| and u[k+m] = c_(k+m)
+    v = np.concatenate((c[::-1], c[1:]))
+    u = np.concatenate((c, np.zeros(N - 1)))
+    M = sliding_window_view(v, N)[:, ::-1] + sliding_window_view(u, N)
+    M *= 0.5
+    M[0, 1:] *= 0.5
+    M.flat[N + 1 :: N + 1] += 0.5 * c[0]
+    return M
+
+
+def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
+    """The pointwise product u*v on N modes (see product_coeffs)."""
+    return SpectralField(u.grid, coeffs=product_coeffs(u.coeffs, v.coeffs))
 
 
 def series_peak(coeffs: np.ndarray) -> tuple[float, float]:

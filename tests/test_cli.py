@@ -156,6 +156,39 @@ class TestRcurve:
         assert meta["r_max"] == pytest.approx(math.exp(-H), abs=5e-3)
 
 
+def _truncated_header(src, dst):
+    (dst / "C1.csv").write_text("# babenko-branch v1\n")
+
+
+def _not_a_branch_file(src, dst):
+    (dst / "C1.csv").write_text("hello,world\n1,2\n")
+
+
+def _truncated_sidecar(src, dst):
+    (dst / "C1.csv").write_text((src / "C1.csv").read_text())
+    first = (src / "C1.solutions.csv").read_text().splitlines()[0]
+    (dst / "C1.solutions.csv").write_text(first + "\n")
+
+
+def _short_sidecar_row(src, dst):
+    (dst / "C1.csv").write_text((src / "C1.csv").read_text())
+    lines = (src / "C1.solutions.csv").read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0]  # drop the last coefficient
+    (dst / "C1.solutions.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("damage", [
+    _truncated_header, _not_a_branch_file, _truncated_sidecar, _short_sidecar_row,
+])
+def test_malformed_branch_file_is_config_error(runner, traced_dir, tmp_path, damage):
+    damage(traced_dir, tmp_path)
+    path = str(tmp_path / "C1.csv")
+    for args in (["profile", path], ["rcurve", path],
+                 ["verify", path, "--out", str(tmp_path / "rep.json")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_CONFIG, (args[0], res.output, res.exception)
+
+
 class TestVerify:
     def test_clean_branch_passes(self, runner, traced_dir, tmp_path):
         report = tmp_path / "rep.json"

@@ -43,12 +43,22 @@ class TestConfigAndSeeding:
         assert len(b.points) == 1
         pt = b.points[0]
         # the corrector pins the crest value w(0) at s
-        assert pt.sup_norm == pytest.approx(0.01, rel=1e-2)
+        assert pt.sup_norm == pytest.approx(0.01, rel=1e-12)
         # the seed is dominated by mode 2; only the nonlinear mean and
         # harmonic corrections are populated besides it
         c = np.abs(pt.coeffs)
         assert int(np.argmax(c)) == 2
         assert c[2] > 10 * np.max(np.delete(c, 2))
+
+    @pytest.mark.parametrize("n, N, s", [
+        (1, 512, 0.01), (1, 1024, 0.01), (2, 1024, 0.01), (5, 512, 0.01),
+        (1, 512, -0.01),
+    ])
+    def test_start_branch_pins_the_crest(self, n, N, s):
+        # crest and trough of s cos(nt) have equal |w|; the seed must pin
+        # the crest (t = 0, or pi/n for s < 0), whose height is the amplitude
+        pt = start_branch(n, s, H, ContinuationConfig(N=N)).points[0]
+        assert pt.sup_norm == pytest.approx(abs(s), rel=1e-12)
 
     def test_start_branch_rejects_large_seed(self):
         with pytest.raises(ValueError):
@@ -169,6 +179,16 @@ class TestSecondaryDetection:
         evs = [e for e in b.events if e.kind == "secondary_bifurcation"]
         assert len(evs) == 1
         assert evs[0].mu == pytest.approx(0.51113, abs=5e-3)
+
+    def test_detection_is_idempotent(self, c2_256):
+        b, cfg = c2_256
+
+        def snapshot():
+            return [(e.kind, e.mu, e.amplitude) for e in b.events]
+
+        before = snapshot()
+        detect_secondary_bifurcations(b, H, cfg)
+        assert snapshot() == before
 
     def test_null_vector_lives_in_odd_class(self, c2_256):
         b, _ = c2_256

@@ -15,7 +15,7 @@ from babenko.solver import (
     residual_fixed_r,
     residual_modified,
 )
-from babenko.spectral import CosineGrid, DomainError, SpectralField, lambda_symbol
+from babenko.spectral import DomainError, SpectralField
 
 H = math.pi / 5
 RNG = np.random.default_rng(7)
@@ -30,6 +30,23 @@ def small_wave(N, n=1, s=0.01, depth=H):
     con = ConstraintSpec(j, 1 if x[j] >= 0 else -1, s)
     return newton_solve(SpectralField(sys.grid, nodal=x), mu, depth, con,
                         NewtonConfig(), system=sys)
+
+
+def central_difference_stacked_jacobian(sys, c, mu, constraint, step=1e-7):
+    """Stacked Jacobian in (c, mu) by central differences of stacked_residual."""
+    N = sys.N
+    J = np.empty((N + 1, N + 1))
+    for i in range(N + 1):
+        cp, cm = c.copy(), c.copy()
+        mup = mum = mu
+        if i < N:
+            cp[i] += step
+            cm[i] -= step
+        else:
+            mup, mum = mu + step, mu - step
+        J[:, i] = (sys.stacked_residual(cp, mup, constraint)
+                   - sys.stacked_residual(cm, mum, constraint)) / (2.0 * step)
+    return J
 
 
 class TestResiduals:
@@ -96,8 +113,9 @@ class TestJacobian:
         dc = np.zeros(16)
         dc[0] = eps
         r = float(np.exp(-H - c[0]))
-        frozen = (sys.residual_fixed_r(c + dc, 0.5, r)
-                  - sys.residual_fixed_r(c - dc, 0.5, r)) / (2 * eps)
+        frozen = (residual_fixed_r(SpectralField.from_coeffs(c + dc), 0.5, r).coeffs
+                  - residual_fixed_r(SpectralField.from_coeffs(c - dc), 0.5, r).coeffs
+                  ) / (2 * eps)
         assert np.max(np.abs(A[:, 0] - frozen)) > 1e-4
 
     def test_stacked_shape_and_constraint_row(self):
@@ -105,18 +123,19 @@ class TestJacobian:
         con = ConstraintSpec(0, 1, pt.sup_norm)
         J = assemble_jacobian(pt.w, pt.mu, H, con)
         assert J.shape == (17, 17)
-        # last row: derivative of sign * w[j] - a with respect to nodal values
-        expect = np.zeros(17)
-        expect[0] = 1.0
+        # last row: derivative of sign * w(x_0) - a with respect to the
+        # coefficients, cos(k x_0), and nothing in the mu column
+        sys = get_system(16, H)
+        expect = np.append(np.cos(np.arange(16) * sys.grid.nodes[0]), 0.0)
         assert np.allclose(J[16], expect)
+        assert J[16, :16] @ pt.coeffs == pytest.approx(pt.nodal[0], rel=1e-12)
 
     def test_finite_difference_mode_agrees(self):
         pt = small_wave(16)
         con = ConstraintSpec(0, 1, pt.sup_norm)
-        J_an = assemble_jacobian(pt.w, pt.mu, H, con,
-                                 NewtonConfig(jacobian_mode="analytic"))
-        J_fd = assemble_jacobian(pt.w, pt.mu, H, con,
-                                 NewtonConfig(jacobian_mode="finite-difference"))
+        J_an = assemble_jacobian(pt.w, pt.mu, H, con)
+        J_fd = central_difference_stacked_jacobian(get_system(16, H), pt.coeffs,
+                                                   pt.mu, con)
         assert np.max(np.abs(J_an - J_fd)) < 1e-5
 
 
@@ -148,10 +167,10 @@ class TestNewton:
         sys = get_system(32, H)
         base = small_wave(32, n=1, s=0.02)
         row = RNG.standard_normal(32)
-        target = float(row @ base.nodal)
+        target = float(row @ base.coeffs)
         pt = newton_solve(base.w, base.mu, H, ProjectionConstraint(row, target),
                           NewtonConfig(), system=sys)
-        assert abs(row @ pt.nodal - target) < 1e-9
+        assert abs(row @ pt.coeffs - target) < 1e-9
 
     def test_divergence_raises(self):
         sys = get_system(16, H)
@@ -181,7 +200,7 @@ class TestConfigs:
         with pytest.raises(ValueError):
             NewtonConfig(residual_tol=-1.0)
         with pytest.raises(ValueError):
-            NewtonConfig(jacobian_mode="symbolic")
+            NewtonConfig(max_iter=0)
 
     def test_discrete_system_validation(self):
         with pytest.raises(ValueError):

@@ -10,18 +10,17 @@ from babenko.spectral import (
     SpectralField,
     apply_Jh,
     apply_Lh,
-    apply_multiplier,
     as_depth,
     dealiased_product,
     dlambda_dr,
     dmu_dr,
     hilbert_symbol,
     inverse_transform_matrix,
-    lambda_seq,
     lambda_symbol,
-    mu_seq,
     mu_symbol,
     mu_symbol_total,
+    product_coeffs,
+    product_matrix,
     r_of_w,
     transform_forward,
     transform_inverse,
@@ -131,12 +130,12 @@ class TestOperators:
     def test_multiplier_matches_dense_oracle(self):
         N = 16
         grid = CosineGrid(N)
-        spec = lambda_seq(0.48, N)
+        h = np.pi / 5
         u = SpectralField(grid, coeffs=RNG.standard_normal(N))
         dense = (inverse_transform_matrix(grid)
-                 @ np.diag(spec.symbol)
+                 @ np.diag(lambda_symbol(r_of_w(u, h), N))
                  @ transform_matrix(grid))
-        out = apply_multiplier(spec, u)
+        out = apply_Jh(u, h)
         assert np.max(np.abs(out.nodal - dense @ u.nodal)) < 1e-12
 
     def test_apply_Jh_uses_solution_dependent_radius(self):
@@ -162,10 +161,6 @@ class TestOperators:
         w = SpectralField(grid, coeffs=np.concatenate(([-0.2], np.zeros(7))))
         out = apply_Lh(w, h)  # r > 1 is fine for the L-type operator
         assert np.all(np.isfinite(out.coeffs))
-
-    def test_mu_seq_family_tag(self):
-        assert mu_seq(0.5, 4).family == "L"
-        assert lambda_seq(0.5, 4).family == "J"
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
@@ -204,6 +199,18 @@ class TestDealiasedProduct:
         one = SpectralField(grid, coeffs=np.eye(6)[0])
         u = SpectralField(grid, coeffs=RNG.standard_normal(6))
         assert np.allclose(dealiased_product(one, u).coeffs, u.coeffs, atol=1e-13)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
+    def test_product_matrix_matches_dense_formula(self, N):
+        # T2 diag(S2 c) S2: evaluate on the 2N-node grid, multiply, analyse
+        fine = CosineGrid(2 * N)
+        S2 = inverse_transform_matrix(fine)[:, :N]
+        T2 = transform_matrix(fine)[:N, :]
+        c = RNG.standard_normal(N)
+        u = RNG.standard_normal(N)
+        dense = T2 @ np.diag(S2 @ c) @ S2
+        assert np.max(np.abs(product_matrix(c) - dense)) < 1e-12
+        assert np.max(np.abs(product_coeffs(c, u) - dense @ u)) < 1e-12
 
     def test_grid_mismatch(self):
         u = SpectralField(CosineGrid(4), coeffs=np.zeros(4))
