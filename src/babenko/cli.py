@@ -244,7 +244,7 @@ def _select_point(data: bio.BranchData, selector: str):
 @click.argument("branch_file", type=click.Path(exists=True))
 @click.option("--point", "selector", default="endpoint", show_default=True,
               help="Point selector: index, 'endpoint', or 'mu=VALUE'.")
-@click.option("--samples", "M", type=int, default=None,
+@click.option("--samples", "M", type=click.IntRange(min=1), default=None,
               help="Surface sample count (default 4N).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
@@ -282,7 +282,7 @@ def rcurve(branch_file, fmt, out):
 @click.argument("branch_files", type=click.Path(exists=True), nargs=-1)
 @click.option("--out", type=click.Path(), default=None,
               help="Report path (default verify_report.json next to first input).")
-@click.option("--sample", type=int, default=20, show_default=True,
+@click.option("--sample", type=click.IntRange(min=1), default=20, show_default=True,
               help="Points sampled per branch for the round-trip checks.")
 def verify(branch_files, out, sample):
     """Run the invariant suite over stored branch points; nonzero exit on failure."""

@@ -284,17 +284,41 @@ def write_profile(profile, mu: float, path, fmt: str = "csv") -> Path:
     return path
 
 
+def _r_maximum(series: np.ndarray) -> tuple[float, float]:
+    """(sup_norm, r) at the maximum of r along an (sup_norm, r) series.
+
+    An interior maximum is the vertex of the parabola r(a) through the
+    recorded point of largest r and its two neighbours, so the reported
+    location does not move with the continuation step.  A maximum at an
+    end of the series, or neighbours whose amplitudes are not strictly
+    monotone, keeps the recorded point.
+    """
+    a, r = series[:, 0], series[:, 1]
+    i = int(np.argmax(r))
+    if not 0 < i < len(r) - 1 or (a[i + 1] - a[i]) * (a[i] - a[i - 1]) <= 0:
+        return float(a[i]), float(r[i])
+    # Newton form r = r[i-1] + d0 (x - a[i-1]) + c2 (x - a[i-1]) (x - a[i]);
+    # argmax takes the first of equal values, so r[i-1] < r[i] >= r[i+1]
+    # and with monotone amplitudes c2 < 0
+    d0 = (r[i] - r[i - 1]) / (a[i] - a[i - 1])
+    d1 = (r[i + 1] - r[i]) / (a[i + 1] - a[i])
+    c2 = (d1 - d0) / (a[i + 1] - a[i - 1])
+    x = 0.5 * (a[i - 1] + a[i]) - 0.5 * d0 / c2
+    peak = r[i - 1] + d0 * (x - a[i - 1]) + c2 * (x - a[i - 1]) * (x - a[i])
+    return float(x), float(peak)
+
+
 def write_rcurve(series: np.ndarray, path, fmt: str = "csv") -> Path:
-    """Write an (sup_norm, r) series; metadata records the maximum location."""
+    """Write an (sup_norm, r) series; metadata records the interpolated maximum."""
     path = Path(path)
     series = np.asarray(series, dtype=float)
     if series.size:
-        imax = int(np.argmax(series[:, 1]))
+        a_max, r_max = _r_maximum(series)
         meta = {
             "format": "babenko-rcurve",
             "version": FORMAT_VERSION,
-            "r_max": series[imax, 1],
-            "sup_norm_at_max": series[imax, 0],
+            "r_max": r_max,
+            "sup_norm_at_max": a_max,
         }
     else:
         meta = {"format": "babenko-rcurve", "version": FORMAT_VERSION}

@@ -143,6 +143,11 @@ class TestProfile:
                                    "--point", "9999"])
         assert res.exit_code == EXIT_CONFIG
 
+    def test_nonpositive_samples(self, runner, traced_dir):
+        res = runner.invoke(main, ["profile", str(traced_dir / "C1.csv"),
+                                   "--samples", "-5"])
+        assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
+
 
 class TestRcurve:
     def test_series_written(self, runner, traced_dir, tmp_path):
@@ -216,6 +221,11 @@ class TestVerify:
         assert res.exit_code == EXIT_VERIFY
         doc = json.loads((tmp_path / "rep.json").read_text())
         assert doc["passed"] is False
+
+    def test_zero_sample_count(self, runner, traced_dir, tmp_path):
+        res = runner.invoke(main, ["verify", str(traced_dir / "C1.csv"),
+                                   "--sample", "0", "--out", str(tmp_path / "rep.json")])
+        assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
 
     def test_empty_input_vacuous_pass(self, runner, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from babenko import geometry
 from babenko.geometry import (
     GeometryError,
     WaveProfile,
@@ -16,6 +17,60 @@ from babenko.geometry import (
 from babenko.spectral import CosineGrid, DomainError, SpectralField
 
 from conftest import H, solve_small
+
+
+def dense_eval_series(coeffs, M):
+    """Dense cos/sin(outer(t, k)) @ c on t_j = -pi + 2 pi j / M: the oracle."""
+    t = np.linspace(-np.pi, np.pi, M, endpoint=False)
+    k = np.arange(coeffs.size)
+    return np.cos(np.outer(t, k)) @ coeffs + 1j * (np.sin(np.outer(t, k)) @ coeffs)
+
+
+def _profile_and_crests(w, M):
+    prof = surface_curve(w, 0.5, H, M=M)
+    return prof, crest_heights(w.coeffs, M)
+
+
+def _assert_profiles_agree(got, want, tol):
+    (gp, gc), (wp, wc) = got, want
+    assert np.max(np.abs(gp.x - wp.x)) < tol
+    assert np.max(np.abs(gp.y - wp.y)) < tol
+    assert abs(gp.mean_residual - wp.mean_residual) < tol
+    assert gp.monotone_x == wp.monotone_x
+    for census, oracle in ((gp.crest_census, wp.crest_census), (gc, wc)):
+        assert len(census) == len(oracle)
+        if census:
+            pos, height = np.array(census).T
+            pos_o, height_o = np.array(oracle).T
+            assert np.max(np.abs(pos - pos_o)) < 1e-9
+            assert np.max(np.abs(height - height_o)) < tol
+
+
+class TestSeriesEvaluation:
+    """The FFT evaluation against the dense basis it replaces."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        rng = np.random.default_rng(7)
+        k = np.arange(64)
+        c = 0.1 * rng.standard_normal(64) * np.exp(-k / 8.0)
+        c[0] = 0.0
+        return SpectralField(CosineGrid(64), coeffs=c)
+
+    # M < N folds aliases into bin k mod M; 129 is odd
+    @pytest.mark.parametrize("M", [50, 64, 129, 256, 16384])
+    def test_matches_dense_basis(self, field, M, monkeypatch):
+        got = geometry._eval_series(field.coeffs, M)
+        assert np.max(np.abs(got - dense_eval_series(field.coeffs, M))) < 1e-13
+        fft = _profile_and_crests(field, M)
+        monkeypatch.setattr(geometry, "_eval_series", dense_eval_series)
+        _assert_profiles_agree(fft, _profile_and_crests(field, M), 1e-13)
+
+    def test_near_extreme_endpoint(self, c1_full, monkeypatch):
+        w = c1_full.last.w
+        fft = _profile_and_crests(w, 16384)
+        monkeypatch.setattr(geometry, "_eval_series", dense_eval_series)
+        _assert_profiles_agree(fft, _profile_and_crests(w, 16384), 1e-13)
 
 
 class TestModifiedCoefficients:
@@ -110,6 +165,15 @@ class TestConformalMap:
         r = math.exp(-H)
         z = conformal_map_sample(np.zeros(8), r, n_radial=2, n_angular=16)
         assert np.max(np.abs(z[0].imag)) < 1e-14
+        assert np.max(np.abs(z[-1].imag + H)) < 1e-14
+
+    def test_bottom_row_finite_at_large_N(self):
+        # rho^k underflows at |u| = r for k ~ 2000; r^2k rho^-k must not
+        # be formed as a quotient of underflowed powers
+        b = np.zeros(2048)
+        b[1] = 0.01
+        z = conformal_map_sample(b, math.exp(-H), n_radial=4, n_angular=64)
+        assert np.all(np.isfinite(z))
         assert np.max(np.abs(z[-1].imag + H)) < 1e-14
 
     def test_boundary_correspondence_monotone(self):

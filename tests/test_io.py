@@ -140,6 +140,16 @@ class TestProfileAndCurves:
         assert meta["sup_norm_at_max"] == series[imax, 0]
         assert len(lines) == 3 + len(series)
 
+    def test_rcurve_maximum_is_interpolated(self, c1_full, tmp_path):
+        # the recorded point of largest r sits up to 4e-3 from the reference
+        # maximum at a = 0.33433; the parabola through it and its neighbours
+        # does not depend on where the continuation steps fell
+        series = r_curve(c1_full)
+        lines = write_rcurve(series, tmp_path / "r.csv").read_text().splitlines()
+        meta = json.loads(lines[1].lstrip("# "))
+        assert meta["sup_norm_at_max"] == pytest.approx(0.33433, abs=1e-3)
+        assert meta["r_max"] >= series[:, 1].max()
+
     def test_rcurve_json(self, c1_coarse, tmp_path):
         series = r_curve(c1_coarse)
         doc = json.loads(
