@@ -161,8 +161,9 @@ def read_branch(path) -> BranchData:
     """Load a branch table (CSV or JSON) and, if present, its solution sidecar.
 
     Raises BranchFormatError when either file is not a well-formed branch
-    file: a missing or truncated header, a row that does not parse, or a
-    sidecar row whose length does not match its N.
+    file: a missing or truncated header, a row that does not parse, a
+    sidecar row whose length does not match its N, or a sidecar whose
+    point count differs from the table's.
     """
     path = Path(path)
     if not path.exists():
@@ -170,7 +171,13 @@ def read_branch(path) -> BranchData:
     try:
         label, depth, table = _read_table(path)
         sidecar = path.parent / f"{label}.solutions.csv"
-        points = _read_sidecar(sidecar, depth) if sidecar.exists() else []
+        points = []
+        if sidecar.exists():
+            points = _read_sidecar(sidecar, depth)
+            if len(points) != len(table):
+                raise BranchFormatError(
+                    f"{sidecar} holds {len(points)} points, {path} {len(table)}"
+                )
     except BranchFormatError:
         raise
     except (IndexError, KeyError, TypeError, ValueError) as exc:

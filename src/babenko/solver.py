@@ -7,10 +7,12 @@ closing row fixes the signed value of w at a collocation node
 (ConstraintSpec) or any linear functional of the coefficients, such as the
 series value at a crest (ProjectionConstraint).  The analytic Jacobian,
 including the chain-rule terms through the conformal-radius functional, is
-assembled from the structured product matrices of spectral.product_matrix:
-diagonal symbols, column scalings and rank-one column-0 terms, with no
-change of basis.  Newton judges convergence on the nodal values of the
-residual.
+assembled in place from the structured product matrices of
+spectral.add_product_matrix: diagonal symbols, row and column scalings and
+rank-one terms, with no change of basis and no N x N temporary.  Newton
+allocates one (N+1) x (N+1) buffer per solve and reassembles the bordered
+Jacobian into it at every iteration.  Newton judges convergence on the
+nodal values of the residual.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from .spectral import (
     CosineGrid,
     DomainError,
     SpectralField,
+    add_product_matrix,
     as_depth,
     dlambda_dr,
     dmu_dr,
     lambda_symbol,
     mu_symbol_total,
     product_coeffs,
-    product_matrix,
     series_peak,
     transform_inverse,
 )
@@ -47,7 +49,6 @@ __all__ = [
     "DiscreteSystem",
     "residual_modified",
     "residual_fixed_r",
-    "assemble_jacobian",
     "newton_solve",
     "get_system",
 ]
@@ -70,7 +71,11 @@ class SingularJacobian(SolveFailure):
 
 
 class InadmissibleIterate(SolveFailure):
-    """The iterate left the operator domain (mean too negative) and damping failed."""
+    """An iterate left the operator domain.
+
+    Either damping could not keep the mean above -h, or a predictor or a
+    wild step gave a mean so large that the conformal radius underflowed.
+    """
 
 
 @dataclass
@@ -169,11 +174,15 @@ class DiscreteSystem:
     """The collocation system at fixed N and depth h, on coefficient vectors.
 
     The public wrappers below convert from and to SpectralField values.
-    Instances hold O(N) data only; get_system reuses one per (N, h).
+    Instances hold O(N) data only; get_system reuses one per (N, h).  The
+    Jacobian is assembled in place into a buffer the caller owns
+    (stacked_jacobian's out), so the cached systems hold no N x N arrays.
     """
 
     # margin keeping exp(-h - mean) away from 1 during damped iterations
     MEAN_MARGIN = 1e-10
+    # rows per block of the rank-one update, which bounds its temporary
+    _BLOCK = 64
 
     def __init__(self, N: int, h: float):
         self.N = int(N)
@@ -206,48 +215,87 @@ class DiscreteSystem:
         return out
 
     def jacobian(self, c: np.ndarray, mu: float):
-        """Analytic d(residual)/dc and d(residual)/dmu in coefficient space."""
+        """Analytic d(residual)/dc and d(residual)/dmu in coefficient space.
+
+        Both are views into one stacked buffer; see stacked_jacobian.
+        """
         N = self.N
-        rho = self._radius(c[0])
-        lam = lambda_symbol(rho, N)
-        Jw = lam * c
-        Pw = product_matrix(c)
-        g = -(Pw @ Jw)
-        sigma = self._sigma(g[0])
-        mus = mu_symbol_total(sigma, N)
-
-        # dg/dc = -D with D = P(Jw) + P(w) d(Jw)/dc, where d(Jw)/dc is
-        # diag(lam) plus the column-0 chain rule term through rho = exp(-h - c_0)
-        D = product_matrix(Jw)
-        D += Pw * lam
-        D[:, 0] -= Pw @ (rho * dlambda_dr(rho, N) * c)
-
-        # middle term -mus(sigma(c)) * g(c), sigma = exp(-h - g_0)
-        A = D * mus[:, None]
-        A -= np.outer(sigma * dmu_dr(sigma, N) * g, D[0])
-        # the L-type term mu_h(rho) * w, with its column-0 chain rule term
-        A.flat[:: N + 1] += mu_symbol_total(rho, N)
-        A[:, 0] -= rho * dmu_dr(rho, N) * c
-        # w^2 / 2 and -mu * w, which the mean mode's row does not carry
-        Pw[0] = 0.0
-        A += Pw
-        A.flat[N + 1 :: N + 1] -= mu
-
-        dF_dmu = -c
-        dF_dmu[0] = 0.0
-        return A, dF_dmu
+        J = np.empty((N + 1, N + 1))
+        self._assemble(c, mu, J)
+        return J[:N, :N], J[:N, N]
 
     def stacked_residual(self, c: np.ndarray, mu: float, constraint) -> np.ndarray:
         """Residual coefficients followed by the closing row's value."""
         return np.append(self.residual(c, mu), constraint.value(c))
 
-    def stacked_jacobian(self, c: np.ndarray, mu: float, constraint) -> np.ndarray:
-        """(N+1) x (N+1) Jacobian of stacked_residual in (c, mu)."""
+    def stacked_jacobian(
+        self, c: np.ndarray, mu: float, constraint, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(N+1) x (N+1) Jacobian of stacked_residual in (c, mu).
+
+        It is written into out when given (every entry is overwritten) and
+        returned; no N x N temporary is created.
+        """
         N = self.N
-        J = np.zeros((N + 1, N + 1))
-        J[:N, :N], J[:N, N] = self.jacobian(c, mu)
-        J[N, :N] = constraint.row(c)
-        return J
+        if out is None:
+            out = np.empty((N + 1, N + 1))
+        elif out.shape != (N + 1, N + 1):
+            raise ValueError(f"out must have shape {(N + 1, N + 1)}, got {out.shape}")
+        self._assemble(c, mu, out)
+        out[N, :N] = constraint.row(c)
+        out[N, N] = 0.0
+        return out
+
+    def _assemble(self, c: np.ndarray, mu: float, J: np.ndarray) -> None:
+        """Write d(residual)/dc into J[:N, :N] and d(residual)/dmu into J[:N, N].
+
+        The residual is mus(sigma) * P(w) J w + mu_h(rho) * w, plus w^2 / 2
+        and -mu * w outside the mean mode, where P is product_matrix,
+        J w = lam(rho) * c, rho = exp(-h - c_0) and sigma = exp(-h - g_0)
+        with g = -P(w) J w.  Its derivative is built in place, one pass
+        over the rows per term.  The passes run over the whole rows of
+        J[:N], which are contiguous, and column N, which they leave
+        meaningless, is written last.
+        """
+        N = self.N
+        A = J[:N]
+        rho = self._radius(c[0])
+        lam = lambda_symbol(rho, N)
+        g = -product_coeffs(c, lam * c)
+        sigma = self._sigma(g[0])
+        mus = mu_symbol_total(sigma, N)
+
+        # dg/dc = -D with D = P(Jw) + P(w) diag(lam) - the column-0 term
+        A.fill(0.0)
+        add_product_matrix(c, A)
+        A *= np.append(lam, 0.0)  # whole rows; column N is rewritten last
+        add_product_matrix(lam * c, A)
+        A[:, 0] -= product_coeffs(c, rho * dlambda_dr(rho, N) * c)
+
+        # middle term -mus(sigma(c)) * g(c): the row scaling by mus and the
+        # rank-one term of sigma = exp(-h - g_0), in row blocks
+        d0 = A[0].copy()
+        beta = sigma * dmu_dr(sigma, N) * g
+        tmp = np.empty((min(N, self._BLOCK), N + 1))
+        for i in range(0, N, self._BLOCK):
+            rows = slice(i, i + self._BLOCK)
+            block = A[rows]
+            t = np.multiply.outer(beta[rows], d0, out=tmp[: len(block)])
+            block *= mus[rows, None]
+            block -= t
+
+        # w^2 / 2, which the mean mode's row does not carry
+        row0 = A[0].copy()
+        add_product_matrix(c, A)
+        A[0] = row0
+        # the L-type term mu_h(rho) * w with its column-0 chain rule term,
+        # and -mu * w outside the mean mode
+        diag = np.arange(N)
+        A[diag, diag] += mu_symbol_total(rho, N)
+        A[diag[1:], diag[1:]] -= mu
+        A[:, 0] -= rho * dmu_dr(rho, N) * c
+        A[:, N] = -c
+        A[0, N] = 0.0
 
 
 _SYSTEM_CACHE: dict[tuple[int, float], DiscreteSystem] = {}
@@ -278,17 +326,6 @@ def residual_fixed_r(w: SpectralField, mu: float, r: float) -> SpectralField:
     return SpectralField(w.grid, coeffs=out)
 
 
-def assemble_jacobian(
-    w: SpectralField,
-    mu: float,
-    depth,
-    constraint: ConstraintSpec,
-) -> np.ndarray:
-    """(N+1) x (N+1) Jacobian of the stacked system at (w, mu)."""
-    sys = get_system(w.grid.N, as_depth(depth).h)
-    return sys.stacked_jacobian(w.coeffs, mu, constraint)
-
-
 def _make_point(sys: DiscreteSystem, c, mu, res_norm, iters, history) -> SolutionPoint:
     return SolutionPoint.from_solution(
         SpectralField(sys.grid, coeffs=c.copy()), mu, sys.h, res_norm, iters, history
@@ -305,8 +342,11 @@ def newton_solve(
 ) -> SolutionPoint:
     """Newton iteration on the stacked system from the given predictor.
 
-    Raises a SolveFailure subclass on divergence, iteration exhaustion,
-    singular linear algebra, or an iterate leaving the operator domain.
+    One (N+1) x (N+1) Jacobian buffer is allocated per solve; every
+    iteration reassembles the Jacobian into it and solves with
+    numpy.linalg.solve.  Raises a SolveFailure subclass on divergence,
+    iteration exhaustion, singular linear algebra, or an iterate leaving
+    the operator domain.
     """
     cfg = cfg or NewtonConfig()
     sys = system or get_system(initial_w.grid.N, as_depth(depth).h)
@@ -318,18 +358,22 @@ def newton_solve(
 
     def res(c, mu):
         # coefficients for the step, nodal values for the convergence test
-        R = sys.stacked_residual(c, mu, constraint)
+        try:
+            R = sys.stacked_residual(c, mu, constraint)
+        except DomainError as exc:  # exp(-h - c_0) left (0, 1) or underflowed
+            raise InadmissibleIterate(str(exc)) from exc
         nodal = transform_inverse(R[:-1], sys.grid)
         return R, max(np.max(np.abs(nodal)), abs(R[-1]))
 
     R, norm = res(c, mu)
     history = [norm]
     norm0 = max(norm, 1.0)
+    J = np.empty((sys.N + 1, sys.N + 1))  # reassembled in place every iteration
 
     for it in range(cfg.max_iter):
         if norm <= cfg.residual_tol:
             return _make_point(sys, c, mu, norm, it, history)
-        J = sys.stacked_jacobian(c, mu, constraint)
+        sys.stacked_jacobian(c, mu, constraint, out=J)
         try:
             step = np.linalg.solve(J, -R)
         except np.linalg.LinAlgError as exc:

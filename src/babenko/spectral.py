@@ -7,7 +7,8 @@ by type-II/III discrete cosine transforms.  On top of the transforms this
 module provides the diagonal Fourier-multiplier symbols of the
 finite-depth wave problem and their depth-parametrized (nonlinear)
 operators, plus the exactly dealiased pointwise product and its
-structured matrix, from which the solver assembles its Newton system.
+structured matrix, which the solver accumulates in place into its Newton
+system.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "apply_Jh",
     "apply_Lh",
     "product_coeffs",
+    "add_product_matrix",
     "product_matrix",
     "dealiased_product",
     "series_peak",
@@ -313,24 +315,40 @@ def product_coeffs(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
     return transform_forward(prod, fine)[:N]
 
 
-def product_matrix(c: np.ndarray) -> np.ndarray:
-    """Matrix of the linear map u -> product_coeffs(c, u).
+def add_product_matrix(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add the matrix of u -> product_coeffs(c, u) to out, in place.
 
     By cos(jt) cos(mt) = (cos((j-m)t) + cos((j+m)t)) / 2 its entries are
     (c_|k-m| + c_(k+m)) / 2, Toeplitz plus Hankel with c_j = 0 for j >= N,
     except that row 0 holds c_m / 2 for m >= 1 and the diagonal gains
-    c_0 / 2 for k >= 1 (column 0 equals c).
+    c_0 / 2 for k >= 1 (column 0 equals c).  out has the N rows of the
+    product's modes and M >= N columns; a column m >= N follows the same
+    formula, as for a factor u with M modes, so that a caller can fill
+    whole rows of a wider matrix.  The two parts are added from strided
+    views of O(N) vectors; no N x M temporary is made.
     """
     c = np.asarray(c, dtype=float)
-    N = c.size
-    # strided views: v[N-1+k-m] = c_|k-m| and u[k+m] = c_(k+m)
-    v = np.concatenate((c[::-1], c[1:]))
-    u = np.concatenate((c, np.zeros(N - 1)))
-    M = sliding_window_view(v, N)[:, ::-1] + sliding_window_view(u, N)
-    M *= 0.5
-    M[0, 1:] *= 0.5
-    M.flat[N + 1 :: N + 1] += 0.5 * c[0]
-    return M
+    N, M = out.shape
+    if c.size != N or M < N:
+        raise ValueError(f"out must be {c.size} x M with M >= {c.size}, got {out.shape}")
+    half = 0.5 * c
+    # v[N-1+j] = c_|j| / 2, so the Toeplitz row k, c_|m-k| / 2, is the window
+    # of v starting at N-1-k; u[k+m] = c_(k+m) / 2 gives the Hankel rows
+    pad = np.zeros(M - 1)
+    v = np.concatenate((half[::-1], half[1:], pad[: M - N]))
+    u = np.concatenate((half, pad))
+    out[1:] += sliding_window_view(v, M)[::-1][1:]
+    out[1:] += sliding_window_view(u, M)[1:]
+    out[0, 0] += c[0]
+    out[0, 1:N] += half[1:]
+    out.flat[M + 1 :: M + 1] += half[0]
+    return out
+
+
+def product_matrix(c: np.ndarray) -> np.ndarray:
+    """Matrix of the linear map u -> product_coeffs(c, u); see add_product_matrix."""
+    c = np.asarray(c, dtype=float)
+    return add_product_matrix(c, np.zeros((c.size, c.size)))
 
 
 def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:

@@ -182,8 +182,15 @@ def _short_sidecar_row(src, dst):
     (dst / "C1.solutions.csv").write_text("\n".join(lines) + "\n")
 
 
+def _sidecar_missing_row(src, dst):
+    (dst / "C1.csv").write_text((src / "C1.csv").read_text())
+    lines = (src / "C1.solutions.csv").read_text().splitlines()
+    (dst / "C1.solutions.csv").write_text("\n".join(lines[:-1]) + "\n")
+
+
 @pytest.mark.parametrize("damage", [
     _truncated_header, _not_a_branch_file, _truncated_sidecar, _short_sidecar_row,
+    _sidecar_missing_row,
 ])
 def test_malformed_branch_file_is_config_error(runner, traced_dir, tmp_path, damage):
     damage(traced_dir, tmp_path)

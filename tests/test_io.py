@@ -8,6 +8,7 @@ from babenko.continuation import Branch, BranchEvent
 from babenko.geometry import r_curve, surface_curve
 from babenko.io import (
     BranchData,
+    BranchFormatError,
     read_branch,
     write_branch,
     write_events,
@@ -84,6 +85,15 @@ class TestBranchReadErrors:
         bad.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ValueError):
             read_branch(bad)
+
+    @pytest.mark.parametrize("edit", ["drop_last_row", "repeat_last_row"])
+    def test_sidecar_point_count_must_match_table(self, c1_coarse, tmp_path, edit):
+        paths = write_branch(c1_coarse, tmp_path, H)
+        lines = paths[1].read_text().splitlines()
+        lines = lines[:-1] if edit == "drop_last_row" else lines + lines[-1:]
+        paths[1].write_text("\n".join(lines) + "\n")
+        with pytest.raises(BranchFormatError):
+            read_branch(paths[0])
 
     def test_table_without_sidecar_loads(self, c1_coarse, tmp_path):
         paths = write_branch(c1_coarse, tmp_path, H)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,16 +7,24 @@ import pytest
 from babenko.solver import (
     ConstraintSpec,
     DiscreteSystem,
+    InadmissibleIterate,
     NewtonConfig,
     ProjectionConstraint,
     SolveFailure,
-    assemble_jacobian,
     get_system,
     newton_solve,
     residual_fixed_r,
     residual_modified,
 )
-from babenko.spectral import DomainError, SpectralField
+from babenko.spectral import (
+    DomainError,
+    SpectralField,
+    dlambda_dr,
+    dmu_dr,
+    lambda_symbol,
+    mu_symbol_total,
+    product_matrix,
+)
 
 H = math.pi / 5
 RNG = np.random.default_rng(7)
@@ -47,6 +56,39 @@ def central_difference_stacked_jacobian(sys, c, mu, constraint, step=1e-7):
         J[:, i] = (sys.stacked_residual(cp, mup, constraint)
                    - sys.stacked_residual(cm, mum, constraint)) / (2.0 * step)
     return J
+
+
+def reference_stacked_jacobian(sys, c, mu, constraint):
+    """Stacked Jacobian by dense arithmetic on fresh product matrices.
+
+    The assembly in DiscreteSystem fills one buffer in place, term by term;
+    this is the same derivative written out with N x N temporaries.
+    """
+    N = sys.N
+    rho = float(np.exp(-sys.h - c[0]))
+    lam = lambda_symbol(rho, N)
+    Pw = product_matrix(c)
+    g = -(Pw @ (lam * c))
+    sigma = float(np.exp(-sys.h - g[0]))
+    mus = mu_symbol_total(sigma, N)
+    D = product_matrix(lam * c) + Pw * lam
+    D[:, 0] -= Pw @ (rho * dlambda_dr(rho, N) * c)
+    A = D * mus[:, None] - np.outer(sigma * dmu_dr(sigma, N) * g, D[0])
+    A += np.diag(mu_symbol_total(rho, N))
+    A[:, 0] -= rho * dmu_dr(rho, N) * c
+    A[1:] += Pw[1:] - mu * np.eye(N)[1:]
+    J = np.zeros((N + 1, N + 1))
+    J[:N, :N] = A
+    J[1:N, N] = -c[1:]
+    J[N, :N] = constraint.row(c)
+    return J
+
+
+def random_state(N, rng):
+    """Decaying random coefficients with an admissible mean."""
+    c = 0.05 * rng.standard_normal(N) * np.exp(-0.05 * np.arange(N))
+    c[0] = -0.01
+    return c
 
 
 class TestResiduals:
@@ -121,7 +163,7 @@ class TestJacobian:
     def test_stacked_shape_and_constraint_row(self):
         pt = small_wave(16)
         con = ConstraintSpec(0, 1, pt.sup_norm)
-        J = assemble_jacobian(pt.w, pt.mu, H, con)
+        J = get_system(16, H).stacked_jacobian(pt.coeffs, pt.mu, con)
         assert J.shape == (17, 17)
         # last row: derivative of sign * w(x_0) - a with respect to the
         # coefficients, cos(k x_0), and nothing in the mu column
@@ -133,10 +175,79 @@ class TestJacobian:
     def test_finite_difference_mode_agrees(self):
         pt = small_wave(16)
         con = ConstraintSpec(0, 1, pt.sup_norm)
-        J_an = assemble_jacobian(pt.w, pt.mu, H, con)
+        J_an = get_system(16, H).stacked_jacobian(pt.coeffs, pt.mu, con)
         J_fd = central_difference_stacked_jacobian(get_system(16, H), pt.coeffs,
                                                    pt.mu, con)
         assert np.max(np.abs(J_an - J_fd)) < 1e-5
+
+
+class TestInPlaceAssembly:
+    @staticmethod
+    def constraints(N, rng):
+        return [ConstraintSpec(0, 1, 0.05),
+                ProjectionConstraint(rng.standard_normal(N), 0.01)]
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
+    def test_fills_supplied_buffer(self, N):
+        rng = np.random.default_rng(N)
+        sys = get_system(N, H)
+        c = random_state(N, rng)
+        for con in self.constraints(N, rng):
+            buf = np.full((N + 1, N + 1), np.nan)
+            got = sys.stacked_jacobian(c, 0.6, con, out=buf)
+            assert got is buf
+            fresh = sys.stacked_jacobian(c, 0.6, con)
+            assert np.max(np.abs(buf - fresh)) <= 1e-15 * np.max(np.abs(fresh))
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 512])
+    def test_matches_reference_assembly(self, N):
+        rng = np.random.default_rng(100 + N)
+        sys = get_system(N, H)
+        c = random_state(N, rng)
+        for con in self.constraints(N, rng):
+            ref = reference_stacked_jacobian(sys, c, 0.6, con)
+            got = sys.stacked_jacobian(c, 0.6, con)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # jacobian is the same assembly without the closing row
+        A, dF_dmu = sys.jacobian(c, 0.6)
+        assert np.array_equal(A, got[:N, :N])
+        assert np.array_equal(dF_dmu, got[:N, N])
+
+    def test_no_matrix_sized_temporaries(self):
+        # one 512 x 512 array is 2.1 MB
+        N = 512
+        sys = get_system(N, H)
+        c = random_state(N, np.random.default_rng(5))
+        con = ConstraintSpec(0, 1, 0.05)
+        buf = np.empty((N + 1, N + 1))
+        sys.stacked_jacobian(c, 0.6, con, out=buf)
+        tracemalloc.start()
+        try:
+            sys.stacked_jacobian(c, 0.6, con, out=buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_wrong_buffer_shape_rejected(self):
+        sys = get_system(8, H)
+        with pytest.raises(ValueError):
+            sys.stacked_jacobian(random_state(8, RNG), 0.6,
+                                 ConstraintSpec(0, 1, 0.05), out=np.empty((8, 8)))
+
+    def test_newton_reuses_one_buffer(self, monkeypatch):
+        seen = []
+        original = DiscreteSystem.stacked_jacobian
+
+        def spy(self, c, mu, constraint, out=None):
+            seen.append(out)
+            return original(self, c, mu, constraint, out=out)
+
+        monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", spy)
+        pt = small_wave(32, n=1, s=0.03)
+        assert len(seen) == pt.iterations >= 2
+        assert seen[0] is not None
+        assert all(buf is seen[0] for buf in seen)
 
 
 class TestNewton:
@@ -179,6 +290,17 @@ class TestNewton:
         with pytest.raises(SolveFailure):
             newton_solve(SpectralField(sys.grid, nodal=x), 0.55, H, con,
                          NewtonConfig(max_iter=12), system=sys)
+
+    @pytest.mark.parametrize("mean", [800.0, -2 * H], ids=["underflow", "below_bottom"])
+    def test_iterate_outside_domain_is_a_solve_failure(self, mean):
+        # exp(-h - mean) underflows to 0 at 800 and exceeds 1 at -2h; the
+        # continuation halves its step on a SolveFailure, not on DomainError
+        sys = get_system(16, H)
+        c = np.zeros(16)
+        c[0] = mean
+        with pytest.raises(InadmissibleIterate):
+            newton_solve(SpectralField(sys.grid, coeffs=c), 0.5, H,
+                         ConstraintSpec(0, 1, 0.01), NewtonConfig(), system=sys)
 
     def test_overflow_guard_in_sigma(self):
         # wild iterates with admissible mean but huge nonlinear terms must

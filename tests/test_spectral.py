@@ -8,6 +8,7 @@ from babenko.spectral import (
     CosineGrid,
     DomainError,
     SpectralField,
+    add_product_matrix,
     apply_Jh,
     apply_Lh,
     as_depth,
@@ -211,6 +212,23 @@ class TestDealiasedProduct:
         dense = T2 @ np.diag(S2 @ c) @ S2
         assert np.max(np.abs(product_matrix(c) - dense)) < 1e-12
         assert np.max(np.abs(product_coeffs(c, u) - dense @ u)) < 1e-12
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
+    def test_add_product_matrix_accumulates_wide_rows(self, N):
+        # N rows, M = N + 3 columns: the product with an M-mode factor,
+        # dense on the (N + M)-node grid, where it is still exact
+        M = N + 3
+        fine = CosineGrid(N + M)
+        S = inverse_transform_matrix(fine)
+        T = transform_matrix(fine)[:N, :]
+        c = RNG.standard_normal(N)
+        dense = T @ np.diag(S[:, :N] @ c) @ S[:, :M]
+        base = RNG.standard_normal((N, M))
+        out = base.copy()
+        assert add_product_matrix(c, out) is out
+        assert np.max(np.abs(out - base - dense)) < 1e-12
+        with pytest.raises(ValueError):
+            add_product_matrix(c, np.zeros((N, N - 1)))
 
     def test_grid_mismatch(self):
         u = SpectralField(CosineGrid(4), coeffs=np.zeros(4))
