@@ -23,6 +23,7 @@ from .solver import (
     SolutionPoint,
     SolveFailure,
     get_system,
+    lu_factor_in_place,
     newton_solve,
 )
 from .spectral import SpectralField, as_depth, series_peak
@@ -217,6 +218,13 @@ def _terminate(branch: Branch, cfg: ContinuationConfig, reason) -> None:
     )
 
 
+# a corrector that needed at most this many Jacobian factorizations was
+# easy, and the next step grows.  3 gives the same points as growing after
+# at most 4 full Newton steps; 2, or a bound on chord steps, moves the
+# C5 secondary branches' points and endpoints.
+EASY_FACTORIZATIONS = 3
+
+
 def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None) -> Branch:
     """Extend a branch until an endpoint event, amplitude_max or max_points.
 
@@ -298,7 +306,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
             step = max(eff * 0.5, cfg.step_min)
             continue
         branch.points.append(pt)
-        if pt.iterations <= 4 and step < cfg.step_max:
+        if pt.factorizations <= EASY_FACTORIZATIONS and step < cfg.step_max:
             step = min(step * 1.3, cfg.step_max)
 
     for ev in detect_turning_points(branch, depth, cfg):
@@ -389,15 +397,29 @@ def _symmetry_classes(N: int, mode: int | None) -> list[np.ndarray]:
     return classes
 
 
-def _class_signs(A: np.ndarray, classes: list[np.ndarray]):
-    """Determinant sign and smallest singular value per class block."""
-    out = []
-    for idx in classes:
-        block = A[np.ix_(idx, idx)]
-        sign, _ = np.linalg.slogdet(block)
-        smin = float(np.linalg.svd(block, compute_uv=False)[-1])
-        out.append((float(sign), smin))
-    return out
+def _det_sign(block: np.ndarray) -> float:
+    """Sign of det(block) from its LU factors; block is overwritten.
+
+    The sign is the product of the signs of U's diagonal times the parity
+    of the row interchanges, and 0 for an exactly singular block.
+    """
+    lu, piv = lu_factor_in_place(block)
+    swaps = np.count_nonzero(piv != np.arange(piv.size))
+    return float(np.prod(np.sign(np.diagonal(lu)))) * (-1.0) ** swaps
+
+
+def _class_sign(A: np.ndarray, idx: np.ndarray) -> float:
+    """Determinant sign of the class block A[idx, idx]."""
+    return _det_sign(A[np.ix_(idx, idx)])
+
+
+def _class_signs(A: np.ndarray, idx: np.ndarray) -> tuple[float, float]:
+    """Determinant sign and smallest singular value of a class block."""
+    from scipy.linalg import svdvals
+
+    block = A[np.ix_(idx, idx)]
+    smin = float(svdvals(block, check_finite=False)[-1])
+    return _det_sign(block), smin
 
 
 def _is_fold(A: np.ndarray, dF_dmu: np.ndarray) -> bool:
@@ -406,7 +428,9 @@ def _is_fold(A: np.ndarray, dF_dmu: np.ndarray) -> bool:
     At a fold the left null vector has a nonzero component along the
     mu-derivative of the residual; at a branch point it is orthogonal.
     """
-    U, s, Vt = np.linalg.svd(A)
+    from scipy.linalg import svd
+
+    U, s, Vt = svd(A, check_finite=False)
     psi = U[:, -1]
     denom = np.linalg.norm(dF_dmu)
     if denom == 0:
@@ -446,33 +470,36 @@ def detect_secondary_bifurcations(
     returned and replace the branch's earlier secondary_bifurcation events,
     so repeated calls leave the same events.
     """
+    from scipy.linalg import svd
+
     cfg = cfg or ContinuationConfig()
     if len(branch.points) < 3:
         return []
     depth = as_depth(depth)
     sys = get_system(cfg.N, depth.h)
     classes = _symmetry_classes(sys.N, branch.mode)
+    # on a mode > 1 branch class 0 carries the branch itself; its folds are
+    # the turning points, so only the other classes are scanned
+    scanned = range(1, len(classes)) if len(classes) > 1 else range(1)
 
-    # per point: (determinant sign, smallest singular value) per class
-    data = [
-        _class_signs(sys.jacobian(pt.coeffs, pt.mu)[0], classes)
-        for pt in branch.points
-    ]
+    # per point and scanned class: (determinant sign, smallest singular value)
+    data = []
+    for pt in branch.points:
+        A = sys.jacobian(pt.coeffs, pt.mu)[0]
+        data.append({ci: _class_signs(A, classes[ci]) for ci in scanned})
 
     events: list[BranchEvent] = []
 
     def bisect(p0: SolutionPoint, p1: SolutionPoint, ci: int) -> BranchEvent | None:
         lo, hi = p0, p1
-        sign_lo = _class_signs(sys.jacobian(lo.coeffs, lo.mu)[0], [classes[ci]])[0][0]
+        sign_lo = _class_sign(sys.jacobian(lo.coeffs, lo.mu)[0], classes[ci])
         while hi.sup_norm - lo.sup_norm > cfg.bifurcation_monitor_tol:
             a_mid = 0.5 * (lo.sup_norm + hi.sup_norm)
             try:
                 mid = _solve_between(sys, depth, cfg, lo, hi, a_mid)
             except SolveFailure:
                 break
-            s_mid = _class_signs(
-                sys.jacobian(mid.coeffs, mid.mu)[0], [classes[ci]]
-            )[0][0]
+            s_mid = _class_sign(sys.jacobian(mid.coeffs, mid.mu)[0], classes[ci])
             if s_mid == sign_lo:
                 lo = mid
             else:
@@ -481,7 +508,7 @@ def detect_secondary_bifurcations(
         block = A[np.ix_(classes[ci], classes[ci])]
         if len(classes) == 1 and _is_fold(A, dF_dmu):
             return None  # turning point, reported separately
-        U, s, Vt = np.linalg.svd(block)
+        U, s, Vt = svd(block, check_finite=False)
         phi = np.zeros(sys.N)
         phi[classes[ci]] = Vt[-1]
         a_ev = 0.5 * (lo.sup_norm + hi.sup_norm)
@@ -498,9 +525,7 @@ def detect_secondary_bifurcations(
         )
 
     npts = len(branch.points)
-    for ci in range(len(classes)):
-        if len(classes) > 1 and ci == 0:
-            continue  # class 0 carries the branch itself; folds only
+    for ci in scanned:
         i = 0
         while i < npts - 1:
             p0, p1 = branch.points[i], branch.points[i + 1]
@@ -531,9 +556,7 @@ def detect_secondary_bifurcations(
                 sub.append(p1)
                 if ok:
                     signs = [
-                        _class_signs(
-                            sys.jacobian(q.coeffs, q.mu)[0], [classes[ci]]
-                        )[0][0]
+                        _class_sign(sys.jacobian(q.coeffs, q.mu)[0], classes[ci])
                         for q in sub
                     ]
                     for k in range(len(sub) - 1):

@@ -9,14 +9,21 @@ series value at a crest (ProjectionConstraint).  The analytic Jacobian,
 including the chain-rule terms through the conformal-radius functional, is
 assembled in place from the structured product matrices of
 spectral.add_product_matrix: diagonal symbols, row and column scalings and
-rank-one terms, with no change of basis and no N x N temporary.  Newton
-allocates one (N+1) x (N+1) buffer per solve and reassembles the bordered
-Jacobian into it at every iteration.  Newton judges convergence on the
-nodal values of the residual.
+rank-one terms, with no change of basis and no N x N temporary.
+
+Newton is a chord (Shamanskii) iteration: it allocates one (N+1) x (N+1)
+buffer per solve, assembles the bordered Jacobian into it, factors it in
+place with scipy.linalg.lu_factor and takes further steps by
+back-substitution, reassembling and refactoring only when the residual
+contracts by less than CONTRACTION per step (Kelley, Solving Nonlinear
+Equations with Newton's Method, SIAM 2003, ch. 5).  Newton judges
+convergence on the nodal values of the residual.  scipy.linalg is imported
+where it is used, so commands that never factor do not load it.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,6 +141,9 @@ class SolutionPoint:
 
     sup_norm is the amplitude max_t |w(t)| of the cosine series, crests at
     t = 0 and t = pi included, not the maximum over the collocation nodes.
+    iterations counts Newton steps and factorizations the Jacobians
+    assembled and factored for them; residual_history holds the residual
+    norm before each step and after the last.
     """
 
     mu: float
@@ -145,6 +155,7 @@ class SolutionPoint:
     residual_norm: float
     iterations: int = 0
     residual_history: list = field(default_factory=list, repr=False)
+    factorizations: int = 0
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -158,7 +169,7 @@ class SolutionPoint:
     def from_solution(
         cls, w: SpectralField, mu: float, h: float,
         residual_norm: float = float("nan"), iterations: int = 0,
-        residual_history: list | None = None,
+        residual_history: list | None = None, factorizations: int = 0,
     ) -> "SolutionPoint":
         """Build a point from (mu, w) data, computing its diagnostics."""
         h = float(h)
@@ -167,6 +178,7 @@ class SolutionPoint:
             sup_norm=abs(series_peak(w.coeffs)[1]), mean=w.mean,
             residual_norm=float(residual_norm), iterations=iterations,
             residual_history=list(residual_history or []),
+            factorizations=factorizations,
         )
 
 
@@ -326,10 +338,24 @@ def residual_fixed_r(w: SpectralField, mu: float, r: float) -> SpectralField:
     return SpectralField(w.grid, coeffs=out)
 
 
-def _make_point(sys: DiscreteSystem, c, mu, res_norm, iters, history) -> SolutionPoint:
-    return SolutionPoint.from_solution(
-        SpectralField(sys.grid, coeffs=c.copy()), mu, sys.h, res_norm, iters, history
-    )
+def lu_factor_in_place(A: np.ndarray):
+    """LU factors of the square matrix A, computed in A's own memory.
+
+    The factors are those of A.T, the Fortran-ordered view of a C-ordered
+    A, so LAPACK works in place with no copy; solve A x = b with
+    scipy.linalg.lu_solve(factors, b, trans=1).  det A = det A.T.  An exact
+    zero pivot shows as a zero on the diagonal of the factors, which
+    callers check; lu_factor's LinAlgWarning about it is suppressed.
+    """
+    from scipy.linalg import LinAlgWarning, lu_factor
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return lu_factor(A.T, overwrite_a=True, check_finite=False)
+
+
+# refactor when a chord step leaves more than this fraction of the residual
+CONTRACTION = 0.2
 
 
 def newton_solve(
@@ -340,14 +366,19 @@ def newton_solve(
     cfg: NewtonConfig | None = None,
     system: DiscreteSystem | None = None,
 ) -> SolutionPoint:
-    """Newton iteration on the stacked system from the given predictor.
+    """Chord Newton iteration on the stacked system from the given predictor.
 
-    One (N+1) x (N+1) Jacobian buffer is allocated per solve; every
-    iteration reassembles the Jacobian into it and solves with
-    numpy.linalg.solve.  Raises a SolveFailure subclass on divergence,
-    iteration exhaustion, singular linear algebra, or an iterate leaving
-    the operator domain.
+    One (N+1) x (N+1) buffer is allocated per solve.  The bordered Jacobian
+    is assembled into it and factored in place, and each step is a
+    back-substitution with those factors.  After a step that leaves more
+    than CONTRACTION of the residual norm, the Jacobian is reassembled and
+    refactored at the new iterate before the next step.  The point records
+    the steps taken (iterations) and the factorizations.  Raises a
+    SolveFailure subclass on divergence, iteration exhaustion, an exactly
+    singular Jacobian, or an iterate leaving the operator domain.
     """
+    from scipy.linalg import lu_solve
+
     cfg = cfg or NewtonConfig()
     sys = system or get_system(initial_w.grid.N, as_depth(depth).h)
     c = initial_w.coeffs.copy()
@@ -365,19 +396,29 @@ def newton_solve(
         nodal = transform_inverse(R[:-1], sys.grid)
         return R, max(np.max(np.abs(nodal)), abs(R[-1]))
 
+    def point(iters):
+        return SolutionPoint.from_solution(
+            SpectralField(sys.grid, coeffs=c.copy()), mu, sys.h, norm, iters,
+            history, factorizations,
+        )
+
     R, norm = res(c, mu)
     history = [norm]
     norm0 = max(norm, 1.0)
-    J = np.empty((sys.N + 1, sys.N + 1))  # reassembled in place every iteration
+    J = np.empty((sys.N + 1, sys.N + 1))  # assembled into and factored in place
+    factors = None
+    factorizations = 0
 
     for it in range(cfg.max_iter):
         if norm <= cfg.residual_tol:
-            return _make_point(sys, c, mu, norm, it, history)
-        sys.stacked_jacobian(c, mu, constraint, out=J)
-        try:
-            step = np.linalg.solve(J, -R)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
+            return point(it)
+        if factors is None:
+            sys.stacked_jacobian(c, mu, constraint, out=J)
+            factors = lu_factor_in_place(J)
+            factorizations += 1
+            if not np.all(np.diagonal(factors[0])):
+                raise SingularJacobian("exactly singular Jacobian")
+        step = lu_solve(factors, -R, trans=1, check_finite=False)
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
 
@@ -399,9 +440,11 @@ def newton_solve(
         history.append(norm)
         if not np.isfinite(norm) or norm > 1e8 * norm0:
             raise NewtonDiverged(f"residual norm {norm} after {it + 1} iterations")
+        if norm > CONTRACTION * history[-2]:
+            factors = None
 
     if norm <= cfg.residual_tol:
-        return _make_point(sys, c, mu, norm, cfg.max_iter, history)
+        return point(cfg.max_iter)
     raise NewtonMaxIter(
         f"no convergence in {cfg.max_iter} iterations (residual {norm:.3e})"
     )

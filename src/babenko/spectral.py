@@ -164,16 +164,6 @@ class SpectralField:
         """Projection onto the constant mode."""
         return float(self.coeffs[0])
 
-    @property
-    def sup_norm(self) -> float:
-        """Largest |w| over the collocation nodes (the nodal maximum).
-
-        The nodes never include t = 0 or t = pi, so this falls short of the
-        supremum of the series when a crest sits there; series_peak gives
-        the supremum itself.
-        """
-        return float(np.max(np.abs(self.nodal)))
-
     def __repr__(self):
         return f"SpectralField(N={self.grid.N}, mean={self.mean:.3e})"
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from babenko.solver import (
     InadmissibleIterate,
     NewtonConfig,
     ProjectionConstraint,
+    SingularJacobian,
     SolveFailure,
     get_system,
     newton_solve,
     residual_fixed_r,
     residual_modified,
 )
+from babenko.continuation import _constraint_for, _det_sign
 from babenko.spectral import (
     DomainError,
     SpectralField,
@@ -24,6 +27,7 @@ from babenko.spectral import (
     lambda_symbol,
     mu_symbol_total,
     product_matrix,
+    transform_inverse,
 )
 
 H = math.pi / 5
@@ -82,6 +86,37 @@ def reference_stacked_jacobian(sys, c, mu, constraint):
     J[1:N, N] = -c[1:]
     J[N, :N] = constraint.row(c)
     return J
+
+
+def reference_newton_solve(sys, c, mu, constraint, tol, max_iter=50):
+    """Full Newton: a fresh Jacobian and numpy.linalg.solve at every step.
+
+    newton_solve reuses one factorization over several steps; this is the
+    iteration it replaced, without damping, with the same residual norm.
+    Returns the coefficients, mu and the number of steps.
+    """
+    c = c.copy()
+    for it in range(max_iter + 1):
+        R = sys.stacked_residual(c, mu, constraint)
+        norm = max(np.max(np.abs(transform_inverse(R[:-1], sys.grid))), abs(R[-1]))
+        if norm <= tol:
+            return c, mu, it
+        step = np.linalg.solve(sys.stacked_jacobian(c, mu, constraint), -R)
+        c, mu = c + step[:-1], mu + step[-1]
+    raise AssertionError(f"reference Newton did not converge (residual {norm:.3e})")
+
+
+def secant_predictor(branch, i):
+    """The corrector's predictor for point i from points i-2 and i-1.
+
+    Returns coefficients, mu and the crest-pinning closing row, as
+    continue_branch builds them for the target amplitude of point i.
+    """
+    p0, p1 = branch.points[i - 2], branch.points[i - 1]
+    a = branch.points[i].sup_norm
+    t = (a - p1.sup_norm) / (p1.sup_norm - p0.sup_norm)
+    c = p1.coeffs + t * (p1.coeffs - p0.coeffs)
+    return c, p1.mu + t * (p1.mu - p0.mu), _constraint_for(c, a)
 
 
 def random_state(N, rng):
@@ -244,10 +279,77 @@ class TestInPlaceAssembly:
             return original(self, c, mu, constraint, out=out)
 
         monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", spy)
-        pt = small_wave(32, n=1, s=0.03)
-        assert len(seen) == pt.iterations >= 2
+        pt = small_wave(32, n=1, s=0.1)  # far enough to refactor
+        assert len(seen) == pt.factorizations >= 2
         assert seen[0] is not None
         assert all(buf is seen[0] for buf in seen)
+
+
+class TestChordNewton:
+    @pytest.mark.parametrize("label, indices", [("C1", (6, 14, 22)),
+                                                ("C5", (2, 6, 10))])
+    def test_matches_full_newton(self, c1_full, c5_bundle, label, indices):
+        # both are driven below the default tolerance, so that they agree
+        # on the solution rather than on where each one stopped
+        branch = c1_full if label == "C1" else c5_bundle["parent"]
+        sys = get_system(branch.last.coeffs.size, H)
+        cfg = NewtonConfig(residual_tol=1e-12)
+        for i in indices:
+            c, mu, con = secant_predictor(branch, i)
+            pt = newton_solve(SpectralField(sys.grid, coeffs=c), mu, H, con, cfg,
+                              system=sys)
+            ref_c, ref_mu, _ = reference_newton_solve(sys, c, mu, con, cfg.residual_tol)
+            assert np.max(np.abs(pt.coeffs - ref_c)) < 1e-9
+            assert abs(pt.mu - ref_mu) < 1e-9
+            assert 1 <= pt.factorizations < pt.iterations
+            assert len(pt.residual_history) == pt.iterations + 1
+
+    def test_far_predictor_refactors_and_converges(self):
+        pt = small_wave(32, n=1, s=0.1)
+        assert pt.factorizations >= 2
+        assert pt.residual_norm < 1e-10
+        j = int(np.argmax(np.abs(pt.nodal)))
+        assert pt.nodal[j] == pytest.approx(0.1, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+    def test_determinant_sign_from_lu(self, n):
+        # random blocks need row interchanges about half the time, so a
+        # sign without the pivot parity fails here
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            A = rng.standard_normal((n, n))
+            for B in (A, A[::-1], A[rng.permutation(n)]):
+                assert _det_sign(B.copy()) == np.linalg.slogdet(B)[0]
+            if n > 1:
+                B = A.copy()
+                B[[0, 1]] = B[[1, 0]]  # one interchange, an odd permutation
+                assert _det_sign(B) == -np.linalg.slogdet(A)[0]
+
+    def test_singular_block_has_sign_zero(self):
+        A = np.ones((4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _det_sign(A) == 0.0
+
+    def test_singular_system_raises(self):
+        # a zero closing row leaves the bordered Jacobian exactly singular;
+        # lu_factor's LinAlgWarning must not escape
+        sys = get_system(16, H)
+        x = 0.01 * np.cos(sys.grid.nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularJacobian, match="exactly singular"):
+                newton_solve(SpectralField(sys.grid, nodal=x), 0.55, H,
+                             ProjectionConstraint(np.zeros(16), 0.0),
+                             NewtonConfig(), system=sys)
+
+    def test_paths_are_pinned(self, c1_full, c5_bundle):
+        # step growth keys on factorizations; these are the point counts
+        # of the full-Newton paths it reproduces
+        counts = {b.label: len(b.points) for b in c5_bundle["secondaries"]}
+        assert counts == {"C51": 14, "C52": 17, "C53": 20, "C53b": 16, "C54": 18}
+        assert len(c5_bundle["parent"].points) == 25
+        assert len(c1_full.points) == 30
 
 
 class TestNewton:

@@ -70,7 +70,6 @@ class TestTransforms:
         g = SpectralField(grid, nodal=f.nodal)
         assert np.allclose(g.coeffs, c, atol=1e-13)
         assert f.mean == pytest.approx(c[0])
-        assert f.sup_norm == np.max(np.abs(f.nodal))
 
 
 class TestSymbols:
