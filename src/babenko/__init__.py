@@ -28,8 +28,8 @@ from .geometry import (
     surface_curve,
 )
 from .solver import (
-    ConstraintSpec,
     NewtonConfig,
+    ProjectionConstraint,
     SolutionPoint,
     SolveFailure,
     newton_solve,
@@ -53,12 +53,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Branch",
     "BranchEvent",
-    "ConstraintSpec",
     "ContinuationConfig",
     "CosineGrid",
     "DepthParams",
     "DomainError",
     "NewtonConfig",
+    "ProjectionConstraint",
     "SolutionPoint",
     "SolveFailure",
     "SpectralField",

@@ -1,18 +1,22 @@
 """Branch tracing, event detection and branch switching.
 
-Branches are parametrized by the target amplitude a = max_t |w(t)|, the
-crest height of the cosine series, which is monotone along the families of
-interest, so turning points in mu are passed without arclength machinery;
-each corrector pins the series value at the crest of its predictor.
-Secondary bifurcations are located from sign changes of symmetry-class
-determinants of the mu-frozen Jacobian; the navigator seeds new branches
-along the associated null vectors.
+Every solve along a branch, fold refinement and detection's bisection
+included, goes through one corrector (_correct): a secant predictor closed
+by one linear row.  Primary branches are parametrized by the crest
+amplitude a = max_t |w(t)| of the cosine series, which is monotone along
+the families of interest, so turning points in mu are passed without
+arclength machinery; the row pins the series value at the predictor's
+crest.  A secondary branch carries a unit coefficient row phi and is
+parametrized by phi . c, since near its bifurcation the amplitude cannot
+separate it from its parent.  Secondary bifurcations are located from sign
+changes of symmetry-class determinants of the mu-frozen Jacobian; the
+navigator seeds new branches along the associated null vectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,24 +46,30 @@ __all__ = [
     "trace_to_extreme",
 ]
 
+# largest continuation step, in the branch's parameter
+STEP_MAX = 2e-2
+# a trace ends in extreme_termination once (mu/2 - a) / (mu/2) drops below this
+EXTREME_STOP_RATIO = 1e-3
+# a trace stops after this many points
+MAX_POINTS = 2000
+# detection bisects a determinant sign change down to this amplitude bracket
+BIFURCATION_MONITOR_TOL = 1e-6
+# interior amplitudes of the finer scan over an interval with a deep dip in
+# a class' smallest singular value
+REFINE_SCAN = 6
+
 
 @dataclass
 class ContinuationConfig:
     amplitude_step: float = 5e-3
     step_min: float = 1e-5
-    step_max: float = 2e-2
     amplitude_max: float | None = None
-    bifurcation_monitor_tol: float = 1e-6
-    extreme_stop_ratio: float = 1e-3
-    max_points: int = 2000
     N: int = 256
     newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
-        if not (0 < self.step_min <= self.amplitude_step <= self.step_max):
-            raise ValueError("need 0 < step_min <= amplitude_step <= step_max")
-        if self.bifurcation_monitor_tol <= 0 or self.extreme_stop_ratio <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.step_min <= self.amplitude_step <= STEP_MAX):
+            raise ValueError(f"need 0 < step_min <= amplitude_step <= {STEP_MAX}")
 
 
 @dataclass
@@ -79,9 +89,10 @@ class Branch:
     events: list[BranchEvent] = field(default_factory=list)
     parent: str | None = None
     parent_mode: int | None = None  # symmetry class of the parent, for collapse checks
-    # continuation state (e.g. the null-vector projection row a secondary
-    # branch is parametrized by); not part of the recorded data
-    aux: dict = field(default_factory=dict, repr=False)
+    # continuation state of a secondary branch, not part of the recorded
+    # data: the unit coefficient row it is parametrized by and its first step
+    row: np.ndarray | None = field(default=None, repr=False)
+    step: float | None = None
 
     def amplitudes(self) -> np.ndarray:
         return np.array([p.sup_norm for p in self.points])
@@ -137,10 +148,7 @@ def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None)
         t_c = 0.0 if s > 0 else np.pi / n
         con = ProjectionConstraint(np.cos(np.arange(sys.N) * t_c), abs(s))
         try:
-            pt = newton_solve(
-                SpectralField(sys.grid, coeffs=c), mu_n, depth, con,
-                cfg.newton, system=sys,
-            )
+            pt = newton_solve(SpectralField(sys.grid, coeffs=c), mu_n, depth, con, cfg.newton)
             return Branch(label=f"C{n}", mode=n, points=[pt])
         except SolveFailure as exc:
             err = exc
@@ -148,74 +156,54 @@ def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None)
     raise SolveFailure(f"could not seed branch C{n}: {err}")
 
 
-def _solve_at_amplitude(
+def _param(p: SolutionPoint, row: np.ndarray | None) -> float:
+    """The continuation parameter at p: the amplitude, or row . c."""
+    return p.sup_norm if row is None else float(row @ p.coeffs)
+
+
+def _correct(
     sys: DiscreteSystem,
     depth,
     cfg: ContinuationConfig,
-    a: float,
-    prev: SolutionPoint,
-    prev2: SolutionPoint | None,
-) -> SolutionPoint:
-    """One corrector solve at target amplitude a with a secant predictor."""
-    if prev2 is not None and prev.sup_norm != prev2.sup_norm:
-        t = (a - prev.sup_norm) / (prev.sup_norm - prev2.sup_norm)
-        c = prev.coeffs + t * (prev.coeffs - prev2.coeffs)
-        mu = prev.mu + t * (prev.mu - prev2.mu)
-    else:
-        scale = a / prev.sup_norm if prev.sup_norm > 0 else 1.0
-        c = prev.coeffs * scale
-        mu = prev.mu
-    return newton_solve(
-        SpectralField(sys.grid, coeffs=c), mu, depth, _constraint_for(c, a),
-        cfg.newton, system=sys,
-    )
-
-
-def _solve_at_projection(
-    sys: DiscreteSystem,
-    depth,
-    cfg: ContinuationConfig,
-    row: np.ndarray,
     target: float,
     prev: SolutionPoint,
     prev2: SolutionPoint | None,
+    row: np.ndarray | None = None,
 ) -> SolutionPoint:
-    """Corrector solve with the null-projection closing row at the given target.
+    """One corrector solve at parameter value target.
 
-    The row is a unit coefficient vector phi, so without a secant the
-    predictor steps along phi itself.
+    The parameter is the crest amplitude when row is None and row . c
+    otherwise.  The predictor is the secant through prev2 and prev, which
+    for prev2 on the far side of target interpolates between two recorded
+    points.  Without a secant the amplitude predictor scales prev to the
+    target and the row predictor steps along the unit row itself.  The
+    closing row pins the series value at the predictor's crest, or row . c.
     """
-    t_prev = float(row @ prev.coeffs)
-    if prev2 is not None and t_prev != (t_prev2 := float(row @ prev2.coeffs)):
-        t = (target - t_prev) / (t_prev - t_prev2)
+    s = _param(prev, row)
+    if prev2 is not None and s != (s2 := _param(prev2, row)):
+        t = (target - s) / (s - s2)
         c = prev.coeffs + t * (prev.coeffs - prev2.coeffs)
         mu = prev.mu + t * (prev.mu - prev2.mu)
+    elif row is None:
+        c, mu = prev.coeffs * (target / s if s > 0 else 1.0), prev.mu
     else:
-        c, mu = prev.coeffs + (target - t_prev) * row, prev.mu
-    con = ProjectionConstraint(row, target)
-    return newton_solve(
-        SpectralField(sys.grid, coeffs=c), mu, depth, con, cfg.newton, system=sys
-    )
+        c, mu = prev.coeffs + (target - s) * row, prev.mu
+    con = _constraint_for(c, target) if row is None else ProjectionConstraint(row, target)
+    return newton_solve(SpectralField(sys.grid, coeffs=c), mu, depth, con, cfg.newton)
 
 
 def _stop_ratio(pt: SolutionPoint) -> float:
     return (0.5 * pt.mu - pt.sup_norm) / (0.5 * pt.mu)
 
 
-def _terminate(branch: Branch, cfg: ContinuationConfig, reason) -> None:
-    prev = branch.last
-    gap = 0.5 * prev.mu - prev.sup_norm
-    kind = (
-        "extreme_termination"
-        if _stop_ratio(prev) < 50 * cfg.extreme_stop_ratio
-        else "hard_failure"
-    )
-    branch.events.append(
-        BranchEvent(
-            kind, prev.mu, prev.sup_norm, prev.sup_norm,
-            diagnostics={"stagnation": gap, "reason": reason},
-        )
-    )
+def _terminate(branch: Branch, reason) -> None:
+    """End the trace at its last point, as extreme if it is near mu/2."""
+    p = branch.last
+    kind = "extreme_termination" if _stop_ratio(p) < 50 * EXTREME_STOP_RATIO else "hard_failure"
+    branch.events.append(BranchEvent(
+        kind, p.mu, p.sup_norm, p.sup_norm,
+        diagnostics={"stagnation": 0.5 * p.mu - p.sup_norm, "reason": reason},
+    ))
 
 
 # a corrector that needed at most this many Jacobian factorizations was
@@ -226,72 +214,56 @@ EASY_FACTORIZATIONS = 3
 
 
 def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None) -> Branch:
-    """Extend a branch until an endpoint event, amplitude_max or max_points.
+    """Extend a branch until an endpoint event, amplitude_max or MAX_POINTS.
 
-    Primary branches step the target amplitude directly.  Secondary
-    branches created by switch_branch carry a null-projection row in
-    branch.aux and are stepped in that projection instead, because near
-    the bifurcation the amplitude cannot separate them from their parent;
-    amplitude still increases along the recorded points.  In both modes
-    steps adapt between cfg.step_min and cfg.step_max: halved on Newton
-    failure, grown after easy solves, and capped so the predicted
-    amplitude gain stays below a fraction of the remaining gap to the
-    limiting height mu/2.  Turning points are appended as events when the
-    trace ends.
+    Each step is one _correct solve in the branch's parameter: the
+    amplitude on primary branches, and branch.row . c on the secondary
+    branches seeded by switch_branch, whose amplitude still increases along
+    the recorded points.  The first step is cfg.amplitude_step, or
+    branch.step when set.  Steps adapt between cfg.step_min and STEP_MAX:
+    halved on Newton failure, grown after easy solves, and capped so the
+    predicted amplitude gain stays below a fraction of the remaining gap to
+    the limiting height mu/2; off the amplitude the cap goes through the
+    local slope d(amplitude)/d(row . c).  amplitude_max bounds primary
+    branches only.  A trace ends in extreme_termination once the gap falls
+    below EXTREME_STOP_RATIO of mu/2.  Turning points are appended as
+    events when the trace ends.
     """
     cfg = cfg or ContinuationConfig()
     if not branch.points:
         raise ValueError("branch must be seeded before continuation")
     depth = as_depth(depth)
     sys = get_system(cfg.N, depth.h)
-    proj_row = branch.aux.get("proj_row")
-    if proj_row is None:
-        step = cfg.amplitude_step
-    else:
-        step = branch.aux.get("proj_step", cfg.amplitude_step)
+    row = branch.row
+    step = cfg.amplitude_step if branch.step is None else branch.step
 
-    while len(branch.points) < cfg.max_points and not branch.terminated():
+    while len(branch.points) < MAX_POINTS and not branch.terminated():
         prev = branch.last
         prev2 = branch.points[-2] if len(branch.points) > 1 else None
         gap = 0.5 * prev.mu - prev.sup_norm
-        if _stop_ratio(prev) < cfg.extreme_stop_ratio:
-            branch.events.append(
-                BranchEvent(
-                    "extreme_termination", prev.mu, prev.sup_norm, prev.sup_norm,
-                    diagnostics={"stagnation": gap, "reason": "stop_ratio"},
-                )
-            )
+        if _stop_ratio(prev) < EXTREME_STOP_RATIO:
+            _terminate(branch, "stop_ratio")
             break
         if cfg.amplitude_max is not None and prev.sup_norm >= cfg.amplitude_max:
             break
 
-        if proj_row is None:
-            eff = min(step, 0.35 * gap)
-            a = prev.sup_norm + eff
-            if cfg.amplitude_max is not None:
-                a = min(a, cfg.amplitude_max)
-        else:
-            # translate the gap cap into the projection parameter via the
-            # local slope d(amplitude)/d(projection)
-            eff = step
+        # the gap cap in the parameter: d(amplitude)/d(parameter) is 1 on
+        # the amplitude and the local secant slope along a row
+        slope = 1.0
+        if row is not None:
+            slope = 0.0
             if prev2 is not None:
-                dt = float(proj_row @ (prev.coeffs - prev2.coeffs))
+                dt = float(row @ (prev.coeffs - prev2.coeffs))
                 da = prev.sup_norm - prev2.sup_norm
                 if dt != 0 and da > 0:
                     slope = da / abs(dt)
-                    if slope > 0:
-                        eff = min(eff, 0.35 * gap / slope)
-            target = float(proj_row @ prev.coeffs) + math.copysign(
-                eff, branch.aux.get("proj_direction", 1.0)
-            )
+        eff = min(step, 0.35 * gap / slope) if slope > 0 else step
+        target = _param(prev, row) + eff
+        if row is None and cfg.amplitude_max is not None:
+            target = min(target, cfg.amplitude_max)
 
         try:
-            if proj_row is None:
-                pt = _solve_at_amplitude(sys, depth, cfg, a, prev, prev2)
-            else:
-                pt = _solve_at_projection(
-                    sys, depth, cfg, proj_row, target, prev, prev2
-                )
+            pt = _correct(sys, depth, cfg, target, prev, prev2, row)
             if 0.5 * pt.mu - pt.sup_norm <= 0:
                 raise SolveFailure("iterate beyond the limiting height mu/2")
             if branch.parent_mode is not None:
@@ -301,13 +273,13 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
                     raise SolveFailure("iterate collapsed onto the parent branch")
         except SolveFailure as exc:
             if eff <= cfg.step_min * (1 + 1e-9):
-                _terminate(branch, cfg, repr(exc))
+                _terminate(branch, repr(exc))
                 break
             step = max(eff * 0.5, cfg.step_min)
             continue
         branch.points.append(pt)
-        if pt.factorizations <= EASY_FACTORIZATIONS and step < cfg.step_max:
-            step = min(step * 1.3, cfg.step_max)
+        if pt.factorizations <= EASY_FACTORIZATIONS and step < STEP_MAX:
+            step = min(step * 1.3, STEP_MAX)
 
     for ev in detect_turning_points(branch, depth, cfg):
         if not any(
@@ -361,7 +333,7 @@ def _refine_turning_point(
     sys = get_system(cfg.N, depth.h)
 
     def neg_mu(a: float) -> float:
-        return -_solve_between(sys, depth, cfg, p0, p1, float(a)).mu
+        return -_correct(sys, depth, cfg, float(a), p0, p1).mu
 
     try:
         res = minimize_scalar(
@@ -438,37 +410,21 @@ def _is_fold(A: np.ndarray, dF_dmu: np.ndarray) -> bool:
     return abs(psi @ dF_dmu) / denom > 0.1
 
 
-def _interp_point(p0: SolutionPoint, p1: SolutionPoint, a: float):
-    t = (a - p0.sup_norm) / (p1.sup_norm - p0.sup_norm)
-    return p0.coeffs + t * (p1.coeffs - p0.coeffs), p0.mu + t * (p1.mu - p0.mu)
-
-
-def _solve_between(
-    sys: DiscreteSystem, depth, cfg: ContinuationConfig,
-    p0: SolutionPoint, p1: SolutionPoint, a: float,
-) -> SolutionPoint:
-    c, mu = _interp_point(p0, p1, a)
-    return newton_solve(
-        SpectralField(sys.grid, coeffs=c), mu, depth, _constraint_for(c, a),
-        cfg.newton, system=sys,
-    )
-
-
 def detect_secondary_bifurcations(
-    branch: Branch, depth, cfg: ContinuationConfig | None = None,
-    refine_scan: int = 6,
+    branch: Branch, depth, cfg: ContinuationConfig | None = None
 ) -> list[BranchEvent]:
     """Locate symmetry-breaking bifurcations along a traced branch.
 
     The determinant sign of each symmetry-class block of the mu-frozen
     Jacobian is monitored across the recorded points; every sign change is
-    bracketed by amplitude bisection down to cfg.bifurcation_monitor_tol.
-    Intervals where a class' smallest singular value dips far below its
-    neighbours are re-scanned on a finer amplitude grid, so nearby
-    crossings of the same class are resolved individually when the
-    resolution allows.  Detected events (with null-vector estimates) are
-    returned and replace the branch's earlier secondary_bifurcation events,
-    so repeated calls leave the same events.
+    bracketed by amplitude bisection down to BIFURCATION_MONITOR_TOL, each
+    midpoint a _correct solve between the bracketing points.  Intervals
+    where a class' smallest singular value dips far below its neighbours
+    are re-scanned at REFINE_SCAN interior amplitudes, so nearby crossings
+    of the same class are resolved individually when the resolution
+    allows.  Detected events (with null-vector estimates) are returned and
+    replace the branch's earlier secondary_bifurcation events, so repeated
+    calls leave the same events.
     """
     from scipy.linalg import svd
 
@@ -490,13 +446,15 @@ def detect_secondary_bifurcations(
 
     events: list[BranchEvent] = []
 
-    def bisect(p0: SolutionPoint, p1: SolutionPoint, ci: int) -> BranchEvent | None:
+    def bisect(
+        p0: SolutionPoint, p1: SolutionPoint, ci: int, sign_lo: float
+    ) -> BranchEvent | None:
+        # sign_lo is the scan's class-ci determinant sign at p0
         lo, hi = p0, p1
-        sign_lo = _class_sign(sys.jacobian(lo.coeffs, lo.mu)[0], classes[ci])
-        while hi.sup_norm - lo.sup_norm > cfg.bifurcation_monitor_tol:
+        while hi.sup_norm - lo.sup_norm > BIFURCATION_MONITOR_TOL:
             a_mid = 0.5 * (lo.sup_norm + hi.sup_norm)
             try:
-                mid = _solve_between(sys, depth, cfg, lo, hi, a_mid)
+                mid = _correct(sys, depth, cfg, a_mid, lo, hi)
             except SolveFailure:
                 break
             s_mid = _class_sign(sys.jacobian(mid.coeffs, mid.mu)[0], classes[ci])
@@ -526,18 +484,16 @@ def detect_secondary_bifurcations(
 
     npts = len(branch.points)
     for ci in scanned:
-        i = 0
-        while i < npts - 1:
+        for i in range(npts - 1):
             p0, p1 = branch.points[i], branch.points[i + 1]
             s0, m0 = data[i][ci]
             s1, m1 = data[i + 1][ci]
             if s0 != s1:
-                ev = bisect(p0, p1, ci)
+                ev = bisect(p0, p1, ci, s0)
                 if ev is not None:
                     events.append(ev)
             elif (
-                refine_scan
-                and 0 < i
+                0 < i
                 and m0 < 0.1 * data[i - 1][ci][1]
                 and i + 2 < npts
                 and m1 < 0.1 * data[i + 2][ci][1]
@@ -545,26 +501,25 @@ def detect_secondary_bifurcations(
                 # deep dip without net sign change: scan finer for an even
                 # number of nearby crossings
                 sub = [p0]
-                grid = np.linspace(p0.sup_norm, p1.sup_norm, refine_scan + 2)[1:-1]
+                grid = np.linspace(p0.sup_norm, p1.sup_norm, REFINE_SCAN + 2)[1:-1]
                 ok = True
                 for a_s in grid:
                     try:
-                        sub.append(_solve_between(sys, depth, cfg, p0, p1, a_s))
+                        sub.append(_correct(sys, depth, cfg, a_s, p0, p1))
                     except SolveFailure:
                         ok = False
                         break
                 sub.append(p1)
                 if ok:
-                    signs = [
+                    signs = [s0] + [
                         _class_sign(sys.jacobian(q.coeffs, q.mu)[0], classes[ci])
-                        for q in sub
-                    ]
+                        for q in sub[1:-1]
+                    ] + [s1]
                     for k in range(len(sub) - 1):
                         if signs[k] != signs[k + 1]:
-                            ev = bisect(sub[k], sub[k + 1], ci)
+                            ev = bisect(sub[k], sub[k + 1], ci, signs[k])
                             if ev is not None:
                                 events.append(ev)
-            i += 1
 
     branch.events = [
         e for e in branch.events if e.kind != "secondary_bifurcation"
@@ -592,10 +547,11 @@ def _switch_along(
 
     The amplitude constraint cannot separate the emanating branch from its
     parent (both pass through the event), so the corrector pins the
-    component along phi instead: the closing row becomes phi . c = eps on
-    the coefficients, and the resulting branch is continued in that
-    projection.  Raises SolveFailure if every eps collapses back onto the
-    parent.
+    component along the unit vector phi instead: the closing row becomes
+    phi . c = phi . c_event + eps on the coefficients, and the new branch
+    carries phi as its row and eps as its first step, so continue_branch
+    steps it in that projection.  Raises SolveFailure if every eps
+    collapses back onto the parent.
     """
     depth = as_depth(depth)
     sys = get_system(cfg.N, depth.h)
@@ -611,7 +567,7 @@ def _switch_along(
         try:
             pt = newton_solve(
                 SpectralField(sys.grid, coeffs=c_ev + eps * phi_c),
-                mu_ev, depth, con, cfg.newton, system=sys,
+                mu_ev, depth, con, cfg.newton,
             )
         except SolveFailure as exc:
             last_exc = exc
@@ -619,24 +575,25 @@ def _switch_along(
         if _offclass_energy(pt.coeffs, branch.mode) > 1e-7:
             return Branch(
                 label=f"{branch.label}x", mode=None, points=[pt],
-                parent=branch.label, parent_mode=branch.mode,
-                aux={
-                    "proj_row": phi_c,
-                    "proj_direction": 1.0,
-                    "proj_step": eps,
-                },
+                parent=branch.label, parent_mode=branch.mode, row=phi_c, step=eps,
             )
         last_exc = SolveFailure("iterate collapsed back onto the parent branch")
     raise SolveFailure(f"branch switching failed: {last_exc}")
 
 
 def switch_branch(
-    branch: Branch, event: BranchEvent, direction: int, depth,
+    branch: Branch, event: BranchEvent, direction: float, depth,
     cfg: ContinuationConfig | None = None,
 ) -> Branch:
-    """Seed a secondary branch from a bifurcation event along its null vector."""
+    """Seed a secondary branch from a bifurcation event along its null vector.
+
+    direction scales the null vector before it is normalized, so its sign
+    picks the side; it must be finite and nonzero.
+    """
     if event.kind != "secondary_bifurcation":
         raise ValueError("can only switch at a secondary_bifurcation event")
+    if not (math.isfinite(direction) and direction != 0):
+        raise ValueError(f"direction must be finite and nonzero, got {direction}")
     cfg = cfg or ContinuationConfig()
     phi_c = np.asarray(event.diagnostics["null_vector_coeffs"], dtype=float)
     return _switch_along(branch, event, direction * phi_c, depth, cfg)
@@ -683,8 +640,7 @@ CLUSTER_WINDOW = 2e-3
 
 
 def navigate_secondaries(
-    branch: Branch, depth, cfg: ContinuationConfig | None = None,
-    events: list[BranchEvent] | None = None,
+    branch: Branch, depth, cfg: ContinuationConfig | None = None
 ) -> list[Branch]:
     """Switch onto every secondary branch reachable from detected events.
 
@@ -702,13 +658,11 @@ def navigate_secondaries(
     count the later ones get a letter suffix.
     """
     cfg = cfg or ContinuationConfig()
-    if events is None:
-        events = [e for e in branch.events if e.kind == "secondary_bifurcation"]
+    events = [e for e in branch.events if e.kind == "secondary_bifurcation"]
     seeds: list[tuple[BranchEvent, np.ndarray]] = []
     for ev in events:
         phi = np.asarray(ev.diagnostics["null_vector_coeffs"], dtype=float)
-        seeds.append((ev, phi))
-        seeds.append((ev, -phi))
+        seeds += [(ev, phi), (ev, -phi)]
     for i in range(len(events)):
         for j in range(i + 1, len(events)):
             e1, e2 = events[i], events[j]
@@ -720,15 +674,13 @@ def navigate_secondaries(
                 for s2 in (1.0, -1.0):
                     seeds.append((e1, s1 * p1 + s2 * p2))
 
-    # gentle steps while the new branches pull away from their parent
-    sec_cfg = replace(cfg, amplitude_step=max(cfg.step_min, 5e-4))
     out: list[Branch] = []
     for ev, phi in seeds:
         try:
             sec = _switch_along(branch, ev, phi, depth, cfg)
         except SolveFailure:
             continue
-        continue_branch(sec, depth, sec_cfg)
+        continue_branch(sec, depth, cfg)
         if all(_distinct(sec, other) for other in out):
             out.append(sec)
     out.sort(key=lambda sec: (_n_highest_crests(sec.last.coeffs), sec.last.mu))

@@ -2,14 +2,14 @@
 
 The unknowns are the N cosine coefficients of w plus the wave-speed
 parameter mu.  The nonlinear residual couples the depth-parametrized
-multiplier symbols with exactly dealiased quadratic products; a linear
-closing row fixes the signed value of w at a collocation node
-(ConstraintSpec) or any linear functional of the coefficients, such as the
-series value at a crest (ProjectionConstraint).  The analytic Jacobian,
-including the chain-rule terms through the conformal-radius functional, is
-assembled in place from the structured product matrices of
-spectral.add_product_matrix: diagonal symbols, row and column scalings and
-rank-one terms, with no change of basis and no N x N temporary.
+multiplier symbols with exactly dealiased quadratic products; one linear
+closing row on the coefficients (ProjectionConstraint), such as the series
+value at a crest or a null-vector projection, closes the system.  The
+analytic Jacobian, including the chain-rule terms through the
+conformal-radius functional, is assembled in place from the structured
+product matrices of spectral.add_product_matrix: diagonal symbols, row and
+column scalings and rank-one terms, with no change of basis and no N x N
+temporary.
 
 Newton is a chord (Shamanskii) iteration: it allocates one (N+1) x (N+1)
 buffer per solve, assembles the bordered Jacobian into it, factors it in
@@ -45,7 +45,6 @@ from .spectral import (
 
 __all__ = [
     "NewtonConfig",
-    "ConstraintSpec",
     "ProjectionConstraint",
     "SolutionPoint",
     "SolveFailure",
@@ -98,26 +97,6 @@ class NewtonConfig:
 
 
 @dataclass
-class ConstraintSpec:
-    """Frozen amplitude constraint sign * w(x_j) = target_amplitude.
-
-    x_j is collocation node j = node_index of the N-node grid; on the
-    coefficients the closing row is sign * cos(k x_j).
-    """
-
-    node_index: int
-    sign: int
-    target_amplitude: float
-
-    def row(self, c: np.ndarray) -> np.ndarray:
-        x_j = np.pi * (2 * self.node_index + 1) / (2 * c.size)
-        return self.sign * np.cos(np.arange(c.size) * x_j)
-
-    def value(self, c: np.ndarray) -> float:
-        return float(self.row(c) @ c) - self.target_amplitude
-
-
-@dataclass
 class ProjectionConstraint:
     """Linear closing row vector . c = target on the cosine coefficients.
 
@@ -130,9 +109,6 @@ class ProjectionConstraint:
 
     def value(self, c: np.ndarray) -> float:
         return float(self.vector @ c) - self.target
-
-    def row(self, c: np.ndarray) -> np.ndarray:
-        return self.vector
 
 
 @dataclass
@@ -254,7 +230,7 @@ class DiscreteSystem:
         elif out.shape != (N + 1, N + 1):
             raise ValueError(f"out must have shape {(N + 1, N + 1)}, got {out.shape}")
         self._assemble(c, mu, out)
-        out[N, :N] = constraint.row(c)
+        out[N, :N] = constraint.vector
         out[N, N] = 0.0
         return out
 
@@ -362,25 +338,25 @@ def newton_solve(
     initial_w: SpectralField,
     initial_mu: float,
     depth,
-    constraint: ConstraintSpec,
+    constraint: ProjectionConstraint,
     cfg: NewtonConfig | None = None,
-    system: DiscreteSystem | None = None,
 ) -> SolutionPoint:
     """Chord Newton iteration on the stacked system from the given predictor.
 
-    One (N+1) x (N+1) buffer is allocated per solve.  The bordered Jacobian
-    is assembled into it and factored in place, and each step is a
-    back-substitution with those factors.  After a step that leaves more
-    than CONTRACTION of the residual norm, the Jacobian is reassembled and
-    refactored at the new iterate before the next step.  The point records
-    the steps taken (iterations) and the factorizations.  Raises a
-    SolveFailure subclass on divergence, iteration exhaustion, an exactly
-    singular Jacobian, or an iterate leaving the operator domain.
+    The system is get_system(N, h) for the predictor's grid size N and the
+    depth h.  One (N+1) x (N+1) buffer is allocated per solve.  The
+    bordered Jacobian is assembled into it and factored in place, and each
+    step is a back-substitution with those factors.  After a step that
+    leaves more than CONTRACTION of the residual norm, the Jacobian is
+    reassembled and refactored at the new iterate before the next step.
+    The point records the steps taken (iterations) and the factorizations.
+    Raises a SolveFailure subclass on divergence, iteration exhaustion, an
+    exactly singular Jacobian, or an iterate leaving the operator domain.
     """
     from scipy.linalg import lu_solve
 
     cfg = cfg or NewtonConfig()
-    sys = system or get_system(initial_w.grid.N, as_depth(depth).h)
+    sys = get_system(initial_w.grid.N, as_depth(depth).h)
     c = initial_w.coeffs.copy()
     mu = float(initial_mu)
 

@@ -17,10 +17,19 @@ from babenko.continuation import (
     navigate_secondaries,
     start_branch,
 )
-from babenko.solver import ConstraintSpec, NewtonConfig, get_system, newton_solve
+from babenko.solver import NewtonConfig, ProjectionConstraint, get_system, newton_solve
 from babenko.spectral import SpectralField
 
 H = math.pi / 5
+
+
+def node_constraint(N, j, sign, target):
+    """Closing row sign * w(x_j) = target at collocation node j of N.
+
+    On the coefficients the row is sign * cos(k x_j).
+    """
+    x_j = np.pi * (2 * j + 1) / (2 * N)
+    return ProjectionConstraint(sign * np.cos(np.arange(N) * x_j), target)
 
 
 def solve_small(N, n=1, s=0.01, depth=H):
@@ -29,9 +38,8 @@ def solve_small(N, n=1, s=0.01, depth=H):
     x = s * np.cos(n * sys.grid.nodes)
     mu = math.tanh(n * depth) / n
     j = int(np.argmax(np.abs(x)))
-    con = ConstraintSpec(j, 1 if x[j] >= 0 else -1, s)
-    return newton_solve(SpectralField(sys.grid, nodal=x), mu, depth, con,
-                        NewtonConfig(), system=sys)
+    con = node_constraint(N, j, 1 if x[j] >= 0 else -1, s)
+    return newton_solve(SpectralField(sys.grid, nodal=x), mu, depth, con, NewtonConfig())
 
 
 @pytest.fixture(scope="session")

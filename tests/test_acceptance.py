@@ -212,7 +212,7 @@ class TestCriterion08:
         q = newton_solve(
             SpectralField(sys2.grid, coeffs=c2), p.mu, H,
             ProjectionConstraint(np.ones(sys2.N), float(np.sum(p.coeffs))),
-            NewtonConfig(), system=sys2,
+            NewtonConfig(),
         )
         dmu = abs(q.mu - p.mu)
 

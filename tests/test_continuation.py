@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from babenko.continuation import (
+    STEP_MAX,
     Branch,
     BranchEvent,
     ContinuationConfig,
@@ -33,7 +34,7 @@ class TestConfigAndSeeding:
         with pytest.raises(ValueError):
             ContinuationConfig(step_min=1e-2, amplitude_step=1e-3)
         with pytest.raises(ValueError):
-            ContinuationConfig(extreme_stop_ratio=0.0)
+            ContinuationConfig(amplitude_step=2 * STEP_MAX)
 
     def test_start_branch_seeds_pure_mode(self):
         cfg = ContinuationConfig(N=32)
@@ -73,7 +74,7 @@ class TestAmplitudeContinuation:
     def test_amplitudes_increase_monotonically(self, c1_coarse):
         amps = c1_coarse.amplitudes()
         assert np.all(np.diff(amps) > 0)
-        assert np.all(np.diff(amps) <= ContinuationConfig().step_max + 1e-12)
+        assert np.all(np.diff(amps) <= STEP_MAX + 1e-12)
 
     def test_stops_at_amplitude_max(self, c1_coarse):
         assert c1_coarse.last.sup_norm == pytest.approx(0.1, abs=1e-12)
@@ -210,6 +211,22 @@ class TestSecondaryDetection:
         fake = BranchEvent("turning_point", 0.5, 0.2, 0.2)
         with pytest.raises(ValueError):
             switch_branch(b, fake, +1, H, cfg)
+
+    @pytest.mark.parametrize("direction", [0, 0.0, math.nan, math.inf])
+    def test_switch_rejects_bad_direction(self, c2_256, direction):
+        b, cfg = c2_256
+        ev = next(e for e in b.events if e.kind == "secondary_bifurcation")
+        with pytest.raises(ValueError, match="direction"):
+            switch_branch(b, ev, direction, H, cfg)
+
+    def test_secondaries_advance_along_their_row(self, c5_bundle):
+        # a switched branch is parametrized by row . c on a unit row, and
+        # every accepted step moves that parameter forward
+        assert c5_bundle["secondaries"]
+        for sec in c5_bundle["secondaries"]:
+            assert np.linalg.norm(sec.row) == pytest.approx(1.0, abs=1e-14)
+            t = np.array([sec.row @ p.coeffs for p in sec.points])
+            assert np.all(np.diff(t) > 0)
 
     def test_short_branch_yields_no_events(self):
         cfg = ContinuationConfig(N=32)

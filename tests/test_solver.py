@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from babenko.solver import (
-    ConstraintSpec,
     DiscreteSystem,
     InadmissibleIterate,
     NewtonConfig,
@@ -30,19 +29,9 @@ from babenko.spectral import (
     transform_inverse,
 )
 
-H = math.pi / 5
+from conftest import H, node_constraint, solve_small
+
 RNG = np.random.default_rng(7)
-
-
-def small_wave(N, n=1, s=0.01, depth=H):
-    """A converged mode-n point at small amplitude, for reuse in checks."""
-    sys = get_system(N, depth)
-    x = s * np.cos(n * sys.grid.nodes)
-    mu = math.tanh(n * depth) / n
-    j = int(np.argmax(np.abs(x)))
-    con = ConstraintSpec(j, 1 if x[j] >= 0 else -1, s)
-    return newton_solve(SpectralField(sys.grid, nodal=x), mu, depth, con,
-                        NewtonConfig(), system=sys)
 
 
 def central_difference_stacked_jacobian(sys, c, mu, constraint, step=1e-7):
@@ -84,7 +73,7 @@ def reference_stacked_jacobian(sys, c, mu, constraint):
     J = np.zeros((N + 1, N + 1))
     J[:N, :N] = A
     J[1:N, N] = -c[1:]
-    J[N, :N] = constraint.row(c)
+    J[N, :N] = constraint.vector
     return J
 
 
@@ -144,7 +133,7 @@ class TestResiduals:
         assert res[n] == pytest.approx((mu_n - mu) * eps, rel=1e-5)
 
     def test_proposition1_round_trip(self):
-        pt = small_wave(64, n=1, s=0.03)
+        pt = solve_small(64, n=1, s=0.03)
         res_mod = residual_modified(pt.w, pt.mu, H).coeffs
         res_fix = residual_fixed_r(pt.w, pt.mu, pt.r).coeffs
         assert np.max(np.abs(res_mod)) < 1e-10
@@ -152,12 +141,12 @@ class TestResiduals:
 
     def test_fixed_r_differs_off_the_manifold(self):
         # at a radius inconsistent with mean(w) the two residuals disagree
-        pt = small_wave(32, n=1, s=0.03)
+        pt = solve_small(32, n=1, s=0.03)
         res = residual_fixed_r(pt.w, pt.mu, 0.9 * pt.r).coeffs
         assert np.max(np.abs(res)) > 1e-6
 
     def test_fixed_r_domain_check(self):
-        pt = small_wave(16)
+        pt = solve_small(16)
         with pytest.raises(DomainError):
             residual_fixed_r(pt.w, pt.mu, 1.5)
 
@@ -196,8 +185,8 @@ class TestJacobian:
         assert np.max(np.abs(A[:, 0] - frozen)) > 1e-4
 
     def test_stacked_shape_and_constraint_row(self):
-        pt = small_wave(16)
-        con = ConstraintSpec(0, 1, pt.sup_norm)
+        pt = solve_small(16)
+        con = node_constraint(16, 0, 1, pt.sup_norm)
         J = get_system(16, H).stacked_jacobian(pt.coeffs, pt.mu, con)
         assert J.shape == (17, 17)
         # last row: derivative of sign * w(x_0) - a with respect to the
@@ -208,8 +197,8 @@ class TestJacobian:
         assert J[16, :16] @ pt.coeffs == pytest.approx(pt.nodal[0], rel=1e-12)
 
     def test_finite_difference_mode_agrees(self):
-        pt = small_wave(16)
-        con = ConstraintSpec(0, 1, pt.sup_norm)
+        pt = solve_small(16)
+        con = node_constraint(16, 0, 1, pt.sup_norm)
         J_an = get_system(16, H).stacked_jacobian(pt.coeffs, pt.mu, con)
         J_fd = central_difference_stacked_jacobian(get_system(16, H), pt.coeffs,
                                                    pt.mu, con)
@@ -219,7 +208,7 @@ class TestJacobian:
 class TestInPlaceAssembly:
     @staticmethod
     def constraints(N, rng):
-        return [ConstraintSpec(0, 1, 0.05),
+        return [node_constraint(N, 0, 1, 0.05),
                 ProjectionConstraint(rng.standard_normal(N), 0.01)]
 
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
@@ -253,7 +242,7 @@ class TestInPlaceAssembly:
         N = 512
         sys = get_system(N, H)
         c = random_state(N, np.random.default_rng(5))
-        con = ConstraintSpec(0, 1, 0.05)
+        con = node_constraint(N, 0, 1, 0.05)
         buf = np.empty((N + 1, N + 1))
         sys.stacked_jacobian(c, 0.6, con, out=buf)
         tracemalloc.start()
@@ -268,7 +257,7 @@ class TestInPlaceAssembly:
         sys = get_system(8, H)
         with pytest.raises(ValueError):
             sys.stacked_jacobian(random_state(8, RNG), 0.6,
-                                 ConstraintSpec(0, 1, 0.05), out=np.empty((8, 8)))
+                                 node_constraint(8, 0, 1, 0.05), out=np.empty((8, 8)))
 
     def test_newton_reuses_one_buffer(self, monkeypatch):
         seen = []
@@ -279,7 +268,7 @@ class TestInPlaceAssembly:
             return original(self, c, mu, constraint, out=out)
 
         monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", spy)
-        pt = small_wave(32, n=1, s=0.1)  # far enough to refactor
+        pt = solve_small(32, n=1, s=0.1)  # far enough to refactor
         assert len(seen) == pt.factorizations >= 2
         assert seen[0] is not None
         assert all(buf is seen[0] for buf in seen)
@@ -296,8 +285,7 @@ class TestChordNewton:
         cfg = NewtonConfig(residual_tol=1e-12)
         for i in indices:
             c, mu, con = secant_predictor(branch, i)
-            pt = newton_solve(SpectralField(sys.grid, coeffs=c), mu, H, con, cfg,
-                              system=sys)
+            pt = newton_solve(SpectralField(sys.grid, coeffs=c), mu, H, con, cfg)
             ref_c, ref_mu, _ = reference_newton_solve(sys, c, mu, con, cfg.residual_tol)
             assert np.max(np.abs(pt.coeffs - ref_c)) < 1e-9
             assert abs(pt.mu - ref_mu) < 1e-9
@@ -305,7 +293,7 @@ class TestChordNewton:
             assert len(pt.residual_history) == pt.iterations + 1
 
     def test_far_predictor_refactors_and_converges(self):
-        pt = small_wave(32, n=1, s=0.1)
+        pt = solve_small(32, n=1, s=0.1)
         assert pt.factorizations >= 2
         assert pt.residual_norm < 1e-10
         j = int(np.argmax(np.abs(pt.nodal)))
@@ -340,8 +328,7 @@ class TestChordNewton:
             warnings.simplefilter("error")
             with pytest.raises(SingularJacobian, match="exactly singular"):
                 newton_solve(SpectralField(sys.grid, nodal=x), 0.55, H,
-                             ProjectionConstraint(np.zeros(16), 0.0),
-                             NewtonConfig(), system=sys)
+                             ProjectionConstraint(np.zeros(16), 0.0), NewtonConfig())
 
     def test_paths_are_pinned(self, c1_full, c5_bundle):
         # step growth keys on factorizations; these are the point counts
@@ -350,11 +337,21 @@ class TestChordNewton:
         assert counts == {"C51": 14, "C52": 17, "C53": 20, "C53b": 16, "C54": 18}
         assert len(c5_bundle["parent"].points) == 25
         assert len(c1_full.points) == 30
+        # endpoints (mu, sup_norm) of the secondaries, to rounding
+        endpoints = {
+            "C51": (0.22865517156536883, 0.11424554313643193),
+            "C52": (0.23149337343558263, 0.11563927873075995),
+            "C53": (0.23434205835473804, 0.11709032304430857),
+            "C53b": (0.23436419987123333, 0.11709026825454213),
+            "C54": (0.2372524215876982, 0.11852798758960859),
+        }
+        for b in c5_bundle["secondaries"]:
+            assert (b.last.mu, b.last.sup_norm) == pytest.approx(endpoints[b.label], abs=1e-12)
 
 
 class TestNewton:
     def test_converges_from_asymptotic_predictor(self):
-        pt = small_wave(64, n=2, s=0.01)
+        pt = solve_small(64, n=2, s=0.01)
         assert pt.residual_norm < 1e-10
         assert pt.iterations <= 5
         # the pinned node holds the target; the amplitude is the crest of
@@ -364,7 +361,7 @@ class TestNewton:
         assert pt.sup_norm == pytest.approx(np.sum(pt.coeffs), rel=1e-12)
 
     def test_solution_point_diagnostics(self):
-        pt = small_wave(32, n=1, s=0.02)
+        pt = solve_small(32, n=1, s=0.02)
         assert pt.r == pytest.approx(math.exp(-H - pt.mean))
         assert 0 < pt.r < 1
         assert pt.mean <= 0
@@ -372,26 +369,25 @@ class TestNewton:
         assert len(pt.residual_history) == pt.iterations + 1
 
     def test_respects_amplitude_constraint_exactly(self):
-        pt = small_wave(32, n=1, s=0.04)
+        pt = solve_small(32, n=1, s=0.04)
         j = int(np.argmax(np.abs(pt.nodal)))
         assert abs(pt.nodal[j]) == pytest.approx(0.04, abs=1e-12)
 
     def test_projection_constraint(self):
-        sys = get_system(32, H)
-        base = small_wave(32, n=1, s=0.02)
+        base = solve_small(32, n=1, s=0.02)
         row = RNG.standard_normal(32)
         target = float(row @ base.coeffs)
         pt = newton_solve(base.w, base.mu, H, ProjectionConstraint(row, target),
-                          NewtonConfig(), system=sys)
+                          NewtonConfig())
         assert abs(row @ pt.coeffs - target) < 1e-9
 
     def test_divergence_raises(self):
         sys = get_system(16, H)
         x = 5.0 * np.cos(sys.grid.nodes)  # far outside the solution set
-        con = ConstraintSpec(0, 1, 5.0)
+        con = node_constraint(16, 0, 1, 5.0)
         with pytest.raises(SolveFailure):
             newton_solve(SpectralField(sys.grid, nodal=x), 0.55, H, con,
-                         NewtonConfig(max_iter=12), system=sys)
+                         NewtonConfig(max_iter=12))
 
     @pytest.mark.parametrize("mean", [800.0, -2 * H], ids=["underflow", "below_bottom"])
     def test_iterate_outside_domain_is_a_solve_failure(self, mean):
@@ -402,7 +398,7 @@ class TestNewton:
         c[0] = mean
         with pytest.raises(InadmissibleIterate):
             newton_solve(SpectralField(sys.grid, coeffs=c), 0.5, H,
-                         ConstraintSpec(0, 1, 0.01), NewtonConfig(), system=sys)
+                         node_constraint(16, 0, 1, 0.01), NewtonConfig())
 
     def test_overflow_guard_in_sigma(self):
         # wild iterates with admissible mean but huge nonlinear terms must
