@@ -40,12 +40,7 @@ from .spectral import (
     CosineGrid,
     DepthParams,
     DomainError,
-    SpectralField,
-    apply_Jh,
-    apply_Lh,
-    dealiased_product,
     mu_symbol,
-    r_of_w,
 )
 
 __version__ = "0.1.0"
@@ -61,14 +56,10 @@ __all__ = [
     "ProjectionConstraint",
     "SolutionPoint",
     "SolveFailure",
-    "SpectralField",
     "WaveProfile",
-    "apply_Jh",
-    "apply_Lh",
     "conformal_map_sample",
     "continue_branch",
     "crest_angle_estimate",
-    "dealiased_product",
     "detect_secondary_bifurcations",
     "detect_turning_points",
     "modified_coefficients",
@@ -76,7 +67,6 @@ __all__ = [
     "navigate_secondaries",
     "newton_solve",
     "r_curve",
-    "r_of_w",
     "residual_fixed_r",
     "residual_modified",
     "start_branch",

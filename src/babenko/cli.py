@@ -30,7 +30,7 @@ from .continuation import (
     start_branch,
     trivial_bifurcation_mu,
 )
-from .geometry import r_curve, surface_curve
+from .geometry import surface_curve
 from .solver import NewtonConfig, SolveFailure, residual_fixed_r, residual_modified
 from .spectral import DomainError
 
@@ -68,6 +68,10 @@ class RunConfig:
         for spec in self.branches:
             if spec["mode"] < 1:
                 raise ConfigError(f"branch mode must be positive, got {spec['mode']}")
+        try:
+            self.continuation()
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         return self
 
     def continuation(self) -> ContinuationConfig:
@@ -227,7 +231,12 @@ def _select_point(data: bio.BranchData, selector: str):
     if selector == "endpoint":
         return n - 1
     if selector.startswith("mu="):
-        target = float(selector[3:])
+        try:
+            target = float(selector[3:])
+        except ValueError:
+            target = math.nan
+        if not math.isfinite(target):
+            raise ConfigError(f"bad selector {selector!r}; mu= needs a finite number")
         return int(np.argmin(np.abs(data.mus - target)))
     try:
         idx = int(selector)
@@ -254,13 +263,13 @@ def profile(branch_file, selector, M, fmt, out):
     idx = _select_point(data, selector)
     pt = data.points[idx]
     try:
-        prof = surface_curve(pt.w, pt.mu, data.depth, M=M)
+        prof = surface_curve(pt.coeffs, pt.mu, data.depth, M=M)
     except DomainError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
     if out is None:
         out = Path(branch_file).with_suffix(f".profile{idx}.{fmt}")
-    path = bio.write_profile(prof, pt.mu, out, fmt)
+    path = bio.write_profile(prof, pt, out, fmt)
     click.echo(str(path))
 
 
@@ -307,8 +316,8 @@ def verify(branch_files, out, sample):
         sampled = pts[::step]
         worst_rt = 0.0
         for p in sampled:
-            res_fixed = float(np.max(np.abs(residual_fixed_r(p.w, p.mu, p.r).coeffs)))
-            res_mod = float(np.max(np.abs(residual_modified(p.w, p.mu, data.depth).coeffs)))
+            res_fixed = float(np.max(np.abs(residual_fixed_r(p.coeffs, p.mu, p.r))))
+            res_mod = float(np.max(np.abs(residual_modified(p.coeffs, p.mu, data.depth))))
             worst_rt = max(worst_rt, res_fixed, res_mod)
         record("proposition1_roundtrip", data.label, worst_rt < 1e-9,
                {"max_residual": worst_rt})
@@ -324,7 +333,7 @@ def verify(branch_files, out, sample):
                {"r_range": [float(rs.min()), float(rs.max())]})
         worst_mean_res = 0.0
         for p in sampled:
-            prof = surface_curve(p.w, p.mu, data.depth)
+            prof = surface_curve(p.coeffs, p.mu, data.depth)
             worst_mean_res = max(worst_mean_res, abs(prof.mean_residual))
         record("zero_mean_surface", data.label, worst_mean_res < 1e-8,
                {"max_mean_residual": worst_mean_res})

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .solver import (
-    DiscreteSystem,
     NewtonConfig,
     ProjectionConstraint,
     SolutionPoint,
@@ -30,7 +29,7 @@ from .solver import (
     lu_factor_in_place,
     newton_solve,
 )
-from .spectral import SpectralField, as_depth, series_peak
+from .spectral import as_depth, series_peak
 
 __all__ = [
     "Branch",
@@ -139,16 +138,15 @@ def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None)
     if not 0 < abs(s) <= 0.05:
         raise ValueError(f"seed amplitude must satisfy 0 < |s| <= 0.05, got {s}")
     depth = as_depth(depth)
-    sys = get_system(cfg.N, depth.h)
     mu_n = trivial_bifurcation_mu(n, depth)
     err: SolveFailure | None = None
     for attempt in range(5):
-        c = np.zeros(sys.N)
+        c = np.zeros(cfg.N)
         c[n] = s
         t_c = 0.0 if s > 0 else np.pi / n
-        con = ProjectionConstraint(np.cos(np.arange(sys.N) * t_c), abs(s))
+        con = ProjectionConstraint(np.cos(np.arange(cfg.N) * t_c), abs(s))
         try:
-            pt = newton_solve(SpectralField(sys.grid, coeffs=c), mu_n, depth, con, cfg.newton)
+            pt = newton_solve(c, mu_n, depth, con, cfg.newton)
             return Branch(label=f"C{n}", mode=n, points=[pt])
         except SolveFailure as exc:
             err = exc
@@ -162,7 +160,6 @@ def _param(p: SolutionPoint, row: np.ndarray | None) -> float:
 
 
 def _correct(
-    sys: DiscreteSystem,
     depth,
     cfg: ContinuationConfig,
     target: float,
@@ -189,7 +186,7 @@ def _correct(
     else:
         c, mu = prev.coeffs + (target - s) * row, prev.mu
     con = _constraint_for(c, target) if row is None else ProjectionConstraint(row, target)
-    return newton_solve(SpectralField(sys.grid, coeffs=c), mu, depth, con, cfg.newton)
+    return newton_solve(c, mu, depth, con, cfg.newton)
 
 
 def _stop_ratio(pt: SolutionPoint) -> float:
@@ -233,7 +230,6 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     if not branch.points:
         raise ValueError("branch must be seeded before continuation")
     depth = as_depth(depth)
-    sys = get_system(cfg.N, depth.h)
     row = branch.row
     step = cfg.amplitude_step if branch.step is None else branch.step
 
@@ -263,7 +259,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
             target = min(target, cfg.amplitude_max)
 
         try:
-            pt = _correct(sys, depth, cfg, target, prev, prev2, row)
+            pt = _correct(depth, cfg, target, prev, prev2, row)
             if 0.5 * pt.mu - pt.sup_norm <= 0:
                 raise SolveFailure("iterate beyond the limiting height mu/2")
             if branch.parent_mode is not None:
@@ -330,10 +326,9 @@ def _refine_turning_point(
     from scipy.optimize import minimize_scalar
 
     depth = as_depth(depth)
-    sys = get_system(cfg.N, depth.h)
 
     def neg_mu(a: float) -> float:
-        return -_correct(sys, depth, cfg, float(a), p0, p1).mu
+        return -_correct(depth, cfg, float(a), p0, p1).mu
 
     try:
         res = minimize_scalar(
@@ -454,7 +449,7 @@ def detect_secondary_bifurcations(
         while hi.sup_norm - lo.sup_norm > BIFURCATION_MONITOR_TOL:
             a_mid = 0.5 * (lo.sup_norm + hi.sup_norm)
             try:
-                mid = _correct(sys, depth, cfg, a_mid, lo, hi)
+                mid = _correct(depth, cfg, a_mid, lo, hi)
             except SolveFailure:
                 break
             s_mid = _class_sign(sys.jacobian(mid.coeffs, mid.mu)[0], classes[ci])
@@ -505,7 +500,7 @@ def detect_secondary_bifurcations(
                 ok = True
                 for a_s in grid:
                     try:
-                        sub.append(_correct(sys, depth, cfg, a_s, p0, p1))
+                        sub.append(_correct(depth, cfg, a_s, p0, p1))
                     except SolveFailure:
                         ok = False
                         break
@@ -554,7 +549,6 @@ def _switch_along(
     collapses back onto the parent.
     """
     depth = as_depth(depth)
-    sys = get_system(cfg.N, depth.h)
     c_ev = np.asarray(event.diagnostics["w_coeffs"], dtype=float)
     phi_c = np.asarray(phi_c, dtype=float)
     phi_c = phi_c / np.linalg.norm(phi_c)
@@ -565,10 +559,7 @@ def _switch_along(
         eps = eps_rel * event.amplitude
         con = ProjectionConstraint(phi_c, float(phi_c @ c_ev) + eps)
         try:
-            pt = newton_solve(
-                SpectralField(sys.grid, coeffs=c_ev + eps * phi_c),
-                mu_ev, depth, con, cfg.newton,
-            )
+            pt = newton_solve(c_ev + eps * phi_c, mu_ev, depth, con, cfg.newton)
         except SolveFailure as exc:
             last_exc = exc
             continue

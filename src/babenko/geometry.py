@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import DomainError, SpectralField, as_depth, hilbert_symbol
+from .spectral import DomainError, as_depth, hilbert_symbol
 
 __all__ = [
     "WaveProfile",
@@ -38,6 +38,9 @@ __all__ = [
 # on three-crest secondary waves) split at the 1e-4 level numerically, so
 # 1e-3 classifies both unambiguously.
 EQUAL_CREST_RTOL = 1e-3
+# crest_angle_estimate fits the flank samples whose drop below the crest
+# lies in this window, relative to the crest-to-trough height
+CREST_DROP_WINDOW = (0.08, 0.25)
 
 
 class GeometryError(ValueError):
@@ -62,21 +65,20 @@ class WaveProfile:
     def n_crests(self) -> int:
         return len(self.crest_census)
 
-    def n_highest(self, rtol: float = EQUAL_CREST_RTOL) -> int:
-        """Number of crests within tolerance of the tallest one."""
+    def n_highest(self) -> int:
+        """Number of crests within EQUAL_CREST_RTOL of the tallest one."""
         if not self.crest_census:
             return 0
         heights = np.array([h for _, h in self.crest_census])
         top = heights.max()
         scale = max(np.max(np.abs(self.y)), 1e-300)
-        return int(np.sum(heights >= top - rtol * scale))
+        return int(np.sum(heights >= top - EQUAL_CREST_RTOL * scale))
 
 
-def modified_coefficients(w: SpectralField, r: float) -> np.ndarray:
+def modified_coefficients(c: np.ndarray, r: float) -> np.ndarray:
     """Coefficients b_k of the expansion v = b_0 + sum b_k (1 - r^2k) cos kt."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"conformal radius must lie in (0, 1), got {r}")
-    c = w.coeffs
     k = np.arange(1, c.size)
     b = np.empty_like(c)
     b[0] = c[0]
@@ -120,16 +122,15 @@ def crest_heights(coeffs: np.ndarray, n_samples: int = 4096) -> list:
     return out
 
 
-def surface_curve(w: SpectralField, mu: float, depth, M: int | None = None) -> WaveProfile:
-    """Parametric free surface {x(t), y(t)} of the wave defined by (mu, w)."""
+def surface_curve(c: np.ndarray, mu: float, depth, M: int | None = None) -> WaveProfile:
+    """Parametric free surface {x(t), y(t)} of the wave with coefficients c."""
     depth = as_depth(depth)
-    r = float(np.exp(-depth.h - w.mean))
+    r = float(np.exp(-depth.h - c[0]))
     if not 0.0 < r < 1.0:
         raise DomainError(f"solution has conformal radius {r} outside (0, 1)")
-    N = w.grid.N
+    N = c.size
     M = M or 4 * N
-    b = modified_coefficients(w, r)
-    c = w.coeffs
+    b = modified_coefficients(c, r)
     t = np.linspace(-np.pi, np.pi, M, endpoint=False)
     # x(t) = -t - sum b_k (1 + r^2k) sin kt; the sine coefficients equal
     # c_k (1+r^2k)/(1-r^2k), the conjugation symbol applied to the data
@@ -187,18 +188,15 @@ class CrestAngleEstimate:
     crest_y: float
 
 
-def crest_angle_estimate(
-    profile: WaveProfile,
-    drop_window: tuple[float, float] = (0.08, 0.25),
-) -> CrestAngleEstimate:
+def crest_angle_estimate(profile: WaveProfile) -> CrestAngleEstimate:
     """Interior angle at the highest crest from one-sided slope fits.
 
-    Samples whose vertical drop below the crest lies inside drop_window
+    Samples whose vertical drop below the crest lies inside CREST_DROP_WINDOW
     (relative to the crest-to-trough height) enter a straight-line fit on
     each flank.  Samples nearer the crest are excluded: the tip of a
     near-extreme wave is rounded at a scale below the discretization and
     shows truncation ringing whose local slopes do not converge until far
-    larger N, while the flank slopes inside the default window are stable
+    larger N, while the flank slopes inside that window are stable
     under grid doubling.
     """
     if not profile.crest_census:
@@ -207,7 +205,7 @@ def crest_angle_estimate(
     height = yc - float(np.min(profile.y))
     if height <= 0:
         raise GeometryError("profile has no crest")
-    lo, hi = drop_window[0] * height, drop_window[1] * height
+    lo, hi = CREST_DROP_WINDOW[0] * height, CREST_DROP_WINDOW[1] * height
 
     # work in crest-centred coordinates; x decreases with t
     dx = profile.x - xc

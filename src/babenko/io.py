@@ -20,7 +20,6 @@ import numpy as np
 
 from .continuation import Branch, BranchEvent
 from .solver import SolutionPoint
-from .spectral import CosineGrid, SpectralField
 
 __all__ = [
     "FORMAT_VERSION",
@@ -114,7 +113,7 @@ def write_branch(branch: Branch, outdir, depth: float, fmt: str = "csv") -> list
         raise ValueError(f"unknown output format {fmt!r}")
 
     if branch.points:
-        N = branch.points[0].w.grid.N
+        N = branch.points[0].coeffs.size
         spath = outdir / f"{branch.label}.solutions.csv"
         with spath.open("w") as fh:
             fh.write(f"# babenko-solutions v{FORMAT_VERSION}\n")
@@ -211,7 +210,6 @@ def _read_table(path: Path) -> tuple[str, float, list]:
 def _read_sidecar(sidecar: Path, depth: float) -> list[SolutionPoint]:
     slines = sidecar.read_text().splitlines()
     N = int(_parse_header_meta(slines[1])["N"])
-    grid = CosineGrid(N)
     points = []
     for line in slines[3:]:
         if not line:
@@ -224,7 +222,7 @@ def _read_sidecar(sidecar: Path, depth: float) -> list[SolutionPoint]:
         coeffs = np.array([float(v) for v in vals[2:]])
         points.append(
             SolutionPoint.from_solution(
-                SpectralField(grid, coeffs=coeffs), float(vals[1]), depth,
+                coeffs, float(vals[1]), depth,
                 residual_norm=float("nan"), iterations=0,
             )
         )
@@ -256,14 +254,18 @@ def write_events(branches: list[Branch], outdir, depth: float) -> Path:
     return path
 
 
-def write_profile(profile, mu: float, path, fmt: str = "csv") -> Path:
-    """Write surface samples (t, x, y) with crest census and metadata."""
+def write_profile(profile, point: SolutionPoint, path, fmt: str = "csv") -> Path:
+    """Write surface samples (t, x, y) with crest census and metadata.
+
+    The metadata's mu and sup_norm are the point's; sup_norm is the crest
+    amplitude of its cosine series, whatever the sample count.
+    """
     path = Path(path)
     meta = {
         "format": "babenko-profile",
         "version": FORMAT_VERSION,
-        "mu": float(mu),
-        "sup_norm": float(np.max(np.abs(profile.y))),
+        "mu": float(point.mu),
+        "sup_norm": float(point.sup_norm),
         "r": profile.r,
         "depth": profile.depth,
         "monotone_x": profile.monotone_x,

@@ -1,15 +1,16 @@
 """Discrete steady-wave system and Newton iteration.
 
-The unknowns are the N cosine coefficients of w plus the wave-speed
-parameter mu.  The nonlinear residual couples the depth-parametrized
-multiplier symbols with exactly dealiased quadratic products; one linear
-closing row on the coefficients (ProjectionConstraint), such as the series
-value at a crest or a null-vector projection, closes the system.  The
-analytic Jacobian, including the chain-rule terms through the
-conformal-radius functional, is assembled in place from the structured
-product matrices of spectral.add_product_matrix: diagonal symbols, row and
-column scalings and rank-one terms, with no change of basis and no N x N
-temporary.
+The unknowns are the N cosine coefficients c of w, a plain float vector
+whose length is N, plus the wave-speed parameter mu; every public function
+here takes and returns such vectors.  The nonlinear residual couples the
+multiplier symbols at the radius exp(-h - c_0) with exactly dealiased
+quadratic products; one linear closing row on the coefficients
+(ProjectionConstraint), such as the series value at a crest or a
+null-vector projection, closes the system.  The analytic Jacobian,
+including the chain-rule terms through the conformal-radius functional,
+is assembled in place from the structured product matrices of
+spectral.add_product_matrix: diagonal symbols, row and column scalings
+and rank-one terms, with no change of basis and no N x N temporary.
 
 Newton is a chord (Shamanskii) iteration: it allocates one (N+1) x (N+1)
 buffer per solve, assembles the bordered Jacobian into it, factors it in
@@ -31,7 +32,6 @@ import numpy as np
 from .spectral import (
     CosineGrid,
     DomainError,
-    SpectralField,
     add_product_matrix,
     as_depth,
     dlambda_dr,
@@ -115,15 +115,17 @@ class ProjectionConstraint:
 class SolutionPoint:
     """A converged (mu, w) pair with derived diagnostics.
 
-    sup_norm is the amplitude max_t |w(t)| of the cosine series, crests at
-    t = 0 and t = pi included, not the maximum over the collocation nodes.
+    coeffs holds the N cosine coefficients of w, and w is a read-only alias
+    of it.  sup_norm is the amplitude max_t |w(t)| of the cosine series,
+    crests at t = 0 and t = pi included, not the maximum over the
+    collocation nodes.
     iterations counts Newton steps and factorizations the Jacobians
     assembled and factored for them; residual_history holds the residual
     norm before each step and after the last.
     """
 
     mu: float
-    w: SpectralField
+    coeffs: np.ndarray = field(repr=False)
     h: float
     r: float
     sup_norm: float
@@ -134,24 +136,20 @@ class SolutionPoint:
     factorizations: int = 0
 
     @property
-    def coeffs(self) -> np.ndarray:
-        return self.w.coeffs
-
-    @property
-    def nodal(self) -> np.ndarray:
-        return self.w.nodal
+    def w(self) -> np.ndarray:
+        return self.coeffs
 
     @classmethod
     def from_solution(
-        cls, w: SpectralField, mu: float, h: float,
+        cls, coeffs: np.ndarray, mu: float, h: float,
         residual_norm: float = float("nan"), iterations: int = 0,
         residual_history: list | None = None, factorizations: int = 0,
     ) -> "SolutionPoint":
-        """Build a point from (mu, w) data, computing its diagnostics."""
-        h = float(h)
+        """Build a point from (mu, coeffs) data, computing its diagnostics."""
+        h, mean = float(h), float(coeffs[0])
         return cls(
-            mu=float(mu), w=w, h=h, r=float(np.exp(-h - w.mean)),
-            sup_norm=abs(series_peak(w.coeffs)[1]), mean=w.mean,
+            mu=float(mu), coeffs=coeffs, h=h, r=float(np.exp(-h - mean)),
+            sup_norm=abs(series_peak(coeffs)[1]), mean=mean,
             residual_norm=float(residual_norm), iterations=iterations,
             residual_history=list(residual_history or []),
             factorizations=factorizations,
@@ -161,7 +159,6 @@ class SolutionPoint:
 class DiscreteSystem:
     """The collocation system at fixed N and depth h, on coefficient vectors.
 
-    The public wrappers below convert from and to SpectralField values.
     Instances hold O(N) data only; get_system reuses one per (N, h).  The
     Jacobian is assembled in place into a buffer the caller owns
     (stacked_jacobian's out), so the cached systems hold no N x N arrays.
@@ -296,22 +293,21 @@ def get_system(N: int, h: float) -> DiscreteSystem:
     return _SYSTEM_CACHE[key]
 
 
-def residual_modified(w: SpectralField, mu: float, depth) -> SpectralField:
-    """Residual of the depth-parametrized equation at (w, mu)."""
-    sys = get_system(w.grid.N, as_depth(depth).h)
-    return SpectralField(w.grid, coeffs=sys.residual(w.coeffs, mu))
+def residual_modified(c: np.ndarray, mu: float, depth) -> np.ndarray:
+    """Residual coefficients of the depth-parametrized equation at (c, mu)."""
+    return get_system(c.size, as_depth(depth).h).residual(c, mu)
 
 
-def residual_fixed_r(w: SpectralField, mu: float, r: float) -> SpectralField:
-    """Residual of the fixed-radius equation at (w, mu); free of the depth."""
+def residual_fixed_r(c: np.ndarray, mu: float, r: float) -> np.ndarray:
+    """Residual coefficients of the fixed-radius equation; free of the depth."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"conformal radius must lie in (0, 1), got {r}")
-    c, N = w.coeffs, w.grid.N
+    N = c.size
     lam = lambda_symbol(r, N)
     mur = mu_symbol_total(r, N)
     out = mur * c + mur * product_coeffs(c, lam * c)
     out[1:] += 0.5 * product_coeffs(c, c)[1:] - mu * c[1:]
-    return SpectralField(w.grid, coeffs=out)
+    return out
 
 
 def lu_factor_in_place(A: np.ndarray):
@@ -335,7 +331,7 @@ CONTRACTION = 0.2
 
 
 def newton_solve(
-    initial_w: SpectralField,
+    c0: np.ndarray,
     initial_mu: float,
     depth,
     constraint: ProjectionConstraint,
@@ -343,12 +339,13 @@ def newton_solve(
 ) -> SolutionPoint:
     """Chord Newton iteration on the stacked system from the given predictor.
 
-    The system is get_system(N, h) for the predictor's grid size N and the
-    depth h.  One (N+1) x (N+1) buffer is allocated per solve.  The
-    bordered Jacobian is assembled into it and factored in place, and each
-    step is a back-substitution with those factors.  After a step that
-    leaves more than CONTRACTION of the residual norm, the Jacobian is
-    reassembled and refactored at the new iterate before the next step.
+    c0 holds the predictor's N cosine coefficients and is copied; the
+    system is get_system(N, h) at the depth h.  One (N+1) x (N+1) buffer
+    is allocated per solve.  The bordered Jacobian is assembled into it
+    and factored in place, and each step is a back-substitution with those
+    factors.  After a step that leaves more than CONTRACTION of the
+    residual norm, the Jacobian is reassembled and refactored at the new
+    iterate before the next step.
     The point records the steps taken (iterations) and the factorizations.
     Raises a SolveFailure subclass on divergence, iteration exhaustion, an
     exactly singular Jacobian, or an iterate leaving the operator domain.
@@ -356,8 +353,8 @@ def newton_solve(
     from scipy.linalg import lu_solve
 
     cfg = cfg or NewtonConfig()
-    sys = get_system(initial_w.grid.N, as_depth(depth).h)
-    c = initial_w.coeffs.copy()
+    c = np.array(c0, dtype=float)
+    sys = get_system(c.size, as_depth(depth).h)
     mu = float(initial_mu)
 
     if c[0] != c[0]:  # NaN guard on the seed
@@ -374,8 +371,7 @@ def newton_solve(
 
     def point(iters):
         return SolutionPoint.from_solution(
-            SpectralField(sys.grid, coeffs=c.copy()), mu, sys.h, norm, iters,
-            history, factorizations,
+            c.copy(), mu, sys.h, norm, iters, history, factorizations,
         )
 
     R, norm = res(c, mu)

@@ -1,14 +1,15 @@
 """Cosine-collocation spectral core.
 
-Even 2*pi-periodic functions are represented on (0, pi) either by their
-values at the shifted collocation nodes x_n = pi*(2n-1)/(2N) or by the
-coefficients of cos(k*t), k = 0..N-1.  The two representations are linked
-by type-II/III discrete cosine transforms.  On top of the transforms this
-module provides the diagonal Fourier-multiplier symbols of the
-finite-depth wave problem and their depth-parametrized (nonlinear)
-operators, plus the exactly dealiased pointwise product and its
-structured matrix, which the solver accumulates in place into its Newton
-system.
+An even 2*pi-periodic function is a plain float vector c of the
+coefficients of cos(k*t), k = 0..N-1, with N = c.size.  Its values at the
+shifted collocation nodes x_n = pi*(2n-1)/(2N) follow by a type-III
+discrete cosine transform and go back by a type-II one.  On top of the
+transforms this module provides the diagonal Fourier-multiplier symbols of
+the finite-depth wave problem and the exactly dealiased pointwise product
+with its structured matrix.  The depth-parametrized operators are these
+symbols at the radius r = exp(-h - c_0), e.g. lambda_symbol(r, N) * c for
+the J-type one; the solver evaluates them so and accumulates the product
+matrices in place into its Newton system.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from scipy.fft import dct
 __all__ = [
     "DomainError",
     "CosineGrid",
-    "SpectralField",
     "DepthParams",
     "R_MAX",
     "transform_forward",
@@ -35,13 +35,9 @@ __all__ = [
     "hilbert_symbol",
     "dlambda_dr",
     "dmu_dr",
-    "r_of_w",
-    "apply_Jh",
-    "apply_Lh",
     "product_coeffs",
     "add_product_matrix",
     "product_matrix",
-    "dealiased_product",
     "series_peak",
     "as_depth",
 ]
@@ -110,62 +106,6 @@ def inverse_transform_matrix(grid: CosineGrid) -> np.ndarray:
     """Dense coefficient->nodal matrix, S[n, k] = cos(k x_n)."""
     k = np.arange(grid.N)
     return np.cos(np.outer(grid.nodes, k))
-
-
-class SpectralField:
-    """An even periodic function held in nodal and/or coefficient form.
-
-    Instances are value-like: treat them as immutable after construction.
-    Each representation is computed lazily from the other on first access.
-    """
-
-    __slots__ = ("grid", "_coeffs", "_nodal")
-
-    def __init__(self, grid: CosineGrid, coeffs=None, nodal=None):
-        if coeffs is None and nodal is None:
-            raise ValueError("need coefficients or nodal values")
-        self.grid = grid
-        self._coeffs = None if coeffs is None else np.asarray(coeffs, dtype=float)
-        self._nodal = None if nodal is None else np.asarray(nodal, dtype=float)
-        for arr in (self._coeffs, self._nodal):
-            if arr is not None and arr.shape != (grid.N,):
-                raise ValueError(
-                    f"expected length {grid.N}, got shape {arr.shape}"
-                )
-
-    @classmethod
-    def from_coeffs(cls, coeffs, grid: CosineGrid | None = None) -> "SpectralField":
-        coeffs = np.asarray(coeffs, dtype=float)
-        return cls(grid or CosineGrid(coeffs.size), coeffs=coeffs)
-
-    @classmethod
-    def from_nodal(cls, nodal, grid: CosineGrid | None = None) -> "SpectralField":
-        nodal = np.asarray(nodal, dtype=float)
-        return cls(grid or CosineGrid(nodal.size), nodal=nodal)
-
-    @classmethod
-    def zeros(cls, grid: CosineGrid) -> "SpectralField":
-        return cls(grid, coeffs=np.zeros(grid.N))
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            self._coeffs = transform_forward(self._nodal, self.grid)
-        return self._coeffs
-
-    @property
-    def nodal(self) -> np.ndarray:
-        if self._nodal is None:
-            self._nodal = transform_inverse(self._coeffs, self.grid)
-        return self._nodal
-
-    @property
-    def mean(self) -> float:
-        """Projection onto the constant mode."""
-        return float(self.coeffs[0])
-
-    def __repr__(self):
-        return f"SpectralField(N={self.grid.N}, mean={self.mean:.3e})"
 
 
 @dataclass(frozen=True)
@@ -258,31 +198,6 @@ def dmu_dr(r: float, N: int) -> np.ndarray:
     return m
 
 
-def r_of_w(w: SpectralField, depth) -> float:
-    """Conformal radius functional exp(-h - mean(w)).
-
-    Total; callers needing a radius in (0, 1) must check the result.
-    """
-    return float(np.exp(-as_depth(depth).h - w.mean))
-
-
-def apply_Jh(w: SpectralField, depth) -> SpectralField:
-    """Depth-parametrized J-type operator; needs mean(w) > -h."""
-    depth = as_depth(depth)
-    r = r_of_w(w, depth)
-    if r >= R_MAX:
-        raise DomainError(
-            f"operator undefined at this mean value: mean(w)={w.mean} <= -h={-depth.h}"
-        )
-    return SpectralField(w.grid, coeffs=lambda_symbol(r, w.grid.N) * w.coeffs)
-
-
-def apply_Lh(u: SpectralField, depth) -> SpectralField:
-    """Depth-parametrized L-type operator; defined for every operand."""
-    r = r_of_w(u, as_depth(depth))
-    return SpectralField(u.grid, coeffs=mu_symbol_total(r, u.grid.N) * u.coeffs)
-
-
 def _padded_nodal(coeffs: np.ndarray, grid: CosineGrid) -> np.ndarray:
     """Evaluate an N-mode cosine series on a grid of at least N nodes."""
     cp = np.zeros(grid.N)
@@ -339,11 +254,6 @@ def product_matrix(c: np.ndarray) -> np.ndarray:
     """Matrix of the linear map u -> product_coeffs(c, u); see add_product_matrix."""
     c = np.asarray(c, dtype=float)
     return add_product_matrix(c, np.zeros((c.size, c.size)))
-
-
-def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
-    """The pointwise product u*v on N modes (see product_coeffs)."""
-    return SpectralField(u.grid, coeffs=product_coeffs(u.coeffs, v.coeffs))
 
 
 def series_peak(coeffs: np.ndarray) -> tuple[float, float]:

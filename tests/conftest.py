@@ -18,7 +18,7 @@ from babenko.continuation import (
     start_branch,
 )
 from babenko.solver import NewtonConfig, ProjectionConstraint, get_system, newton_solve
-from babenko.spectral import SpectralField
+from babenko.spectral import transform_forward
 
 H = math.pi / 5
 
@@ -39,7 +39,8 @@ def solve_small(N, n=1, s=0.01, depth=H):
     mu = math.tanh(n * depth) / n
     j = int(np.argmax(np.abs(x)))
     con = node_constraint(N, j, 1 if x[j] >= 0 else -1, s)
-    return newton_solve(SpectralField(sys.grid, nodal=x), mu, depth, con, NewtonConfig())
+    c = transform_forward(x, sys.grid)
+    return newton_solve(c, mu, depth, con, NewtonConfig())
 
 
 @pytest.fixture(scope="session")

@@ -108,6 +108,21 @@ class TestTrace:
         ])
         assert res.exit_code == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("extra, doc", [
+        (["--step", "0.5"], None),
+        (["--step", "0"], None),
+        ([], {"residual_tol": 0}),
+    ], ids=["step-above-max", "step-zero", "residual-tol-zero"])
+    def test_bad_solver_settings_are_config_errors(self, runner, tmp_path, extra, doc):
+        args = ["trace", "--branch", "C1", "--modes", "32", "--amplitude-max", "0.03",
+                "--out", str(tmp_path)]
+        if doc is not None:
+            cfgfile = tmp_path / "run.json"
+            cfgfile.write_text(json.dumps(doc))
+            args += ["--config", str(cfgfile)]
+        res = runner.invoke(main, args + extra)
+        assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
+
     def test_unreadable_config(self, runner, tmp_path):
         res = runner.invoke(main, ["trace", "--config", str(tmp_path / "missing.json")])
         assert res.exit_code == EXIT_CONFIG
@@ -137,6 +152,12 @@ class TestProfile:
         res = runner.invoke(main, ["profile", str(traced_dir / "C1.csv"),
                                    "--point", "crest"])
         assert res.exit_code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("selector", ["mu=abc", "mu=", "mu=nan", "mu=inf"])
+    def test_bad_mu_selector(self, runner, traced_dir, selector):
+        res = runner.invoke(main, ["profile", str(traced_dir / "C1.csv"),
+                                   "--point", selector])
+        assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
 
     def test_index_out_of_range(self, runner, traced_dir):
         res = runner.invoke(main, ["profile", str(traced_dir / "C1.csv"),

@@ -17,8 +17,7 @@ from babenko.continuation import (
     trace_to_extreme,
     trivial_bifurcation_mu,
 )
-from babenko.solver import SolutionPoint, SolveFailure, get_system
-from babenko.spectral import SpectralField
+from babenko.solver import SolutionPoint, SolveFailure
 
 from conftest import H
 
@@ -128,13 +127,10 @@ class TestEndpointAndTurning:
 
     def test_detect_turning_points_on_synthetic_parabola(self):
         # mu(a) = 0.7 - (a - 0.3)^2 peaks at a = 0.3
-        grid_N = 8
-        sys = get_system(grid_N, H)
         pts = []
         for a in np.linspace(0.25, 0.35, 11):
-            w = SpectralField(sys.grid, coeffs=np.zeros(grid_N))
             mu = 0.7 - (a - 0.3) ** 2
-            p = SolutionPoint.from_solution(w, mu, H)
+            p = SolutionPoint.from_solution(np.zeros(8), mu, H)
             object.__setattr__(p, "sup_norm", float(a))
             pts.append(p)
         b = Branch(label="synthetic", mode=1, points=pts)

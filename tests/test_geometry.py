@@ -14,7 +14,7 @@ from babenko.geometry import (
     r_curve,
     surface_curve,
 )
-from babenko.spectral import CosineGrid, DomainError, SpectralField
+from babenko.spectral import CosineGrid, DomainError, transform_inverse
 
 from conftest import H, solve_small
 
@@ -26,9 +26,9 @@ def dense_eval_series(coeffs, M):
     return np.cos(np.outer(t, k)) @ coeffs + 1j * (np.sin(np.outer(t, k)) @ coeffs)
 
 
-def _profile_and_crests(w, M):
-    prof = surface_curve(w, 0.5, H, M=M)
-    return prof, crest_heights(w.coeffs, M)
+def _profile_and_crests(c, M):
+    prof = surface_curve(c, 0.5, H, M=M)
+    return prof, crest_heights(c, M)
 
 
 def _assert_profiles_agree(got, want, tol):
@@ -50,39 +50,37 @@ class TestSeriesEvaluation:
     """The FFT evaluation against the dense basis it replaces."""
 
     @pytest.fixture(scope="class")
-    def field(self):
+    def coeffs(self):
         rng = np.random.default_rng(7)
         k = np.arange(64)
         c = 0.1 * rng.standard_normal(64) * np.exp(-k / 8.0)
         c[0] = 0.0
-        return SpectralField(CosineGrid(64), coeffs=c)
+        return c
 
     # M < N folds aliases into bin k mod M; 129 is odd
     @pytest.mark.parametrize("M", [50, 64, 129, 256, 16384])
-    def test_matches_dense_basis(self, field, M, monkeypatch):
-        got = geometry._eval_series(field.coeffs, M)
-        assert np.max(np.abs(got - dense_eval_series(field.coeffs, M))) < 1e-13
-        fft = _profile_and_crests(field, M)
+    def test_matches_dense_basis(self, coeffs, M, monkeypatch):
+        got = geometry._eval_series(coeffs, M)
+        assert np.max(np.abs(got - dense_eval_series(coeffs, M))) < 1e-13
+        fft = _profile_and_crests(coeffs, M)
         monkeypatch.setattr(geometry, "_eval_series", dense_eval_series)
-        _assert_profiles_agree(fft, _profile_and_crests(field, M), 1e-13)
+        _assert_profiles_agree(fft, _profile_and_crests(coeffs, M), 1e-13)
 
     def test_near_extreme_endpoint(self, c1_full, monkeypatch):
-        w = c1_full.last.w
-        fft = _profile_and_crests(w, 16384)
+        c = c1_full.last.coeffs
+        fft = _profile_and_crests(c, 16384)
         monkeypatch.setattr(geometry, "_eval_series", dense_eval_series)
-        _assert_profiles_agree(fft, _profile_and_crests(w, 16384), 1e-13)
+        _assert_profiles_agree(fft, _profile_and_crests(c, 16384), 1e-13)
 
 
 class TestModifiedCoefficients:
     def test_zero_field(self):
-        w = SpectralField(CosineGrid(8), coeffs=np.zeros(8))
-        assert np.all(modified_coefficients(w, 0.5) == 0)
+        assert np.all(modified_coefficients(np.zeros(8), 0.5) == 0)
 
     def test_constant_field(self):
         c = np.zeros(8)
         c[0] = -0.3
-        w = SpectralField(CosineGrid(8), coeffs=c)
-        b = modified_coefficients(w, 0.5)
+        b = modified_coefficients(c, 0.5)
         assert b[0] == -0.3
         assert np.all(b[1:] == 0)
 
@@ -90,25 +88,23 @@ class TestModifiedCoefficients:
         # v(t) = b_0 + sum b_k (1 - r^2k) cos kt must reproduce w at the nodes
         rng = np.random.default_rng(3)
         grid = CosineGrid(16)
-        w = SpectralField(grid, coeffs=rng.standard_normal(16) * 0.1)
+        c = rng.standard_normal(16) * 0.1
         r = 0.53
-        b = modified_coefficients(w, r)
+        b = modified_coefficients(c, r)
         k = np.arange(16)
         factors = np.where(k == 0, 1.0, 1.0 - r ** (2 * k))
-        rebuilt = SpectralField(grid, coeffs=b * factors)
-        assert np.max(np.abs(rebuilt.nodal - w.nodal)) < 1e-12
+        rebuilt = transform_inverse(b * factors, grid)
+        assert np.max(np.abs(rebuilt - transform_inverse(c, grid))) < 1e-12
 
     def test_radius_validation(self):
-        w = SpectralField(CosineGrid(4), coeffs=np.zeros(4))
         for r in (0.0, 1.0, 1.2):
             with pytest.raises(DomainError):
-                modified_coefficients(w, r)
+                modified_coefficients(np.zeros(4), r)
 
 
 class TestSurfaceCurve:
     def test_flat_wave(self):
-        w = SpectralField(CosineGrid(16), coeffs=np.zeros(16))
-        prof = surface_curve(w, 0.5, H)
+        prof = surface_curve(np.zeros(16), 0.5, H)
         assert np.allclose(prof.y, 0.0)
         assert np.allclose(prof.x, -prof.t)
         assert prof.n_crests == 0
@@ -116,7 +112,7 @@ class TestSurfaceCurve:
 
     def test_small_amplitude_single_crest(self):
         pt = solve_small(64, n=1, s=0.01)
-        prof = surface_curve(pt.w, pt.mu, H)
+        prof = surface_curve(pt.coeffs, pt.mu, H)
         assert prof.n_crests == 1
         assert prof.n_highest() == 1
         # crest of the mode-1 wave sits at t = 0, i.e. x = 0
@@ -125,31 +121,31 @@ class TestSurfaceCurve:
 
     def test_mode5_has_five_equal_crests(self):
         pt = solve_small(64, n=5, s=0.005)
-        prof = surface_curve(pt.w, pt.mu, H)
+        prof = surface_curve(pt.coeffs, pt.mu, H)
         assert prof.n_crests == 5
         assert prof.n_highest() == 5
 
     def test_zero_mean_invariant(self):
         pt = solve_small(64, n=1, s=0.05)
-        prof = surface_curve(pt.w, pt.mu, H)
+        prof = surface_curve(pt.coeffs, pt.mu, H)
         assert abs(prof.mean_residual) < 1e-8
 
     def test_bottom_level_identity(self):
         # -b_0 - log r = h holds exactly by construction of r
         pt = solve_small(64, n=1, s=0.05)
-        prof = surface_curve(pt.w, pt.mu, H)
+        prof = surface_curve(pt.coeffs, pt.mu, H)
         assert -prof.b[0] - math.log(prof.r) == pytest.approx(H, abs=1e-12)
 
     def test_sample_count(self):
         pt = solve_small(32, n=1, s=0.01)
-        assert surface_curve(pt.w, pt.mu, H).t.size == 128
-        assert surface_curve(pt.w, pt.mu, H, M=50).t.size == 50
+        assert surface_curve(pt.coeffs, pt.mu, H).t.size == 128
+        assert surface_curve(pt.coeffs, pt.mu, H, M=50).t.size == 50
 
 
 class TestConformalMap:
     def test_surface_boundary_matches_curve(self):
         pt = solve_small(64, n=1, s=0.04)
-        prof = surface_curve(pt.w, pt.mu, H)
+        prof = surface_curve(pt.coeffs, pt.mu, H)
         z = conformal_map_sample(prof.b, prof.r, n_radial=4, n_angular=prof.t.size)
         # on |u| = 1 the map reproduces the parametric surface (x odd, y even)
         assert np.max(np.abs(z[0].imag - prof.y)) < 1e-12
@@ -157,7 +153,7 @@ class TestConformalMap:
 
     def test_bottom_boundary_is_flat(self):
         pt = solve_small(64, n=1, s=0.04)
-        prof = surface_curve(pt.w, pt.mu, H)
+        prof = surface_curve(pt.coeffs, pt.mu, H)
         z = conformal_map_sample(prof.b, prof.r, n_radial=4, n_angular=64)
         assert np.max(np.abs(z[-1].imag + H)) < 1e-10
 
@@ -178,7 +174,7 @@ class TestConformalMap:
 
     def test_boundary_correspondence_monotone(self):
         pt = solve_small(64, n=1, s=0.05)
-        prof = surface_curve(pt.w, pt.mu, H)
+        prof = surface_curve(pt.coeffs, pt.mu, H)
         assert prof.monotone_x
 
 
@@ -200,7 +196,7 @@ class TestCrests:
 
     def test_smooth_wave_angle_near_flat(self):
         pt = solve_small(64, n=1, s=0.02)
-        prof = surface_curve(pt.w, pt.mu, H, M=1024)
+        prof = surface_curve(pt.coeffs, pt.mu, H, M=1024)
         est = crest_angle_estimate(prof)
         assert est.degrees > 170.0
 

@@ -120,22 +120,29 @@ class TestEventsFile:
 class TestProfileAndCurves:
     def test_profile_csv(self, c1_coarse, tmp_path):
         pt = c1_coarse.last
-        prof = surface_curve(pt.w, pt.mu, H)
-        path = write_profile(prof, pt.mu, tmp_path / "prof.csv")
+        prof = surface_curve(pt.coeffs, pt.mu, H)
+        path = write_profile(prof, pt, tmp_path / "prof.csv")
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# babenko-profile")
         meta = json.loads(lines[1].lstrip("# "))
         assert meta["mu"] == pt.mu
+        assert meta["sup_norm"] == pt.sup_norm
         assert meta["n_highest"] == 1
         assert lines[2] == "t,x,y"
         assert len(lines) == 3 + prof.t.size
         t0, x0, y0 = (float(v) for v in lines[3].split(","))
         assert t0 == prof.t[0] and x0 == prof.x[0] and y0 == prof.y[0]
+        # an odd sample count misses the crest at t = 0; the metadata still
+        # holds the point's amplitude, not the largest sample
+        odd = surface_curve(pt.coeffs, pt.mu, H, M=129)
+        lines = write_profile(odd, pt, tmp_path / "odd.csv").read_text().splitlines()
+        assert json.loads(lines[1].lstrip("# "))["sup_norm"] == pt.sup_norm
+        assert np.max(np.abs(odd.y)) < pt.sup_norm - 1e-5
 
     def test_profile_json(self, c1_coarse, tmp_path):
         pt = c1_coarse.last
-        prof = surface_curve(pt.w, pt.mu, H)
-        path = write_profile(prof, pt.mu, tmp_path / "prof.json", fmt="json")
+        prof = surface_curve(pt.coeffs, pt.mu, H)
+        path = write_profile(prof, pt, tmp_path / "prof.json", fmt="json")
         doc = json.loads(path.read_text())
         assert len(doc["samples"]) == prof.t.size
         assert doc["crest_census"][0]["height"] == pytest.approx(prof.crest_census[0][1])
@@ -169,9 +176,9 @@ class TestProfileAndCurves:
 
     def test_bad_formats(self, c1_coarse, tmp_path):
         pt = c1_coarse.last
-        prof = surface_curve(pt.w, pt.mu, H)
+        prof = surface_curve(pt.coeffs, pt.mu, H)
         with pytest.raises(ValueError):
-            write_profile(prof, pt.mu, tmp_path / "p.x", fmt="x")
+            write_profile(prof, pt, tmp_path / "p.x", fmt="x")
         with pytest.raises(ValueError):
             write_rcurve(np.zeros((2, 2)), tmp_path / "r.x", fmt="x")
 

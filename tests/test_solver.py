@@ -19,19 +19,25 @@ from babenko.solver import (
 )
 from babenko.continuation import _constraint_for, _det_sign
 from babenko.spectral import (
+    CosineGrid,
     DomainError,
-    SpectralField,
     dlambda_dr,
     dmu_dr,
     lambda_symbol,
     mu_symbol_total,
     product_matrix,
+    transform_forward,
     transform_inverse,
 )
 
 from conftest import H, node_constraint, solve_small
 
 RNG = np.random.default_rng(7)
+
+
+def nodal(pt):
+    """The point's values at the collocation nodes."""
+    return transform_inverse(pt.coeffs, CosineGrid(pt.coeffs.size))
 
 
 def central_difference_stacked_jacobian(sys, c, mu, constraint, step=1e-7):
@@ -134,21 +140,21 @@ class TestResiduals:
 
     def test_proposition1_round_trip(self):
         pt = solve_small(64, n=1, s=0.03)
-        res_mod = residual_modified(pt.w, pt.mu, H).coeffs
-        res_fix = residual_fixed_r(pt.w, pt.mu, pt.r).coeffs
+        res_mod = residual_modified(pt.coeffs, pt.mu, H)
+        res_fix = residual_fixed_r(pt.coeffs, pt.mu, pt.r)
         assert np.max(np.abs(res_mod)) < 1e-10
         assert np.max(np.abs(res_fix)) < 1e-10
 
     def test_fixed_r_differs_off_the_manifold(self):
         # at a radius inconsistent with mean(w) the two residuals disagree
         pt = solve_small(32, n=1, s=0.03)
-        res = residual_fixed_r(pt.w, pt.mu, 0.9 * pt.r).coeffs
+        res = residual_fixed_r(pt.coeffs, pt.mu, 0.9 * pt.r)
         assert np.max(np.abs(res)) > 1e-6
 
     def test_fixed_r_domain_check(self):
         pt = solve_small(16)
         with pytest.raises(DomainError):
-            residual_fixed_r(pt.w, pt.mu, 1.5)
+            residual_fixed_r(pt.coeffs, pt.mu, 1.5)
 
 
 class TestJacobian:
@@ -179,9 +185,8 @@ class TestJacobian:
         dc = np.zeros(16)
         dc[0] = eps
         r = float(np.exp(-H - c[0]))
-        frozen = (residual_fixed_r(SpectralField.from_coeffs(c + dc), 0.5, r).coeffs
-                  - residual_fixed_r(SpectralField.from_coeffs(c - dc), 0.5, r).coeffs
-                  ) / (2 * eps)
+        frozen = (residual_fixed_r(c + dc, 0.5, r)
+                  - residual_fixed_r(c - dc, 0.5, r)) / (2 * eps)
         assert np.max(np.abs(A[:, 0] - frozen)) > 1e-4
 
     def test_stacked_shape_and_constraint_row(self):
@@ -194,7 +199,7 @@ class TestJacobian:
         sys = get_system(16, H)
         expect = np.append(np.cos(np.arange(16) * sys.grid.nodes[0]), 0.0)
         assert np.allclose(J[16], expect)
-        assert J[16, :16] @ pt.coeffs == pytest.approx(pt.nodal[0], rel=1e-12)
+        assert J[16, :16] @ pt.coeffs == pytest.approx(nodal(pt)[0], rel=1e-12)
 
     def test_finite_difference_mode_agrees(self):
         pt = solve_small(16)
@@ -285,7 +290,7 @@ class TestChordNewton:
         cfg = NewtonConfig(residual_tol=1e-12)
         for i in indices:
             c, mu, con = secant_predictor(branch, i)
-            pt = newton_solve(SpectralField(sys.grid, coeffs=c), mu, H, con, cfg)
+            pt = newton_solve(c, mu, H, con, cfg)
             ref_c, ref_mu, _ = reference_newton_solve(sys, c, mu, con, cfg.residual_tol)
             assert np.max(np.abs(pt.coeffs - ref_c)) < 1e-9
             assert abs(pt.mu - ref_mu) < 1e-9
@@ -296,8 +301,9 @@ class TestChordNewton:
         pt = solve_small(32, n=1, s=0.1)
         assert pt.factorizations >= 2
         assert pt.residual_norm < 1e-10
-        j = int(np.argmax(np.abs(pt.nodal)))
-        assert pt.nodal[j] == pytest.approx(0.1, rel=1e-9)
+        x = nodal(pt)
+        j = int(np.argmax(np.abs(x)))
+        assert x[j] == pytest.approx(0.1, rel=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
     def test_determinant_sign_from_lu(self, n):
@@ -327,7 +333,7 @@ class TestChordNewton:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularJacobian, match="exactly singular"):
-                newton_solve(SpectralField(sys.grid, nodal=x), 0.55, H,
+                newton_solve(transform_forward(x, sys.grid), 0.55, H,
                              ProjectionConstraint(np.zeros(16), 0.0), NewtonConfig())
 
     def test_paths_are_pinned(self, c1_full, c5_bundle):
@@ -356,8 +362,9 @@ class TestNewton:
         assert pt.iterations <= 5
         # the pinned node holds the target; the amplitude is the crest of
         # the series, w(0) = sum c_k, which lies above every node
-        j = int(np.argmax(np.abs(pt.nodal)))
-        assert pt.nodal[j] == pytest.approx(0.01, rel=1e-6)
+        x = nodal(pt)
+        j = int(np.argmax(np.abs(x)))
+        assert x[j] == pytest.approx(0.01, rel=1e-6)
         assert pt.sup_norm == pytest.approx(np.sum(pt.coeffs), rel=1e-12)
 
     def test_solution_point_diagnostics(self):
@@ -370,14 +377,15 @@ class TestNewton:
 
     def test_respects_amplitude_constraint_exactly(self):
         pt = solve_small(32, n=1, s=0.04)
-        j = int(np.argmax(np.abs(pt.nodal)))
-        assert abs(pt.nodal[j]) == pytest.approx(0.04, abs=1e-12)
+        x = nodal(pt)
+        j = int(np.argmax(np.abs(x)))
+        assert abs(x[j]) == pytest.approx(0.04, abs=1e-12)
 
     def test_projection_constraint(self):
         base = solve_small(32, n=1, s=0.02)
         row = RNG.standard_normal(32)
         target = float(row @ base.coeffs)
-        pt = newton_solve(base.w, base.mu, H, ProjectionConstraint(row, target),
+        pt = newton_solve(base.coeffs, base.mu, H, ProjectionConstraint(row, target),
                           NewtonConfig())
         assert abs(row @ pt.coeffs - target) < 1e-9
 
@@ -386,19 +394,17 @@ class TestNewton:
         x = 5.0 * np.cos(sys.grid.nodes)  # far outside the solution set
         con = node_constraint(16, 0, 1, 5.0)
         with pytest.raises(SolveFailure):
-            newton_solve(SpectralField(sys.grid, nodal=x), 0.55, H, con,
+            newton_solve(transform_forward(x, sys.grid), 0.55, H, con,
                          NewtonConfig(max_iter=12))
 
     @pytest.mark.parametrize("mean", [800.0, -2 * H], ids=["underflow", "below_bottom"])
     def test_iterate_outside_domain_is_a_solve_failure(self, mean):
         # exp(-h - mean) underflows to 0 at 800 and exceeds 1 at -2h; the
         # continuation halves its step on a SolveFailure, not on DomainError
-        sys = get_system(16, H)
         c = np.zeros(16)
         c[0] = mean
         with pytest.raises(InadmissibleIterate):
-            newton_solve(SpectralField(sys.grid, coeffs=c), 0.5, H,
-                         node_constraint(16, 0, 1, 0.01), NewtonConfig())
+            newton_solve(c, 0.5, H, node_constraint(16, 0, 1, 0.01), NewtonConfig())
 
     def test_overflow_guard_in_sigma(self):
         # wild iterates with admissible mean but huge nonlinear terms must

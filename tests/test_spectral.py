@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from babenko.solver import get_system
 from babenko.spectral import (
     R_MAX,
     CosineGrid,
     DomainError,
-    SpectralField,
     add_product_matrix,
-    apply_Jh,
-    apply_Lh,
     as_depth,
-    dealiased_product,
     dlambda_dr,
     dmu_dr,
     hilbert_symbol,
@@ -22,13 +19,23 @@ from babenko.spectral import (
     mu_symbol_total,
     product_coeffs,
     product_matrix,
-    r_of_w,
     transform_forward,
     transform_inverse,
     transform_matrix,
 )
 
 RNG = np.random.default_rng(20260823)
+
+
+def convolution(cu, cv):
+    """Cosine coefficients of the product, by cos(mt) cos(nt) linearization."""
+    N = cu.size
+    full = np.zeros(2 * N)
+    for m in range(N):
+        for n in range(N):
+            full[m + n] += 0.5 * cu[m] * cv[n]
+            full[abs(m - n)] += 0.5 * cu[m] * cv[n]
+    return full[:N]
 
 
 class TestTransforms:
@@ -62,14 +69,6 @@ class TestTransforms:
     def test_nodes_are_shifted(self):
         grid = CosineGrid(4)
         assert np.allclose(grid.nodes, np.pi * np.array([1, 3, 5, 7]) / 8)
-
-    def test_field_lazy_representations(self):
-        grid = CosineGrid(8)
-        c = RNG.standard_normal(8)
-        f = SpectralField(grid, coeffs=c)
-        g = SpectralField(grid, nodal=f.nodal)
-        assert np.allclose(g.coeffs, c, atol=1e-13)
-        assert f.mean == pytest.approx(c[0])
 
 
 class TestSymbols:
@@ -128,39 +127,41 @@ class TestSymbols:
 
 class TestOperators:
     def test_multiplier_matches_dense_oracle(self):
+        # the J-type operator at the operand's radius, as the residual forms it
         N = 16
         grid = CosineGrid(N)
         h = np.pi / 5
-        u = SpectralField(grid, coeffs=RNG.standard_normal(N))
-        dense = (inverse_transform_matrix(grid)
-                 @ np.diag(lambda_symbol(r_of_w(u, h), N))
-                 @ transform_matrix(grid))
-        out = apply_Jh(u, h)
-        assert np.max(np.abs(out.nodal - dense @ u.nodal)) < 1e-12
+        c = RNG.standard_normal(N)
+        lam = lambda_symbol(np.exp(-h - c[0]), N)
+        dense = inverse_transform_matrix(grid) @ np.diag(lam) @ transform_matrix(grid)
+        out = transform_inverse(lam * c, grid)
+        assert np.max(np.abs(out - dense @ transform_inverse(c, grid))) < 1e-12
 
-    def test_apply_Jh_uses_solution_dependent_radius(self):
-        grid = CosineGrid(16)
-        h = np.pi / 5
-        w = SpectralField(grid, coeffs=np.concatenate(([-0.1], RNG.standard_normal(15) * 0.01)))
-        r = r_of_w(w, h)
+    def test_residual_uses_solution_dependent_radius(self):
+        # the residual rebuilt from the symbols at r = exp(-h - c_0) and the
+        # explicit convolution
+        N, h, mu = 16, np.pi / 5, 0.5
+        c = np.concatenate(([-0.1], RNG.standard_normal(15) * 0.01))
+        r = np.exp(-h - c[0])
         assert r == pytest.approx(np.exp(-h + 0.1))
-        expect = lambda_symbol(r, 16) * w.coeffs
-        assert np.allclose(apply_Jh(w, h).coeffs, expect)
+        jw = convolution(c, lambda_symbol(r, N) * c)
+        expect = mu_symbol_total(r, N) * c + mu_symbol_total(np.exp(-h + jw[0]), N) * jw
+        expect[1:] += 0.5 * convolution(c, c)[1:] - mu * c[1:]
+        assert np.allclose(get_system(N, h).residual(c, mu), expect, rtol=0, atol=1e-14)
 
-    def test_apply_Jh_rejects_vanishing_depth(self):
+    def test_residual_rejects_vanishing_depth(self):
         # mean(w) <= -h drives the radius to 1 and beyond
-        grid = CosineGrid(8)
-        h = 0.05
-        w = SpectralField(grid, coeffs=np.concatenate(([-0.2], np.zeros(7))))
+        c = np.concatenate(([-0.2], np.zeros(7)))
         with pytest.raises(DomainError):
-            apply_Jh(w, h)
+            get_system(8, 0.05).residual(c, 0.5)
 
-    def test_apply_Lh_total_on_same_operand(self):
-        grid = CosineGrid(8)
-        h = 0.05
-        w = SpectralField(grid, coeffs=np.concatenate(([-0.2], np.zeros(7))))
-        out = apply_Lh(w, h)  # r > 1 is fine for the L-type operator
-        assert np.all(np.isfinite(out.coeffs))
+    def test_Lh_symbol_total_on_same_operand(self):
+        # r > 1 is fine for the L-type symbol, not for the J-type one
+        c = np.concatenate(([-0.2], np.zeros(7)))
+        r = np.exp(-0.05 - c[0])
+        assert np.all(np.isfinite(mu_symbol_total(r, 8) * c))
+        with pytest.raises(DomainError):
+            lambda_symbol(r, 8)
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
@@ -171,34 +172,23 @@ class TestDealiasedProduct:
     def test_matches_convolution_oracle(self):
         # cosine-series product via the linearization formula
         N = 8
-        grid = CosineGrid(N)
         cu = RNG.standard_normal(N)
         cv = RNG.standard_normal(N)
-        full = np.zeros(2 * N)
-        for m in range(N):
-            for n in range(N):
-                full[m + n] += 0.5 * cu[m] * cv[n]
-                full[abs(m - n)] += 0.5 * cu[m] * cv[n]
-        out = dealiased_product(SpectralField(grid, coeffs=cu),
-                                SpectralField(grid, coeffs=cv))
-        assert np.max(np.abs(out.coeffs - full[:N])) < 1e-12
+        assert np.max(np.abs(product_coeffs(cu, cv) - convolution(cu, cv))) < 1e-12
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_commutes(self, seed):
         rng = np.random.default_rng(seed)
-        grid = CosineGrid(12)
-        u = SpectralField(grid, coeffs=rng.standard_normal(12))
-        v = SpectralField(grid, coeffs=rng.standard_normal(12))
-        uv = dealiased_product(u, v).coeffs
-        vu = dealiased_product(v, u).coeffs
+        u = rng.standard_normal(12)
+        v = rng.standard_normal(12)
+        uv = product_coeffs(u, v)
+        vu = product_coeffs(v, u)
         assert np.max(np.abs(uv - vu)) < 1e-12
 
     def test_constant_identity(self):
-        grid = CosineGrid(6)
-        one = SpectralField(grid, coeffs=np.eye(6)[0])
-        u = SpectralField(grid, coeffs=RNG.standard_normal(6))
-        assert np.allclose(dealiased_product(one, u).coeffs, u.coeffs, atol=1e-13)
+        u = RNG.standard_normal(6)
+        assert np.allclose(product_coeffs(np.eye(6)[0], u), u, atol=1e-13)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
     def test_product_matrix_matches_dense_formula(self, N):
@@ -230,7 +220,5 @@ class TestDealiasedProduct:
             add_product_matrix(c, np.zeros((N, N - 1)))
 
     def test_grid_mismatch(self):
-        u = SpectralField(CosineGrid(4), coeffs=np.zeros(4))
-        v = SpectralField(CosineGrid(8), coeffs=np.zeros(8))
         with pytest.raises(ValueError):
-            dealiased_product(u, v)
+            product_coeffs(np.zeros(4), np.zeros(8))
