@@ -292,7 +292,8 @@ def rcurve(branch_file, fmt, out):
 @click.option("--out", type=click.Path(), default=None,
               help="Report path (default verify_report.json next to first input).")
 @click.option("--sample", type=click.IntRange(min=1), default=20, show_default=True,
-              help="Points sampled per branch for the round-trip checks.")
+              help="Points sampled per branch for the round-trip checks; "
+                   "the last point is always one of them.")
 def verify(branch_files, out, sample):
     """Run the invariant suite over stored branch points; nonzero exit on failure."""
     if not branch_files:
@@ -312,8 +313,9 @@ def verify(branch_files, out, sample):
         if not pts:
             record("sidecar_present", data.label, False, "no solutions sidecar")
             continue
+        # every step-th point, and always the last: the highest wave
         step = max(1, len(pts) // sample)
-        sampled = pts[::step]
+        sampled = pts[:-1:step] + pts[-1:]
         worst_rt = 0.0
         for p in sampled:
             res_fixed = float(np.max(np.abs(residual_fixed_r(p.coeffs, p.mu, p.r))))

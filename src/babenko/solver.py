@@ -18,8 +18,16 @@ place with scipy.linalg.lu_factor and takes further steps by
 back-substitution, reassembling and refactoring only when the residual
 contracts by less than CONTRACTION per step (Kelley, Solving Nonlinear
 Equations with Newton's Method, SIAM 2003, ch. 5).  Newton judges
-convergence on the nodal values of the residual.  scipy.linalg is imported
-where it is used, so commands that never factor do not load it.
+convergence on the nodal values of the residual, and declares divergence
+as soon as that norm exceeds max(|R_0|, 1), its starting value floored at
+one (a residual monitor in the sense of Deuflhard, Newton Methods for
+Nonlinear Problems, Springer 2004).  The converged solves of the tests
+and of the C5 benchmark peak below 0.1, at least ten times inside that
+guard, so it never ends one of them; the correctors stepped too far along
+a C5 secondary branch cross it after 4 to 18 iterations instead of
+running to max_iter.  A SolveFailure from newton_solve carries the steps,
+factorizations and residual history of the failed solve.  scipy.linalg is
+imported where it is used, so commands that never factor do not load it.
 """
 
 from __future__ import annotations
@@ -61,7 +69,20 @@ __all__ = [
 
 
 class SolveFailure(RuntimeError):
-    """Base class for structured Newton failures."""
+    """Base class for structured Newton failures.
+
+    A failure raised by newton_solve carries the cost of the failed solve,
+    as SolutionPoint does for a converged one: iterations counts the steps
+    whose residual was evaluated, factorizations the Jacobians factored,
+    and residual_history holds the residual norm before each of those
+    steps and after the last.  Failures raised before the first step, or
+    elsewhere, such as the continuation's own checks on a converged point,
+    keep the empty defaults.
+    """
+
+    iterations: int = 0
+    factorizations: int = 0
+    residual_history: list | tuple = ()
 
 
 class NewtonDiverged(SolveFailure):
@@ -347,8 +368,11 @@ def newton_solve(
     residual norm, the Jacobian is reassembled and refactored at the new
     iterate before the next step.
     The point records the steps taken (iterations) and the factorizations.
-    Raises a SolveFailure subclass on divergence, iteration exhaustion, an
-    exactly singular Jacobian, or an iterate leaving the operator domain.
+    Raises a SolveFailure subclass, carrying the same counts and the
+    residual history, on divergence, iteration exhaustion, an exactly
+    singular Jacobian, or an iterate leaving the operator domain.  The
+    iteration has diverged once the residual norm exceeds
+    max(|R_0|, 1); converged solves peak more than ten times below that.
     """
     from scipy.linalg import lu_solve
 
@@ -376,47 +400,53 @@ def newton_solve(
 
     R, norm = res(c, mu)
     history = [norm]
-    norm0 = max(norm, 1.0)
+    norm0 = max(norm, 1.0)  # the divergence guard
     J = np.empty((sys.N + 1, sys.N + 1))  # assembled into and factored in place
     factors = None
     factorizations = 0
 
-    for it in range(cfg.max_iter):
+    try:
+        for it in range(cfg.max_iter):
+            if norm <= cfg.residual_tol:
+                return point(it)
+            if factors is None:
+                sys.stacked_jacobian(c, mu, constraint, out=J)
+                factors = lu_factor_in_place(J)
+                factorizations += 1
+                if not np.all(np.diagonal(factors[0])):
+                    raise SingularJacobian("exactly singular Jacobian")
+            step = lu_solve(factors, -R, trans=1, check_finite=False)
+            if not np.all(np.isfinite(step)):
+                raise SingularJacobian("non-finite Newton step")
+
+            # damp the step if the iterate leaves the operator domain or the
+            # residual cannot be evaluated
+            scale = 1.0
+            for _ in range(9):
+                c_new = c + scale * step[:-1]
+                mu_new = mu + scale * step[-1]
+                if c_new[0] > -sys.h + sys.MEAN_MARGIN:
+                    break
+                scale *= 0.5
+            else:
+                raise InadmissibleIterate(
+                    f"iterate mean {c_new[0]} stayed below -h after damping"
+                )
+            c, mu = c_new, mu_new
+            R, norm = res(c, mu)
+            history.append(norm)
+            if not np.isfinite(norm) or norm > norm0:
+                raise NewtonDiverged(f"residual norm {norm} after {it + 1} iterations")
+            if norm > CONTRACTION * history[-2]:
+                factors = None
+
         if norm <= cfg.residual_tol:
-            return point(it)
-        if factors is None:
-            sys.stacked_jacobian(c, mu, constraint, out=J)
-            factors = lu_factor_in_place(J)
-            factorizations += 1
-            if not np.all(np.diagonal(factors[0])):
-                raise SingularJacobian("exactly singular Jacobian")
-        step = lu_solve(factors, -R, trans=1, check_finite=False)
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step")
-
-        # damp the step if the iterate leaves the operator domain or the
-        # residual cannot be evaluated
-        scale = 1.0
-        for _ in range(9):
-            c_new = c + scale * step[:-1]
-            mu_new = mu + scale * step[-1]
-            if c_new[0] > -sys.h + sys.MEAN_MARGIN:
-                break
-            scale *= 0.5
-        else:
-            raise InadmissibleIterate(
-                f"iterate mean {c_new[0]} stayed below -h after damping"
-            )
-        c, mu = c_new, mu_new
-        R, norm = res(c, mu)
-        history.append(norm)
-        if not np.isfinite(norm) or norm > 1e8 * norm0:
-            raise NewtonDiverged(f"residual norm {norm} after {it + 1} iterations")
-        if norm > CONTRACTION * history[-2]:
-            factors = None
-
-    if norm <= cfg.residual_tol:
-        return point(cfg.max_iter)
-    raise NewtonMaxIter(
-        f"no convergence in {cfg.max_iter} iterations (residual {norm:.3e})"
-    )
+            return point(cfg.max_iter)
+        raise NewtonMaxIter(
+            f"no convergence in {cfg.max_iter} iterations (residual {norm:.3e})"
+        )
+    except SolveFailure as exc:
+        exc.iterations = len(history) - 1
+        exc.factorizations = factorizations
+        exc.residual_history = history
+        raise

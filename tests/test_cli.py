@@ -235,20 +235,38 @@ class TestVerify:
                          "height_below_mu_half", "radius_in_unit_interval",
                          "zero_mean_surface"}
 
-    def test_corrupted_solution_fails(self, runner, traced_dir, tmp_path):
-        # copy the branch and damage one stored coefficient
+    @staticmethod
+    def damage_last_point(traced_dir, tmp_path, column, value):
+        """Copy the branch and overwrite one stored coefficient of its last point."""
         for name in ("C1.csv", "C1.solutions.csv"):
             (tmp_path / name).write_text((traced_dir / name).read_text())
         lines = (tmp_path / "C1.solutions.csv").read_text().splitlines()
         cells = lines[-1].split(",")
-        cells[3] = "0.01"
+        cells[column] = value(cells[column])
         lines[-1] = ",".join(cells)
         (tmp_path / "C1.solutions.csv").write_text("\n".join(lines) + "\n")
-        res = runner.invoke(main, ["verify", str(tmp_path / "C1.csv"),
+        return tmp_path / "C1.csv"
+
+    def test_corrupted_solution_fails(self, runner, traced_dir, tmp_path):
+        path = self.damage_last_point(traced_dir, tmp_path, 3, lambda _: "0.01")
+        res = runner.invoke(main, ["verify", str(path),
                                    "--out", str(tmp_path / "rep.json")])
         assert res.exit_code == EXIT_VERIFY
         doc = json.loads((tmp_path / "rep.json").read_text())
         assert doc["passed"] is False
+
+    def test_last_point_always_checked(self, runner, traced_dir, tmp_path):
+        # --sample 1 strides past every point after the first; the last
+        # one, the highest wave of the branch, is checked all the same.
+        # A 1e-6 change in its highest mode moves only the residual.
+        path = self.damage_last_point(traced_dir, tmp_path, -1,
+                                      lambda cell: repr(float(cell) + 1e-6))
+        res = runner.invoke(main, ["verify", str(path), "--sample", "1",
+                                   "--out", str(tmp_path / "rep.json")])
+        assert res.exit_code == EXIT_VERIFY, res.output
+        doc = json.loads((tmp_path / "rep.json").read_text())
+        failed = {c["check"] for c in doc["checks"] if not c["passed"]}
+        assert failed == {"proposition1_roundtrip"}
 
     def test_zero_sample_count(self, runner, traced_dir, tmp_path):
         res = runner.invoke(main, ["verify", str(traced_dir / "C1.csv"),

@@ -5,10 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from babenko import continuation
 from babenko.solver import (
     DiscreteSystem,
     InadmissibleIterate,
     NewtonConfig,
+    NewtonDiverged,
+    NewtonMaxIter,
     ProjectionConstraint,
     SingularJacobian,
     SolveFailure,
@@ -17,7 +20,7 @@ from babenko.solver import (
     residual_fixed_r,
     residual_modified,
 )
-from babenko.continuation import _constraint_for, _det_sign
+from babenko.continuation import _constraint_for, _det_sign, continue_branch, switch_branch
 from babenko.spectral import (
     CosineGrid,
     DomainError,
@@ -355,6 +358,67 @@ class TestChordNewton:
             assert (b.last.mu, b.last.sup_norm) == pytest.approx(endpoints[b.label], abs=1e-12)
 
 
+class TestDivergenceGuard:
+    """Newton stops once the residual norm exceeds max(|R_0|, 1)."""
+
+    def test_overstepped_correctors_stop_early(self, c5_bundle, monkeypatch):
+        # C53 is seeded along -phi at the first event; two of its correctors
+        # step too far, fail, and the step is halved.  Without the guard
+        # both ran all 50 iterations and failed as NewtonMaxIter.
+        failures = []
+        solve = continuation.newton_solve
+
+        def recording(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except SolveFailure as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(continuation, "newton_solve", recording)
+        cfg = c5_bundle["cfg"]
+        sec = switch_branch(c5_bundle["parent"], c5_bundle["events"][0], -1.0, H, cfg)
+        continue_branch(sec, H, cfg)
+
+        assert len(failures) == 2
+        for exc in failures:
+            assert isinstance(exc, NewtonDiverged)
+            assert 1 <= exc.iterations <= 20
+            assert 1 <= exc.factorizations <= exc.iterations
+            assert len(exc.residual_history) == exc.iterations + 1
+            assert exc.residual_history[-1] > max(exc.residual_history[0], 1.0)
+        # the failures change nothing downstream of the halved step
+        ref = next(b for b in c5_bundle["secondaries"] if b.label == "C53")
+        assert len(sec.points) == len(ref.points)
+        for p, q in zip(sec.points, ref.points):
+            assert p.mu == q.mu
+            assert np.array_equal(p.coeffs, q.coeffs)
+            assert (p.iterations, p.factorizations) == (q.iterations, q.factorizations)
+
+    def test_converged_solves_peak_far_inside_the_guard(self, c1_full, c5_bundle):
+        # the guard is at least 1; ten times that margin keeps every
+        # converged solve's iterations as they were without it
+        branches = [c1_full, c5_bundle["parent"], *c5_bundle["secondaries"]]
+        peak = max(max(p.residual_history) for b in branches for p in b.points)
+        assert peak < 0.1
+
+    def test_max_iter_failure_carries_its_cost(self):
+        # the far predictor of solve_small(32, s=0.1) needs 7 steps
+        sys = get_system(32, H)
+        x = 0.1 * np.cos(sys.grid.nodes)
+        with pytest.raises(NewtonMaxIter) as info:
+            newton_solve(transform_forward(x, sys.grid), math.tanh(H), H,
+                         node_constraint(32, 0, 1, 0.1), NewtonConfig(max_iter=2))
+        exc = info.value
+        assert exc.iterations == 2
+        assert len(exc.residual_history) == 3
+        assert 1 <= exc.factorizations <= 2
+
+    def test_failure_raised_elsewhere_costs_nothing(self):
+        exc = SolveFailure("iterate collapsed onto the parent branch")
+        assert (exc.iterations, exc.factorizations, exc.residual_history) == (0, 0, ())
+
+
 class TestNewton:
     def test_converges_from_asymptotic_predictor(self):
         pt = solve_small(64, n=2, s=0.01)
@@ -393,9 +457,10 @@ class TestNewton:
         sys = get_system(16, H)
         x = 5.0 * np.cos(sys.grid.nodes)  # far outside the solution set
         con = node_constraint(16, 0, 1, 5.0)
-        with pytest.raises(SolveFailure):
+        with pytest.raises(NewtonDiverged) as info:
             newton_solve(transform_forward(x, sys.grid), 0.55, H, con,
                          NewtonConfig(max_iter=12))
+        assert info.value.iterations < 12
 
     @pytest.mark.parametrize("mean", [800.0, -2 * H], ids=["underflow", "below_bottom"])
     def test_iterate_outside_domain_is_a_solve_failure(self, mean):
@@ -403,8 +468,11 @@ class TestNewton:
         # continuation halves its step on a SolveFailure, not on DomainError
         c = np.zeros(16)
         c[0] = mean
-        with pytest.raises(InadmissibleIterate):
+        with pytest.raises(InadmissibleIterate) as info:
             newton_solve(c, 0.5, H, node_constraint(16, 0, 1, 0.01), NewtonConfig())
+        # it fails at the seed, before any step
+        exc = info.value
+        assert (exc.iterations, exc.factorizations, exc.residual_history) == (0, 0, ())
 
     def test_overflow_guard_in_sigma(self):
         # wild iterates with admissible mean but huge nonlinear terms must
