@@ -6,11 +6,15 @@ by one linear row.  Primary branches are parametrized by the crest
 amplitude a = max_t |w(t)| of the cosine series, which is monotone along
 the families of interest, so turning points in mu are passed without
 arclength machinery; the row pins the series value at the predictor's
-crest.  A secondary branch carries a unit coefficient row phi and is
-parametrized by phi . c, since near its bifurcation the amplitude cannot
-separate it from its parent.  Secondary bifurcations are located from sign
-changes of symmetry-class determinants of the mu-frozen Jacobian; the
-navigator seeds new branches along the associated null vectors.
+crest; newton_solve keeps a mode-n primary exactly in its subspace
+c_k = 0, k not a multiple of n.  A secondary branch carries a unit
+coefficient row phi and is parametrized by phi . c, since near its
+bifurcation the amplitude cannot separate it from its parent.  Secondary
+bifurcations are located from sign changes of the determinants of the
+mu-frozen Jacobian's symmetry-class blocks, each assembled on its own
+(Golubitsky, Stewart & Schaeffer 1988, ch. XIII); the navigator seeds new
+branches along the associated null vectors and abandons a seed that
+retraces an earlier one.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ class ContinuationConfig:
 
 @dataclass
 class BranchEvent:
-    kind: str  # turning_point, secondary_bifurcation, extreme_termination, hard_failure
+    kind: str  # turning_point, secondary_bifurcation, extreme_termination, hard_failure, retrace
     mu: float
     sup_norm: float
     amplitude: float
@@ -89,9 +93,11 @@ class Branch:
     parent: str | None = None
     parent_mode: int | None = None  # symmetry class of the parent, for collapse checks
     # continuation state of a secondary branch, not part of the recorded
-    # data: the unit coefficient row it is parametrized by and its first step
+    # data: the unit coefficient row it is parametrized by, its first step
+    # and the branches traced before it, whose retrace ends its trace
     row: np.ndarray | None = field(default=None, repr=False)
     step: float | None = None
+    twins: list[Branch] = field(default_factory=list, repr=False)
 
     def amplitudes(self) -> np.ndarray:
         return np.array([p.sup_norm for p in self.points])
@@ -105,7 +111,8 @@ class Branch:
 
     def terminated(self) -> bool:
         return any(
-            e.kind in ("extreme_termination", "hard_failure") for e in self.events
+            e.kind in ("extreme_termination", "hard_failure", "retrace")
+            for e in self.events
         )
 
 
@@ -222,9 +229,11 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     predicted amplitude gain stays below a fraction of the remaining gap to
     the limiting height mu/2; off the amplitude the cap goes through the
     local slope d(amplitude)/d(row . c).  amplitude_max bounds primary
-    branches only.  A trace ends in extreme_termination once the gap falls
-    below EXTREME_STOP_RATIO of mu/2.  Turning points are appended as
-    events when the trace ends.
+    branches only: the trace stops after the solve whose target was
+    clamped to it, or at once if the last point has reached it.  A trace
+    ends in extreme_termination once the gap falls below
+    EXTREME_STOP_RATIO of mu/2; turning points are then appended as events.
+    It ends in a retrace event alone once a point retraces a branch.twins.
     """
     cfg = cfg or ContinuationConfig()
     if not branch.points:
@@ -255,8 +264,9 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
                     slope = da / abs(dt)
         eff = min(step, 0.35 * gap / slope) if slope > 0 else step
         target = _param(prev, row) + eff
-        if row is None and cfg.amplitude_max is not None:
-            target = min(target, cfg.amplitude_max)
+        capped = row is None and cfg.amplitude_max is not None and target >= cfg.amplitude_max
+        if capped:
+            target = cfg.amplitude_max
 
         try:
             pt = _correct(depth, cfg, target, prev, prev2, row)
@@ -274,6 +284,11 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
             step = max(eff * 0.5, cfg.step_min)
             continue
         branch.points.append(pt)
+        if capped:
+            break
+        if any(_retraces(pt, twin) for twin in branch.twins):
+            branch.events.append(BranchEvent("retrace", pt.mu, pt.sup_norm, pt.sup_norm))
+            return branch
         if pt.factorizations <= EASY_FACTORIZATIONS and step < STEP_MAX:
             step = min(step * 1.3, STEP_MAX)
 
@@ -375,20 +390,6 @@ def _det_sign(block: np.ndarray) -> float:
     return float(np.prod(np.sign(np.diagonal(lu)))) * (-1.0) ** swaps
 
 
-def _class_sign(A: np.ndarray, idx: np.ndarray) -> float:
-    """Determinant sign of the class block A[idx, idx]."""
-    return _det_sign(A[np.ix_(idx, idx)])
-
-
-def _class_signs(A: np.ndarray, idx: np.ndarray) -> tuple[float, float]:
-    """Determinant sign and smallest singular value of a class block."""
-    from scipy.linalg import svdvals
-
-    block = A[np.ix_(idx, idx)]
-    smin = float(svdvals(block, check_finite=False)[-1])
-    return _det_sign(block), smin
-
-
 def _is_fold(A: np.ndarray, dF_dmu: np.ndarray) -> bool:
     """Distinguish a fold from a branch point at a near-singular Jacobian.
 
@@ -411,9 +412,10 @@ def detect_secondary_bifurcations(
     """Locate symmetry-breaking bifurcations along a traced branch.
 
     The determinant sign of each symmetry-class block of the mu-frozen
-    Jacobian is monitored across the recorded points; every sign change is
-    bracketed by amplitude bisection down to BIFURCATION_MONITOR_TOL, each
-    midpoint a _correct solve between the bracketing points.  Intervals
+    Jacobian, assembled on its own from the class' index set, is monitored
+    across the recorded points; every sign change is bracketed by
+    amplitude bisection down to BIFURCATION_MONITOR_TOL, each midpoint a
+    _correct solve between the bracketing points.  Intervals
     where a class' smallest singular value dips far below its neighbours
     are re-scanned at REFINE_SCAN interior amplitudes, so nearby crossings
     of the same class are resolved individually when the resolution
@@ -421,7 +423,7 @@ def detect_secondary_bifurcations(
     replace the branch's earlier secondary_bifurcation events, so repeated
     calls leave the same events.
     """
-    from scipy.linalg import svd
+    from scipy.linalg import svd, svdvals
 
     cfg = cfg or ContinuationConfig()
     if len(branch.points) < 3:
@@ -433,11 +435,17 @@ def detect_secondary_bifurcations(
     # the turning points, so only the other classes are scanned
     scanned = range(1, len(classes)) if len(classes) > 1 else range(1)
 
+    def block(pt: SolutionPoint, ci: int) -> np.ndarray:
+        return sys.jacobian(pt.coeffs, pt.mu, classes[ci])[0]
+
     # per point and scanned class: (determinant sign, smallest singular value)
     data = []
     for pt in branch.points:
-        A = sys.jacobian(pt.coeffs, pt.mu)[0]
-        data.append({ci: _class_signs(A, classes[ci]) for ci in scanned})
+        data.append({})
+        for ci in scanned:
+            A = block(pt, ci)
+            smin = float(svdvals(A, check_finite=False)[-1])  # _det_sign overwrites A
+            data[-1][ci] = (_det_sign(A), smin)
 
     events: list[BranchEvent] = []
 
@@ -452,16 +460,15 @@ def detect_secondary_bifurcations(
                 mid = _correct(depth, cfg, a_mid, lo, hi)
             except SolveFailure:
                 break
-            s_mid = _class_sign(sys.jacobian(mid.coeffs, mid.mu)[0], classes[ci])
+            s_mid = _det_sign(block(mid, ci))
             if s_mid == sign_lo:
                 lo = mid
             else:
                 hi = mid
-        A, dF_dmu = sys.jacobian(lo.coeffs, lo.mu)
-        block = A[np.ix_(classes[ci], classes[ci])]
+        A, dF_dmu = sys.jacobian(lo.coeffs, lo.mu, classes[ci])
         if len(classes) == 1 and _is_fold(A, dF_dmu):
             return None  # turning point, reported separately
-        U, s, Vt = svd(block, check_finite=False)
+        U, s, Vt = svd(A, check_finite=False)
         phi = np.zeros(sys.N)
         phi[classes[ci]] = Vt[-1]
         a_ev = 0.5 * (lo.sup_norm + hi.sup_norm)
@@ -506,10 +513,7 @@ def detect_secondary_bifurcations(
                         break
                 sub.append(p1)
                 if ok:
-                    signs = [s0] + [
-                        _class_sign(sys.jacobian(q.coeffs, q.mu)[0], classes[ci])
-                        for q in sub[1:-1]
-                    ] + [s1]
+                    signs = [s0] + [_det_sign(block(q, ci)) for q in sub[1:-1]] + [s1]
                     for k in range(len(sub) - 1):
                         if signs[k] != signs[k + 1]:
                             ev = bisect(sub[k], sub[k + 1], ci, signs[k])
@@ -590,6 +594,21 @@ def switch_branch(
     return _switch_along(branch, event, direction * phi_c, depth, cfg)
 
 
+def _retraces(pt: SolutionPoint, other: Branch) -> bool:
+    """Whether pt lies within RETRACE_TOL of other in every coefficient.
+
+    other is interpolated linearly at pt's amplitude, which increases along
+    a secondary branch; outside other's amplitudes it never matches.
+    """
+    i = int(np.searchsorted(other.amplitudes(), pt.sup_norm))
+    if not 0 < i < len(other.points):
+        return False
+    p0, p1 = other.points[i - 1 : i + 1]
+    t = (pt.sup_norm - p0.sup_norm) / (p1.sup_norm - p0.sup_norm)
+    dc = pt.coeffs - p0.coeffs - t * (p1.coeffs - p0.coeffs)
+    return bool(np.max(np.abs(dc)) < RETRACE_TOL)
+
+
 def _sorted_crest_heights(c: np.ndarray) -> np.ndarray:
     from .geometry import crest_heights
 
@@ -628,6 +647,8 @@ def _distinct(b1: Branch, b2: Branch) -> bool:
 # events closer than this in amplitude are treated as one cluster whose
 # null vectors span a common near-degenerate subspace
 CLUSTER_WINDOW = 2e-3
+# a seed's trace stops once a point lies this close to a twin (_retraces)
+RETRACE_TOL = 2e-5
 
 
 def navigate_secondaries(
@@ -640,9 +661,14 @@ def navigate_secondaries(
     treated as nearly degenerate and the four normalized combinations
     +-phi_i +- phi_j are seeded as well; mixed-symmetry branches (for
     instance the one-high-crest family of a mode-5 parent) emanate only
-    along such combined directions.  Duplicates, including the same branch
-    reached through a shifted even representative, are dropped by
-    comparing phase-invariant crest-height multisets at the endpoints.
+    along such combined directions.  Each seed's twins are the seeds
+    traced before it, kept or dropped, so its trace stops at the first
+    point that retraces one of them (on C5 within 1e-6 from the second
+    point, against at least 1.7e-4 between distinct seeds); it would have
+    been dropped as its twin was.  The rest are traced to the end, and
+    duplicates, including the same branch reached through a shifted even
+    representative, are dropped by comparing phase-invariant crest-height
+    multisets at the endpoints.
 
     Each surviving branch is labeled parent label + number of
     equally-highest terminal crests; when several branches share that
@@ -666,12 +692,17 @@ def navigate_secondaries(
                     seeds.append((e1, s1 * p1 + s2 * p2))
 
     out: list[Branch] = []
+    traced: list[Branch] = []
     for ev, phi in seeds:
         try:
             sec = _switch_along(branch, ev, phi, depth, cfg)
         except SolveFailure:
             continue
+        sec.twins = list(traced)
         continue_branch(sec, depth, cfg)
+        if any(e.kind == "retrace" for e in sec.events):
+            continue
+        traced.append(sec)
         if all(_distinct(sec, other) for other in out):
             out.append(sec)
     out.sort(key=lambda sec: (_n_highest_crests(sec.last.coeffs), sec.last.mu))

@@ -10,11 +10,14 @@ null-vector projection, closes the system.  The analytic Jacobian,
 including the chain-rule terms through the conformal-radius functional,
 is assembled in place from the structured product matrices of
 spectral.add_product_matrix: diagonal symbols, row and column scalings
-and rank-one terms, with no change of basis and no N x N temporary.
+and rank-one terms, with no change of basis and no N x N temporary.  The
+block of an index set, such as a symmetry class, is assembled on its own
+from spectral.product_block.
 
-Newton is a chord (Shamanskii) iteration: it allocates one (N+1) x (N+1)
-buffer per solve, assembles the bordered Jacobian into it, factors it in
-place with scipy.linalg.lu_factor and takes further steps by
+Newton is a chord (Shamanskii) iteration: it allocates one bordered
+Jacobian buffer per solve, (N+1) square, or ceil(N/n)+1 square for a
+mode-n predictor solved on its fixed-point subspace, assembles the
+Jacobian into it, factors it in place with scipy.linalg.lu_factor and takes further steps by
 back-substitution, reassembling and refactoring only when the residual
 contracts by less than CONTRACTION per step (Kelley, Solving Nonlinear
 Equations with Newton's Method, SIAM 2003, ch. 5).  Newton judges
@@ -32,6 +35,7 @@ imported where it is used, so commands that never factor do not load it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,6 +50,7 @@ from .spectral import (
     dmu_dr,
     lambda_symbol,
     mu_symbol_total,
+    product_block,
     product_coeffs,
     series_peak,
     transform_inverse,
@@ -220,11 +225,16 @@ class DiscreteSystem:
         out[1:] += 0.5 * product_coeffs(c, c)[1:] - mu * c[1:]
         return out
 
-    def jacobian(self, c: np.ndarray, mu: float):
+    def jacobian(self, c: np.ndarray, mu: float, idx: np.ndarray | None = None):
         """Analytic d(residual)/dc and d(residual)/dmu in coefficient space.
 
-        Both are views into one stacked buffer; see stacked_jacobian.
+        Given a sorted index set idx that leaves out some index, such as
+        one symmetry class, only the rows and columns idx are assembled
+        (see _block).  Otherwise both are views into one stacked buffer;
+        see stacked_jacobian.
         """
+        if idx is not None and idx.size < self.N:
+            return self._block(c, mu, idx)
         N = self.N
         J = np.empty((N + 1, N + 1))
         self._assemble(c, mu, J)
@@ -235,21 +245,28 @@ class DiscreteSystem:
         return np.append(self.residual(c, mu), constraint.value(c))
 
     def stacked_jacobian(
-        self, c: np.ndarray, mu: float, constraint, out: np.ndarray | None = None
+        self, c: np.ndarray, mu: float, constraint, out: np.ndarray | None = None,
+        idx: np.ndarray | None = None,
     ) -> np.ndarray:
         """(N+1) x (N+1) Jacobian of stacked_residual in (c, mu).
 
-        It is written into out when given (every entry is overwritten) and
-        returned; no N x N temporary is created.
+        Given a sorted index set idx of size L, only the rows and columns
+        idx, the mu column and the closing row.  It is written into out
+        when given (every entry is overwritten) and returned; the whole
+        Jacobian is assembled with no N x N temporary.
         """
-        N = self.N
+        L = self.N if idx is None else idx.size
         if out is None:
-            out = np.empty((N + 1, N + 1))
-        elif out.shape != (N + 1, N + 1):
-            raise ValueError(f"out must have shape {(N + 1, N + 1)}, got {out.shape}")
-        self._assemble(c, mu, out)
-        out[N, :N] = constraint.vector
-        out[N, N] = 0.0
+            out = np.empty((L + 1, L + 1))
+        elif out.shape != (L + 1, L + 1):
+            raise ValueError(f"out must have shape {(L + 1, L + 1)}, got {out.shape}")
+        if idx is None:
+            self._assemble(c, mu, out)
+            out[L, :L] = constraint.vector
+        else:
+            out[:L, :L], out[:L, L] = self._block(c, mu, idx)
+            out[L, :L] = constraint.vector[idx]
+        out[L, L] = 0.0
         return out
 
     def _assemble(self, c: np.ndarray, mu: float, J: np.ndarray) -> None:
@@ -302,6 +319,40 @@ class DiscreteSystem:
         A[:, 0] -= rho * dmu_dr(rho, N) * c
         A[:, N] = -c
         A[0, N] = 0.0
+
+    def _block(self, c: np.ndarray, mu: float, idx: np.ndarray):
+        """Rows and columns idx of d(residual)/dc, and rows idx of d(residual)/dmu.
+
+        The derivative of _assemble, with the product matrices gathered by
+        spectral.product_block.  The rank-one term needs row 0 of D at the
+        columns idx, which is lam * c apart from its column 0.
+        """
+        N = self.N
+        rho = self._radius(c[0])
+        lam = lambda_symbol(rho, N)
+        lc = lam * c
+        g = -product_coeffs(c, lc)
+        sigma = self._sigma(g[0])
+
+        P = product_block(c, idx)
+        A = P * lam[idx] + product_block(lc, idx)
+        d0 = lc[idx]
+        if idx[0] == 0:
+            col0 = product_coeffs(c, rho * dlambda_dr(rho, N) * c)
+            A[:, 0] -= col0[idx]
+            d0[0] = -col0[0]
+        A *= mu_symbol_total(sigma, N)[idx, None]
+        A -= np.multiply.outer((sigma * dmu_dr(sigma, N) * g)[idx], d0)
+
+        rows = np.flatnonzero(idx)  # all but the mean mode's
+        A[rows] += P[rows]
+        A.flat[:: idx.size + 1] += mu_symbol_total(rho, N)[idx]
+        A[rows, rows] -= mu
+        dF_dmu = -c[idx]
+        if idx[0] == 0:
+            A[:, 0] -= (rho * dmu_dr(rho, N) * c)[idx]
+            dF_dmu[0] = 0.0
+        return A, dF_dmu
 
 
 _SYSTEM_CACHE: dict[tuple[int, float], DiscreteSystem] = {}
@@ -361,12 +412,18 @@ def newton_solve(
     """Chord Newton iteration on the stacked system from the given predictor.
 
     c0 holds the predictor's N cosine coefficients and is copied; the
-    system is get_system(N, h) at the depth h.  One (N+1) x (N+1) buffer
-    is allocated per solve.  The bordered Jacobian is assembled into it
-    and factored in place, and each step is a back-substitution with those
-    factors.  After a step that leaves more than CONTRACTION of the
-    residual norm, the Jacobian is reassembled and refactored at the new
-    iterate before the next step.
+    system is get_system(N, h) at the depth h.  A seed that is not finite
+    raises NewtonDiverged before anything is assembled.  With n > 1 the
+    gcd of the indices k >= 1 of the seed's nonzero coefficients, the
+    iterates stay in the subspace c_k = 0, k not a multiple of n (mode-n
+    series map to mode-n series), so the linear part is solved on the
+    coefficients k = 0, n, 2n, ... and mu alone; the residual, its
+    convergence test and the divergence guard stay those of all N modes.
+    One bordered Jacobian buffer, (N+1) or ceil(N/n)+1 square, is
+    allocated per solve; it is assembled and factored in place, and each
+    step is a back-substitution with those factors.  After a step that
+    leaves more than CONTRACTION of the residual norm, the Jacobian is
+    reassembled and refactored at the new iterate before the next step.
     The point records the steps taken (iterations) and the factorizations.
     Raises a SolveFailure subclass, carrying the same counts and the
     residual history, on divergence, iteration exhaustion, an exactly
@@ -378,11 +435,12 @@ def newton_solve(
 
     cfg = cfg or NewtonConfig()
     c = np.array(c0, dtype=float)
-    sys = get_system(c.size, as_depth(depth).h)
     mu = float(initial_mu)
-
-    if c[0] != c[0]:  # NaN guard on the seed
-        raise NewtonDiverged("seed contains NaN")
+    if not (np.all(np.isfinite(c)) and math.isfinite(mu)):
+        raise NewtonDiverged("seed is not finite")
+    sys = get_system(c.size, as_depth(depth).h)
+    n = max(int(np.gcd.reduce(np.flatnonzero(c[1:]) + 1)), 1)
+    idx = np.arange(0, sys.N, n) if n > 1 else None
 
     def res(c, mu):
         # coefficients for the step, nodal values for the convergence test
@@ -401,7 +459,8 @@ def newton_solve(
     R, norm = res(c, mu)
     history = [norm]
     norm0 = max(norm, 1.0)  # the divergence guard
-    J = np.empty((sys.N + 1, sys.N + 1))  # assembled into and factored in place
+    L = sys.N if idx is None else idx.size
+    J = np.empty((L + 1, L + 1))  # assembled into and factored in place
     factors = None
     factorizations = 0
 
@@ -410,12 +469,13 @@ def newton_solve(
             if norm <= cfg.residual_tol:
                 return point(it)
             if factors is None:
-                sys.stacked_jacobian(c, mu, constraint, out=J)
+                sys.stacked_jacobian(c, mu, constraint, out=J, idx=idx)
                 factors = lu_factor_in_place(J)
                 factorizations += 1
                 if not np.all(np.diagonal(factors[0])):
                     raise SingularJacobian("exactly singular Jacobian")
-            step = lu_solve(factors, -R, trans=1, check_finite=False)
+            step = lu_solve(factors, -np.append(R[:-1][::n], R[-1]), trans=1,
+                            check_finite=False)
             if not np.all(np.isfinite(step)):
                 raise SingularJacobian("non-finite Newton step")
 
@@ -423,7 +483,8 @@ def newton_solve(
             # residual cannot be evaluated
             scale = 1.0
             for _ in range(9):
-                c_new = c + scale * step[:-1]
+                c_new = c.copy()
+                c_new[::n] += scale * step[:-1]
                 mu_new = mu + scale * step[-1]
                 if c_new[0] > -sys.h + sys.MEAN_MARGIN:
                     break

@@ -6,10 +6,11 @@ shifted collocation nodes x_n = pi*(2n-1)/(2N) follow by a type-III
 discrete cosine transform and go back by a type-II one.  On top of the
 transforms this module provides the diagonal Fourier-multiplier symbols of
 the finite-depth wave problem and the exactly dealiased pointwise product
-with its structured matrix.  The depth-parametrized operators are these
-symbols at the radius r = exp(-h - c_0), e.g. lambda_symbol(r, N) * c for
-the J-type one; the solver evaluates them so and accumulates the product
-matrices in place into its Newton system.
+with its structured matrix, whole or on an index set.  The
+depth-parametrized operators are these symbols at the radius
+r = exp(-h - c_0), e.g. lambda_symbol(r, N) * c for the J-type one; the
+solver evaluates them so and accumulates the product matrices in place
+into its Newton system.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
     "dmu_dr",
     "product_coeffs",
     "add_product_matrix",
-    "product_matrix",
+    "product_block",
     "series_peak",
     "as_depth",
 ]
@@ -250,10 +251,23 @@ def add_product_matrix(c: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def product_matrix(c: np.ndarray) -> np.ndarray:
-    """Matrix of the linear map u -> product_coeffs(c, u); see add_product_matrix."""
+def product_block(c: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows and columns idx of the matrix of u -> product_coeffs(c, u).
+
+    idx is a sorted index set, such as one symmetry class of a mode-n
+    wave; the entries follow add_product_matrix's formula, gathered from
+    c alone, so the N x N matrix is never formed.
+    """
     c = np.asarray(c, dtype=float)
-    return add_product_matrix(c, np.zeros((c.size, c.size)))
+    half = np.zeros(2 * c.size)  # c_j / 2, with c_j = 0 for j >= N
+    half[: c.size] = 0.5 * c
+    k, m = idx[:, None], idx[None, :]
+    out = half[np.abs(k - m)] + half[k + m]
+    out[np.flatnonzero(idx), np.flatnonzero(idx)] += half[0]
+    if idx[0] == 0:
+        out[0] = half[idx]
+        out[0, 0] = c[0]
+    return out
 
 
 def series_peak(coeffs: np.ndarray) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from babenko.continuation import (
     start_branch,
 )
 from babenko.solver import NewtonConfig, ProjectionConstraint, get_system, newton_solve
-from babenko.spectral import transform_forward
+from babenko.spectral import product_coeffs, transform_forward
 
 H = math.pi / 5
 
@@ -30,6 +30,11 @@ def node_constraint(N, j, sign, target):
     """
     x_j = np.pi * (2 * j + 1) / (2 * N)
     return ProjectionConstraint(sign * np.cos(np.arange(N) * x_j), target)
+
+
+def dense_product_matrix(c):
+    """Matrix of u -> product_coeffs(c, u), column by column on unit vectors."""
+    return np.column_stack([product_coeffs(c, e) for e in np.eye(c.size)])
 
 
 def solve_small(N, n=1, s=0.01, depth=H):

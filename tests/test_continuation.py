@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import interp1d
 
+from babenko import continuation
 from babenko.continuation import (
+    RETRACE_TOL,
     STEP_MAX,
     Branch,
     BranchEvent,
@@ -85,6 +88,27 @@ class TestAmplitudeContinuation:
             assert p.sup_norm < 0.5 * p.mu
             assert 0 < p.r < 1
             assert p.residual_norm < 1e-9
+
+    def test_cap_point_recorded_once_when_it_reads_below_the_cap(self, monkeypatch):
+        # a converged cap point whose amplitude reads 1e-17 below the cap
+        # still ends the trace
+        cfg = ContinuationConfig(N=64, amplitude_max=0.05)
+        below = cfg.amplitude_max - 1e-17
+        assert below < cfg.amplitude_max
+        solve = continuation.newton_solve
+
+        def short_of_cap(c, mu, depth, con, ncfg):
+            pt = solve(c, mu, depth, con, ncfg)
+            if con.target == cfg.amplitude_max:
+                pt.sup_norm = below
+            return pt
+
+        monkeypatch.setattr(continuation, "newton_solve", short_of_cap)
+        b = continue_branch(start_branch(1, 0.01, H, cfg), H, cfg)
+        amps = b.amplitudes()
+        assert amps[-1] == below
+        assert np.sum(amps > cfg.amplitude_max - 1e-9) == 1
+        assert np.all(np.diff(amps) > 0)
 
     def test_retrace_is_reproducible(self, c1_coarse):
         cfg = ContinuationConfig(N=64, amplitude_max=0.1)
@@ -284,3 +308,94 @@ class TestAmplitudeIsSeriesCrest:
         assert c5_bundle["secondaries"]
         for sec in c5_bundle["secondaries"]:
             self.check(sec.points)
+
+
+@pytest.fixture(scope="module")
+def c5_seeds(c5_bundle):
+    """C5's navigation rerun with the retrace check recorded, never acted on.
+
+    Returns the branches it keeps and, per traced seed, the seed and a log
+    of (point index, index of the earlier seed, the check's decision,
+    max |dc_k| against that seed interpolated at the point's amplitude).
+    """
+    seeds = []
+    trace, retraces = continuation.continue_branch, continuation._retraces
+
+    def traced(sec, depth, cfg):
+        seeds.append((sec, list(sec.twins), []))
+        return trace(sec, depth, cfg)
+
+    def recorded(pt, other):
+        sec, twins, log = seeds[-1]
+        j = next(j for j, t in enumerate(twins) if t is other)
+        a = other.amplitudes()
+        dist = math.inf
+        if a[0] <= pt.sup_norm <= a[-1]:
+            c = interp1d(a, np.array([p.coeffs for p in other.points]), axis=0)(pt.sup_norm)
+            dist = float(np.max(np.abs(pt.coeffs - c)))
+        log.append((len(sec.points) - 1, j, retraces(pt, other), dist))
+        return False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "continue_branch", traced)
+        mp.setattr(continuation, "_retraces", recorded)
+        kept = continuation.navigate_secondaries(c5_bundle["parent"], H, c5_bundle["cfg"])
+    return kept, [(sec, log) for sec, _, log in seeds]
+
+
+class TestRetraceCheck:
+    """The navigator abandons a seed that retraces one it traced before."""
+
+    def test_abandons_the_duplicate_pair_only(self, c5_seeds):
+        _, seeds = c5_seeds
+        assert len(seeds) == 8
+        first = {}
+        for i, (_, log) in enumerate(seeds):
+            hits = [(k, j, dist) for k, j, hit, dist in log if hit]
+            if hits:
+                first[i] = hits[0]
+        # seeds 5 and 6 retrace seeds 3 and 2 from their first accepted point
+        assert sorted(first) == [5, 6]
+        assert first[5][:2] == (1, 3) and first[6][:2] == (1, 2)
+        assert max(dist for _, _, dist in first.values()) < RETRACE_TOL / 10
+        # every other seed stays far from every earlier one
+        for i, (_, log) in enumerate(seeds):
+            if i not in first:
+                assert min(dist for *_, dist in log or [(math.inf,)]) > 5 * RETRACE_TOL
+
+    def test_keeps_tracing_the_distinct_census2_pair(self, c5_bundle, c5_seeds):
+        # seeds 0 (C52) and 2 end within 3e-6 of each other in mu and are
+        # two crest arrangements; seed 2 is traced to its end
+        _, seeds = c5_seeds
+        c52 = next(b for b in c5_bundle["secondaries"] if b.label == "C52")
+        (s0, _), (s2, log2) = seeds[0], seeds[2]
+        assert s0.last.mu == c52.last.mu
+        assert abs(s2.last.mu - c52.last.mu) < 3e-6
+        assert s2.terminated()
+        vs0 = [dist for k, j, hit, dist in log2 if j == 0]
+        assert len(vs0) >= len(s2.points) - 2
+        assert min(vs0) > 10 * RETRACE_TOL
+
+    def test_abandoned_seed_stops_at_its_second_point(self, c5_bundle, c5_seeds):
+        _, seeds = c5_seeds
+        twins = [sec for sec, _ in seeds[:5]]
+        dup = seeds[5][0]
+        again = Branch(label=dup.label, mode=None, points=dup.points[:1],
+                       parent=dup.parent, parent_mode=dup.parent_mode,
+                       row=dup.row, step=dup.step, twins=twins)
+        continue_branch(again, H, c5_bundle["cfg"])
+        assert len(again.points) == 2
+        assert [e.kind for e in again.events] == ["retrace"]
+        assert again.terminated()
+
+    def test_branches_identical_without_the_early_stop(self, c5_bundle, c5_seeds):
+        kept, _ = c5_seeds
+        ref = c5_bundle["secondaries"]
+        assert [b.label for b in kept] == [b.label for b in ref]
+        for b, r in zip(kept, ref):
+            assert len(b.points) == len(r.points)
+            for p, q in zip(b.points, r.points):
+                assert p.mu == q.mu
+                assert np.array_equal(p.coeffs, q.coeffs)
+            assert [(e.kind, e.mu, e.amplitude) for e in b.events] == \
+                [(e.kind, e.mu, e.amplitude) for e in r.events]

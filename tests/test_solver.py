@@ -28,12 +28,11 @@ from babenko.spectral import (
     dmu_dr,
     lambda_symbol,
     mu_symbol_total,
-    product_matrix,
     transform_forward,
     transform_inverse,
 )
 
-from conftest import H, node_constraint, solve_small
+from conftest import H, dense_product_matrix, node_constraint, solve_small
 
 RNG = np.random.default_rng(7)
 
@@ -64,16 +63,17 @@ def reference_stacked_jacobian(sys, c, mu, constraint):
     """Stacked Jacobian by dense arithmetic on fresh product matrices.
 
     The assembly in DiscreteSystem fills one buffer in place, term by term;
-    this is the same derivative written out with N x N temporaries.
+    this is the same derivative written out with N x N temporaries, on
+    product matrices built column by column from product_coeffs.
     """
     N = sys.N
     rho = float(np.exp(-sys.h - c[0]))
     lam = lambda_symbol(rho, N)
-    Pw = product_matrix(c)
+    Pw = dense_product_matrix(c)
     g = -(Pw @ (lam * c))
     sigma = float(np.exp(-sys.h - g[0]))
     mus = mu_symbol_total(sigma, N)
-    D = product_matrix(lam * c) + Pw * lam
+    D = dense_product_matrix(lam * c) + Pw * lam
     D[:, 0] -= Pw @ (rho * dlambda_dr(rho, N) * c)
     A = D * mus[:, None] - np.outer(sigma * dmu_dr(sigma, N) * g, D[0])
     A += np.diag(mu_symbol_total(rho, N))
@@ -271,9 +271,9 @@ class TestInPlaceAssembly:
         seen = []
         original = DiscreteSystem.stacked_jacobian
 
-        def spy(self, c, mu, constraint, out=None):
+        def spy(self, c, mu, constraint, out=None, idx=None):
             seen.append(out)
-            return original(self, c, mu, constraint, out=out)
+            return original(self, c, mu, constraint, out=out, idx=idx)
 
         monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", spy)
         pt = solve_small(32, n=1, s=0.1)  # far enough to refactor
@@ -346,16 +346,85 @@ class TestChordNewton:
         assert counts == {"C51": 14, "C52": 17, "C53": 20, "C53b": 16, "C54": 18}
         assert len(c5_bundle["parent"].points) == 25
         assert len(c1_full.points) == 30
-        # endpoints (mu, sup_norm) of the secondaries, to rounding
+        # endpoints (mu, sup_norm) of the secondaries, to rounding; the
+        # primary is solved on its mode-5 subspace, where the off-class
+        # coefficients stay exactly 0
         endpoints = {
-            "C51": (0.22865517156536883, 0.11424554313643193),
-            "C52": (0.23149337343558263, 0.11563927873075995),
-            "C53": (0.23434205835473804, 0.11709032304430857),
-            "C53b": (0.23436419987123333, 0.11709026825454213),
-            "C54": (0.2372524215876982, 0.11852798758960859),
+            "C51": (0.22865517157092038, 0.11424554312973967),
+            "C52": (0.23149337343402512, 0.1156392787353089),
+            "C53": (0.23434205835506622, 0.11709032303856555),
+            "C53b": (0.23436419987132046, 0.1170902682530432),
+            "C54": (0.23725242158861048, 0.11852798759527802),
         }
         for b in c5_bundle["secondaries"]:
             assert (b.last.mu, b.last.sup_norm) == pytest.approx(endpoints[b.label], abs=1e-12)
+
+
+def off_class(c, n):
+    """The coefficients c_k with k not a multiple of n."""
+    return c[np.arange(c.size) % n != 0]
+
+
+class TestSubspaceSolve:
+    """A mode-n predictor is solved on the subspace c_k = 0, k not = 0 mod n."""
+
+    @pytest.mark.parametrize("label, n, indices", [("C2", 2, (4, 10, 20)),
+                                                   ("C5", 5, (3, 6, 12, 20))])
+    def test_class_blocks_match_full_jacobian(self, c2_full, c5_bundle, label, n,
+                                              indices):
+        branch = c2_full if label == "C2" else c5_bundle["parent"]
+        sys = get_system(branch.last.coeffs.size, H)
+        for i in indices:
+            p = branch.points[i]
+            A, dF_dmu = sys.jacobian(p.coeffs, p.mu)
+            for idx in continuation._symmetry_classes(sys.N, n):
+                block, dF = sys.jacobian(p.coeffs, p.mu, idx)
+                ref = A[np.ix_(idx, idx)]
+                assert np.max(np.abs(block - ref)) <= 1e-14 * np.max(np.abs(ref))
+                assert np.array_equal(dF, dF_dmu[idx])
+
+    @pytest.mark.parametrize("label, n, indices", [("C2", 2, (4, 10, 20)),
+                                                   ("C5", 5, (3, 6, 12, 20))])
+    def test_matches_full_solve_away_from_events(self, c2_full, c5_bundle, label, n,
+                                                 indices):
+        # one off-class coefficient of 1e-30 sends the same predictor
+        # through the full (N+1)-square solve; 1e-300 would too, but its
+        # products are subnormal and slow the factorization a hundredfold
+        branch = c2_full if label == "C2" else c5_bundle["parent"]
+        cfg = NewtonConfig(residual_tol=1e-12)
+        for i in indices:
+            c, mu, con = secant_predictor(branch, i)
+            sub = newton_solve(c, mu, H, con, cfg)
+            c[1] = 1e-30
+            full = newton_solve(c, mu, H, con, cfg)
+            assert not np.any(off_class(sub.coeffs, n))
+            assert np.max(np.abs(sub.coeffs - full.coeffs)) < 1e-12
+            assert abs(sub.mu - full.mu) < 1e-12
+
+    def test_c5_primary_points_stay_on_the_subspace(self, c5_bundle):
+        parent = c5_bundle["parent"]
+        for p in parent.points:
+            assert not np.any(off_class(p.coeffs, 5))
+        for ev in c5_bundle["events"]:
+            assert not np.any(off_class(ev.diagnostics["w_coeffs"], 5))
+
+    def test_tiny_off_class_coefficient_takes_the_full_solve(self, c5_bundle,
+                                                             monkeypatch):
+        shapes = []
+        original = DiscreteSystem.stacked_jacobian
+
+        def spy(self, c, mu, constraint, out=None, idx=None):
+            shapes.append(out.shape)
+            return original(self, c, mu, constraint, out=out, idx=idx)
+
+        monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", spy)
+        c, mu, con = secant_predictor(c5_bundle["parent"], 6)
+        newton_solve(c, mu, H, con, NewtonConfig())
+        assert shapes and set(shapes) == {(104, 104)}  # ceil(512 / 5) + 1
+        shapes.clear()
+        c[7] = 1e-300
+        newton_solve(c, mu, H, con, NewtonConfig())
+        assert shapes and set(shapes) == {(513, 513)}
 
 
 class TestDivergenceGuard:
@@ -461,6 +530,23 @@ class TestNewton:
             newton_solve(transform_forward(x, sys.grid), 0.55, H, con,
                          NewtonConfig(max_iter=12))
         assert info.value.iterations < 12
+
+    @pytest.mark.parametrize("where", ["coefficient", "mu"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_seed_fails_before_assembly(self, where, bad, monkeypatch):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled a Jacobian for a non-finite seed")
+
+        monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", no_assembly)
+        c = transform_forward(0.01 * np.cos(get_system(16, H).grid.nodes), CosineGrid(16))
+        mu = math.tanh(H)
+        if where == "mu":
+            mu = bad
+        else:
+            c[3] = bad
+        with pytest.raises(NewtonDiverged, match="not finite") as info:
+            newton_solve(c, mu, H, node_constraint(16, 0, 1, 0.01), NewtonConfig())
+        assert (info.value.iterations, info.value.factorizations) == (0, 0)
 
     @pytest.mark.parametrize("mean", [800.0, -2 * H], ids=["underflow", "below_bottom"])
     def test_iterate_outside_domain_is_a_solve_failure(self, mean):

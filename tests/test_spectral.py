@@ -17,12 +17,14 @@ from babenko.spectral import (
     lambda_symbol,
     mu_symbol,
     mu_symbol_total,
+    product_block,
     product_coeffs,
-    product_matrix,
     transform_forward,
     transform_inverse,
     transform_matrix,
 )
+
+from conftest import dense_product_matrix
 
 RNG = np.random.default_rng(20260823)
 
@@ -199,8 +201,24 @@ class TestDealiasedProduct:
         c = RNG.standard_normal(N)
         u = RNG.standard_normal(N)
         dense = T2 @ np.diag(S2 @ c) @ S2
-        assert np.max(np.abs(product_matrix(c) - dense)) < 1e-12
+        assert np.max(np.abs(add_product_matrix(c, np.zeros((N, N))) - dense)) < 1e-12
         assert np.max(np.abs(product_coeffs(c, u) - dense @ u)) < 1e-12
+        assert np.max(np.abs(dense_product_matrix(c) - dense)) < 1e-12
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
+    def test_product_block_matches_dense_oracle(self, N):
+        # every index set: whole, a mode-n subspace and its classes
+        # {j, n - j} mod n, and random subsets with and without index 0
+        c = RNG.standard_normal(N)
+        dense = dense_product_matrix(c)
+        k = np.arange(N)
+        sets = [k, k[::3], k[k % 5 != 0], k[(k % 5 == 1) | (k % 5 == 4)]]
+        sets += [np.sort(RNG.choice(N, size=max(N // 2, 1), replace=False))
+                 for _ in range(4)]
+        for idx in sets:
+            if idx.size:
+                block = product_block(c, idx)
+                assert np.max(np.abs(block - dense[np.ix_(idx, idx)])) < 1e-12
 
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
     def test_add_product_matrix_accumulates_wide_rows(self, N):
