@@ -1,20 +1,23 @@
 """Branch tracing, event detection and branch switching.
 
-Every solve along a branch, fold refinement and detection's bisection
-included, goes through one corrector (_correct): a secant predictor closed
-by one linear row.  Primary branches are parametrized by the crest
-amplitude a = max_t |w(t)| of the cosine series, which is monotone along
-the families of interest, so turning points in mu are passed without
-arclength machinery; the row pins the series value at the predictor's
-crest; newton_solve keeps a mode-n primary exactly in its subspace
-c_k = 0, k not a multiple of n.  A secondary branch carries a unit
-coefficient row phi and is parametrized by phi . c, since near its
-bifurcation the amplitude cannot separate it from its parent.  Secondary
-bifurcations are located from sign changes of the determinants of the
-mu-frozen Jacobian's symmetry-class blocks, each assembled on its own
-(Golubitsky, Stewart & Schaeffer 1988, ch. XIII); the navigator seeds new
-branches along the associated null vectors and abandons a seed that
-retraces an earlier one.
+Every branch is traced in one parameter, row . c on a fixed coefficient
+row that the branch carries, from the point it leaves from: every solve
+along it, fold refinement and detection's bisection included, goes through
+one corrector (_correct), the secant through two earlier points closed by
+that row.  A primary branch's row is its seed's crest row cos(k t_c), with
+t_c = 0 or pi/n; its crest never moves, so row . c is the amplitude
+a = max_t |w(t)| of the cosine series, which is monotone along the
+families of interest, and turning points in mu are passed without
+arclength machinery.  Its first secant point is the trivial solution
+(mu_n, 0), and newton_solve keeps it exactly in its subspace c_k = 0, k
+not a multiple of n.  A secondary branch's row is the unit null-vector
+direction phi it was seeded along, since near its bifurcation the
+amplitude cannot separate it from its parent, and its first secant point
+is the event point.  Secondary bifurcations are located from sign changes
+of the determinants of the mu-frozen Jacobian's symmetry-class blocks,
+each assembled on its own (Golubitsky, Stewart & Schaeffer 1988,
+ch. XIII); the navigator seeds new branches along the associated null
+vectors and abandons a seed that retraces an earlier one.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .solver import (
     lu_factor_in_place,
     newton_solve,
 )
-from .spectral import as_depth, series_peak
+from .spectral import as_depth
 
 __all__ = [
     "Branch",
@@ -55,10 +58,10 @@ STEP_MAX = 2e-2
 EXTREME_STOP_RATIO = 1e-3
 # a trace stops after this many points
 MAX_POINTS = 2000
-# detection bisects a determinant sign change down to this amplitude bracket
+# detection bisects a determinant sign change down to this bracket in row . c
 BIFURCATION_MONITOR_TOL = 1e-6
-# interior amplitudes of the finer scan over an interval with a deep dip in
-# a class' smallest singular value
+# interior parameter values of the finer scan over an interval with a deep
+# dip in a class' smallest singular value
 REFINE_SCAN = 6
 
 
@@ -92,10 +95,12 @@ class Branch:
     events: list[BranchEvent] = field(default_factory=list)
     parent: str | None = None
     parent_mode: int | None = None  # symmetry class of the parent, for collapse checks
-    # continuation state of a secondary branch, not part of the recorded
-    # data: the unit coefficient row it is parametrized by, its first step
-    # and the branches traced before it, whose retrace ends its trace
+    # continuation state, not part of the recorded data: the fixed row whose
+    # value row . c parametrizes the branch, the point it leaves from (its
+    # first secant point), a secondary branch's first step and the branches
+    # traced before it, whose retrace ends its trace
     row: np.ndarray | None = field(default=None, repr=False)
+    origin: SolutionPoint | None = field(default=None, repr=False)
     step: float | None = None
     twins: list[Branch] = field(default_factory=list, repr=False)
 
@@ -124,22 +129,12 @@ def trivial_bifurcation_mu(n: int, depth) -> float:
     return math.tanh(n * h) / n
 
 
-def _constraint_for(c: np.ndarray, a: float) -> ProjectionConstraint:
-    """Closing row sign * w(t*) = a at the crest t* of the predictor c.
-
-    The row is sign * cos(k t*); at t* = 0 it is the row of ones,
-    w(0) = sum c_k.  A crest at 0 or pi stays there, so the converged point
-    has sup_norm == a.
-    """
-    t, v = series_peak(c)
-    return ProjectionConstraint(math.copysign(1.0, v) * np.cos(np.arange(c.size) * t), a)
-
-
 def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None) -> Branch:
     """Seed branch C_n from the small-amplitude predictor (mu_n, s cos nt).
 
     The corrector pins w(t_c) = |s| at the predictor's crest, t_c = 0 for
-    s > 0 and t_c = pi/n for s < 0.
+    s > 0 and t_c = pi/n for s < 0, with the row cos(k t_c) that the branch
+    keeps as its parameter row; its origin is the trivial solution (mu_n, 0).
     """
     cfg = cfg or ContinuationConfig()
     if not 0 < abs(s) <= 0.05:
@@ -147,23 +142,19 @@ def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None)
     depth = as_depth(depth)
     mu_n = trivial_bifurcation_mu(n, depth)
     err: SolveFailure | None = None
+    row = np.cos(np.arange(cfg.N) * (0.0 if s > 0 else np.pi / n))
+    # built directly: series_peak would polish every sample of a zero series
+    origin = SolutionPoint(mu_n, np.zeros(cfg.N), depth.h, math.exp(-depth.h), 0.0, 0.0, 0.0)
     for attempt in range(5):
         c = np.zeros(cfg.N)
         c[n] = s
-        t_c = 0.0 if s > 0 else np.pi / n
-        con = ProjectionConstraint(np.cos(np.arange(cfg.N) * t_c), abs(s))
         try:
-            pt = newton_solve(c, mu_n, depth, con, cfg.newton)
-            return Branch(label=f"C{n}", mode=n, points=[pt])
+            pt = newton_solve(c, mu_n, depth, ProjectionConstraint(row, abs(s)), cfg.newton)
+            return Branch(label=f"C{n}", mode=n, points=[pt], row=row, origin=origin)
         except SolveFailure as exc:
             err = exc
             s *= 0.5
     raise SolveFailure(f"could not seed branch C{n}: {err}")
-
-
-def _param(p: SolutionPoint, row: np.ndarray | None) -> float:
-    """The continuation parameter at p: the amplitude, or row . c."""
-    return p.sup_norm if row is None else float(row @ p.coeffs)
 
 
 def _correct(
@@ -171,29 +162,20 @@ def _correct(
     cfg: ContinuationConfig,
     target: float,
     prev: SolutionPoint,
-    prev2: SolutionPoint | None,
-    row: np.ndarray | None = None,
+    prev2: SolutionPoint,
+    row: np.ndarray,
 ) -> SolutionPoint:
-    """One corrector solve at parameter value target.
+    """One corrector solve at row . c = target.
 
-    The parameter is the crest amplitude when row is None and row . c
-    otherwise.  The predictor is the secant through prev2 and prev, which
-    for prev2 on the far side of target interpolates between two recorded
-    points.  Without a secant the amplitude predictor scales prev to the
-    target and the row predictor steps along the unit row itself.  The
-    closing row pins the series value at the predictor's crest, or row . c.
+    The predictor is the secant through prev2 and prev, whose parameters
+    row . c must differ; with prev2 on the far side of target it
+    interpolates between them.  The closing row is row . c = target.
     """
-    s = _param(prev, row)
-    if prev2 is not None and s != (s2 := _param(prev2, row)):
-        t = (target - s) / (s - s2)
-        c = prev.coeffs + t * (prev.coeffs - prev2.coeffs)
-        mu = prev.mu + t * (prev.mu - prev2.mu)
-    elif row is None:
-        c, mu = prev.coeffs * (target / s if s > 0 else 1.0), prev.mu
-    else:
-        c, mu = prev.coeffs + (target - s) * row, prev.mu
-    con = _constraint_for(c, target) if row is None else ProjectionConstraint(row, target)
-    return newton_solve(c, mu, depth, con, cfg.newton)
+    s, s2 = float(row @ prev.coeffs), float(row @ prev2.coeffs)
+    t = (target - s) / (s - s2)
+    c = prev.coeffs + t * (prev.coeffs - prev2.coeffs)
+    mu = prev.mu + t * (prev.mu - prev2.mu)
+    return newton_solve(c, mu, depth, ProjectionConstraint(row, target), cfg.newton)
 
 
 def _stop_ratio(pt: SolutionPoint) -> float:
@@ -220,20 +202,20 @@ EASY_FACTORIZATIONS = 3
 def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None) -> Branch:
     """Extend a branch until an endpoint event, amplitude_max or MAX_POINTS.
 
-    Each step is one _correct solve in the branch's parameter: the
-    amplitude on primary branches, and branch.row . c on the secondary
-    branches seeded by switch_branch, whose amplitude still increases along
-    the recorded points.  The first step is cfg.amplitude_step, or
+    Each step is one _correct solve at the next value of branch.row . c,
+    the amplitude on primary branches, from the secant through the last two
+    points; on the first step the second of them is branch.origin, the
+    point the branch leaves from.  The first step is cfg.amplitude_step, or
     branch.step when set.  Steps adapt between cfg.step_min and STEP_MAX:
     halved on Newton failure, grown after easy solves, and capped so the
-    predicted amplitude gain stays below a fraction of the remaining gap to
-    the limiting height mu/2; off the amplitude the cap goes through the
-    local slope d(amplitude)/d(row . c).  amplitude_max bounds primary
-    branches only: the trace stops after the solve whose target was
-    clamped to it, or at once if the last point has reached it.  A trace
-    ends in extreme_termination once the gap falls below
-    EXTREME_STOP_RATIO of mu/2; turning points are then appended as events.
-    It ends in a retrace event alone once a point retraces a branch.twins.
+    amplitude gain predicted by the secant slope d(amplitude)/d(row . c)
+    stays below a fraction of the remaining gap to the limiting height
+    mu/2.  amplitude_max clamps the steps of primary branches only: the
+    trace stops after the solve whose target was clamped to it, or at once
+    if the last point is within cfg.step_min of it.  A trace ends in
+    extreme_termination once the gap falls below EXTREME_STOP_RATIO of
+    mu/2; turning points are then appended as events.  It ends in a
+    retrace event alone once a point retraces a branch.twins.
     """
     cfg = cfg or ContinuationConfig()
     if not branch.points:
@@ -241,32 +223,29 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     depth = as_depth(depth)
     row = branch.row
     step = cfg.amplitude_step if branch.step is None else branch.step
+    cap = cfg.amplitude_max if branch.mode is not None else None
 
     while len(branch.points) < MAX_POINTS and not branch.terminated():
         prev = branch.last
-        prev2 = branch.points[-2] if len(branch.points) > 1 else None
+        prev2 = branch.points[-2] if len(branch.points) > 1 else branch.origin
         gap = 0.5 * prev.mu - prev.sup_norm
         if _stop_ratio(prev) < EXTREME_STOP_RATIO:
             _terminate(branch, "stop_ratio")
             break
-        if cfg.amplitude_max is not None and prev.sup_norm >= cfg.amplitude_max:
+        if cfg.amplitude_max is not None and cfg.amplitude_max - prev.sup_norm < cfg.step_min:
             break
 
-        # the gap cap in the parameter: d(amplitude)/d(parameter) is 1 on
-        # the amplitude and the local secant slope along a row
-        slope = 1.0
-        if row is not None:
-            slope = 0.0
-            if prev2 is not None:
-                dt = float(row @ (prev.coeffs - prev2.coeffs))
-                da = prev.sup_norm - prev2.sup_norm
-                if dt != 0 and da > 0:
-                    slope = da / abs(dt)
+        # the gap cap in the parameter, through the secant slope
+        # d(amplitude)/d(row . c); no cap while the amplitude does not grow
+        s = float(row @ prev.coeffs)
+        dt = s - float(row @ prev2.coeffs)
+        da = prev.sup_norm - prev2.sup_norm
+        slope = da / abs(dt) if dt != 0 and da > 0 else 0.0
         eff = min(step, 0.35 * gap / slope) if slope > 0 else step
-        target = _param(prev, row) + eff
-        capped = row is None and cfg.amplitude_max is not None and target >= cfg.amplitude_max
+        target = s + eff
+        capped = cap is not None and target >= cap
         if capped:
-            target = cfg.amplitude_max
+            target = cap
 
         try:
             pt = _correct(depth, cfg, target, prev, prev2, row)
@@ -322,7 +301,7 @@ def detect_turning_points(
             mu_star = float(np.polyval(coef, a_star))
             if depth is not None and cfg is not None:
                 refined = _refine_turning_point(
-                    branch.points[i - 1], branch.points[i + 1], depth, cfg
+                    branch.points[i - 1], branch.points[i + 1], branch.row, depth, cfg
                 )
                 if refined is not None:
                     a_star, mu_star = refined
@@ -336,23 +315,28 @@ def detect_turning_points(
 
 
 def _refine_turning_point(
-    p0: SolutionPoint, p1: SolutionPoint, depth, cfg: ContinuationConfig
+    p0: SolutionPoint, p1: SolutionPoint, row: np.ndarray, depth, cfg: ContinuationConfig
 ) -> tuple[float, float] | None:
+    """(amplitude, mu) of the largest mu solved between p0 and p1 in row . c."""
     from scipy.optimize import minimize_scalar
 
     depth = as_depth(depth)
+    best: list[SolutionPoint] = []
 
-    def neg_mu(a: float) -> float:
-        return -_correct(depth, cfg, float(a), p0, p1).mu
+    def neg_mu(t: float) -> float:
+        pt = _correct(depth, cfg, float(t), p0, p1, row)
+        if not best or pt.mu > best[0].mu:
+            best[:] = [pt]
+        return -pt.mu
 
     try:
-        res = minimize_scalar(
-            neg_mu, bounds=(p0.sup_norm, p1.sup_norm), method="bounded",
-            options={"xatol": 1e-7},
+        minimize_scalar(
+            neg_mu, bounds=(float(row @ p0.coeffs), float(row @ p1.coeffs)),
+            method="bounded", options={"xatol": 1e-7},
         )
     except SolveFailure:
         return None
-    return float(res.x), float(-res.fun)
+    return best[0].sup_norm, best[0].mu
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +374,6 @@ def _det_sign(block: np.ndarray) -> float:
     return float(np.prod(np.sign(np.diagonal(lu)))) * (-1.0) ** swaps
 
 
-def _is_fold(A: np.ndarray, dF_dmu: np.ndarray) -> bool:
-    """Distinguish a fold from a branch point at a near-singular Jacobian.
-
-    At a fold the left null vector has a nonzero component along the
-    mu-derivative of the residual; at a branch point it is orthogonal.
-    """
-    from scipy.linalg import svd
-
-    U, s, Vt = svd(A, check_finite=False)
-    psi = U[:, -1]
-    denom = np.linalg.norm(dF_dmu)
-    if denom == 0:
-        return False
-    return abs(psi @ dF_dmu) / denom > 0.1
-
-
 def detect_secondary_bifurcations(
     branch: Branch, depth, cfg: ContinuationConfig | None = None
 ) -> list[BranchEvent]:
@@ -413,15 +381,17 @@ def detect_secondary_bifurcations(
 
     The determinant sign of each symmetry-class block of the mu-frozen
     Jacobian, assembled on its own from the class' index set, is monitored
-    across the recorded points; every sign change is bracketed by
-    amplitude bisection down to BIFURCATION_MONITOR_TOL, each midpoint a
-    _correct solve between the bracketing points.  Intervals
-    where a class' smallest singular value dips far below its neighbours
-    are re-scanned at REFINE_SCAN interior amplitudes, so nearby crossings
-    of the same class are resolved individually when the resolution
-    allows.  Detected events (with null-vector estimates) are returned and
-    replace the branch's earlier secondary_bifurcation events, so repeated
-    calls leave the same events.
+    across the recorded points; every sign change is bracketed by bisection
+    in branch.row . c down to BIFURCATION_MONITOR_TOL, each midpoint a
+    _correct solve between the bracketing points.  A bracket whose null
+    vector lies along the bracket's secant is a fold, whose null vector is
+    the branch tangent; it is left to the turning points.  Intervals where
+    a class' smallest singular value dips far below its neighbours are
+    re-scanned at REFINE_SCAN interior parameter values, so nearby
+    crossings of the same class are resolved individually when the
+    resolution allows.  Detected events (with null-vector estimates) are
+    returned and replace the branch's earlier secondary_bifurcation events,
+    so repeated calls leave the same events.
     """
     from scipy.linalg import svd, svdvals
 
@@ -429,6 +399,7 @@ def detect_secondary_bifurcations(
     if len(branch.points) < 3:
         return []
     depth = as_depth(depth)
+    row = branch.row
     sys = get_system(cfg.N, depth.h)
     classes = _symmetry_classes(sys.N, branch.mode)
     # on a mode > 1 branch class 0 carries the branch itself; its folds are
@@ -454,21 +425,21 @@ def detect_secondary_bifurcations(
     ) -> BranchEvent | None:
         # sign_lo is the scan's class-ci determinant sign at p0
         lo, hi = p0, p1
-        while hi.sup_norm - lo.sup_norm > BIFURCATION_MONITOR_TOL:
-            a_mid = 0.5 * (lo.sup_norm + hi.sup_norm)
+        while row @ (hi.coeffs - lo.coeffs) > BIFURCATION_MONITOR_TOL:
+            t_mid = 0.5 * float(row @ (lo.coeffs + hi.coeffs))
             try:
-                mid = _correct(depth, cfg, a_mid, lo, hi)
+                mid = _correct(depth, cfg, t_mid, lo, hi, row)
             except SolveFailure:
                 break
-            s_mid = _det_sign(block(mid, ci))
-            if s_mid == sign_lo:
+            if _det_sign(block(mid, ci)) == sign_lo:
                 lo = mid
             else:
                 hi = mid
-        A, dF_dmu = sys.jacobian(lo.coeffs, lo.mu, classes[ci])
-        if len(classes) == 1 and _is_fold(A, dF_dmu):
-            return None  # turning point, reported separately
-        U, s, Vt = svd(A, check_finite=False)
+        U, s, Vt = svd(block(lo, ci), check_finite=False)
+        # off the branch's own class the secant is exactly 0
+        secant = (hi.coeffs - lo.coeffs)[classes[ci]]
+        if abs(Vt[-1] @ secant) > 0.9 * np.linalg.norm(secant):
+            return None  # a fold, reported as a turning point
         phi = np.zeros(sys.N)
         phi[classes[ci]] = Vt[-1]
         a_ev = 0.5 * (lo.sup_norm + hi.sup_norm)
@@ -503,11 +474,11 @@ def detect_secondary_bifurcations(
                 # deep dip without net sign change: scan finer for an even
                 # number of nearby crossings
                 sub = [p0]
-                grid = np.linspace(p0.sup_norm, p1.sup_norm, REFINE_SCAN + 2)[1:-1]
+                grid = np.linspace(row @ p0.coeffs, row @ p1.coeffs, REFINE_SCAN + 2)[1:-1]
                 ok = True
-                for a_s in grid:
+                for t_s in grid:
                     try:
-                        sub.append(_correct(depth, cfg, a_s, p0, p1))
+                        sub.append(_correct(depth, cfg, float(t_s), p0, p1, row))
                     except SolveFailure:
                         ok = False
                         break
@@ -548,9 +519,10 @@ def _switch_along(
     parent (both pass through the event), so the corrector pins the
     component along the unit vector phi instead: the closing row becomes
     phi . c = phi . c_event + eps on the coefficients, and the new branch
-    carries phi as its row and eps as its first step, so continue_branch
-    steps it in that projection.  Raises SolveFailure if every eps
-    collapses back onto the parent.
+    carries phi as its row, the event point as its origin and eps as its
+    first step, so continue_branch steps it in that projection from the
+    secant through the event.  Raises SolveFailure if every eps collapses
+    back onto the parent.
     """
     depth = as_depth(depth)
     c_ev = np.asarray(event.diagnostics["w_coeffs"], dtype=float)
@@ -570,7 +542,8 @@ def _switch_along(
         if _offclass_energy(pt.coeffs, branch.mode) > 1e-7:
             return Branch(
                 label=f"{branch.label}x", mode=None, points=[pt],
-                parent=branch.label, parent_mode=branch.mode, row=phi_c, step=eps,
+                parent=branch.label, parent_mode=branch.mode, row=phi_c,
+                origin=SolutionPoint.from_solution(c_ev, mu_ev, depth.h), step=eps,
             )
         last_exc = SolveFailure("iterate collapsed back onto the parent branch")
     raise SolveFailure(f"branch switching failed: {last_exc}")

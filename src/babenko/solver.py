@@ -126,8 +126,9 @@ class NewtonConfig:
 class ProjectionConstraint:
     """Linear closing row vector . c = target on the cosine coefficients.
 
-    Continuation pins the series value at a crest with it, and secondary
-    branches are stepped along a null-vector projection with it.
+    Continuation steps every branch in vector . c on a fixed row: the
+    series value at the crest cos(k t_c) on a primary branch, and a unit
+    null-vector direction on a secondary one.
     """
 
     vector: np.ndarray

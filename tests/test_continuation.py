@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -109,6 +110,10 @@ class TestAmplitudeContinuation:
         assert amps[-1] == below
         assert np.sum(amps > cfg.amplitude_max - 1e-9) == 1
         assert np.all(np.diff(amps) > 0)
+        # further calls stop before stepping: less than step_min is left
+        for _ in range(2):
+            continue_branch(b, H, cfg)
+            assert len(b.points) == len(amps)
 
     def test_retrace_is_reproducible(self, c1_coarse):
         cfg = ContinuationConfig(N=64, amplitude_max=0.1)
@@ -248,10 +253,53 @@ class TestSecondaryDetection:
             t = np.array([sec.row @ p.coeffs for p in sec.points])
             assert np.all(np.diff(t) > 0)
 
+    def test_c1_fold_is_not_a_bifurcation(self, c1_full):
+        # at the fold the determinant changes sign too, but the null vector
+        # is the branch tangent; the fold stays a turning point only
+        b = dataclasses.replace(c1_full, events=list(c1_full.events))
+        assert detect_secondary_bifurcations(b, H, ContinuationConfig(N=512)) == []
+        assert [e.kind for e in b.events] == [e.kind for e in c1_full.events]
+        assert [e.kind for e in b.events].count("turning_point") == 1
+
     def test_short_branch_yields_no_events(self):
         cfg = ContinuationConfig(N=32)
         b = start_branch(2, 0.01, H, cfg)
         assert detect_secondary_bifurcations(b, H, cfg) == []
+
+
+@pytest.fixture(scope="module")
+def c1_trough_first():
+    """C1 at N=256 seeded with s < 0, so its crest is at t = pi."""
+    cfg = ContinuationConfig(N=256)
+    return continue_branch(start_branch(1, -0.01, H, cfg), H, cfg)
+
+
+class TestParameterRow:
+    """Every branch is traced in row . c from the point it leaves from."""
+
+    def test_primaries_leave_the_trivial_solution(self, c1_full, c1_trough_first, c5_bundle):
+        for b, n in ((c1_full, 1), (c1_trough_first, 1), (c5_bundle["parent"], 5)):
+            assert b.origin.mu == trivial_bifurcation_mu(n, H)
+            assert not np.any(b.origin.coeffs)
+            assert b.origin.sup_norm == 0.0
+            assert b.row.shape == b.last.coeffs.shape
+
+    def test_secondaries_leave_their_event(self, c5_bundle):
+        events = c5_bundle["events"]
+        for sec in c5_bundle["secondaries"]:
+            assert any(np.array_equal(sec.origin.coeffs, e.diagnostics["w_coeffs"])
+                       and sec.origin.mu == e.diagnostics["mu_at_event"] for e in events)
+            # the seed lies one first step along the row from the event
+            dt = sec.row @ (sec.points[0].coeffs - sec.origin.coeffs)
+            assert dt == pytest.approx(sec.step, rel=1e-9)
+
+    def test_primary_parameter_is_the_amplitude(self, c1_full, c1_trough_first, c5_bundle):
+        # the crest never leaves t_c, so row . c is the crest amplitude
+        for b in (c1_full, c1_trough_first, c5_bundle["parent"]):
+            assert len(b.points) > 20
+            assert b.terminated()
+            for p in b.points:
+                assert abs(b.row @ p.coeffs - p.sup_norm) < 1e-12
 
 
 def dense_sup(points) -> np.ndarray:
@@ -382,7 +430,7 @@ class TestRetraceCheck:
         dup = seeds[5][0]
         again = Branch(label=dup.label, mode=None, points=dup.points[:1],
                        parent=dup.parent, parent_mode=dup.parent_mode,
-                       row=dup.row, step=dup.step, twins=twins)
+                       row=dup.row, origin=dup.origin, step=dup.step, twins=twins)
         continue_branch(again, H, c5_bundle["cfg"])
         assert len(again.points) == 2
         assert [e.kind for e in again.events] == ["retrace"]

@@ -20,7 +20,7 @@ from babenko.solver import (
     residual_fixed_r,
     residual_modified,
 )
-from babenko.continuation import _constraint_for, _det_sign, continue_branch, switch_branch
+from babenko.continuation import _det_sign, continue_branch, switch_branch
 from babenko.spectral import (
     CosineGrid,
     DomainError,
@@ -107,14 +107,15 @@ def reference_newton_solve(sys, c, mu, constraint, tol, max_iter=50):
 def secant_predictor(branch, i):
     """The corrector's predictor for point i from points i-2 and i-1.
 
-    Returns coefficients, mu and the crest-pinning closing row, as
-    continue_branch builds them for the target amplitude of point i.
+    Returns coefficients, mu and the closing row branch.row . c = target,
+    as continue_branch builds them for the parameter value of point i.
     """
+    row = branch.row
     p0, p1 = branch.points[i - 2], branch.points[i - 1]
-    a = branch.points[i].sup_norm
-    t = (a - p1.sup_norm) / (p1.sup_norm - p0.sup_norm)
+    s0, s1, target = (float(row @ p.coeffs) for p in (p0, p1, branch.points[i]))
+    t = (target - s1) / (s1 - s0)
     c = p1.coeffs + t * (p1.coeffs - p0.coeffs)
-    return c, p1.mu + t * (p1.mu - p0.mu), _constraint_for(c, a)
+    return c, p1.mu + t * (p1.mu - p0.mu), ProjectionConstraint(row, target)
 
 
 def random_state(N, rng):
