@@ -223,11 +223,11 @@ def _read_branch(path) -> bio.BranchData:
 
 
 def _select_point(data: bio.BranchData, selector: str):
-    if not data.points:
+    n = len(data.solutions)
+    if not n:
         raise ConfigError(
             f"branch {data.label} has no solution sidecar; re-run trace first"
         )
-    n = len(data.points)
     if selector == "endpoint":
         return n - 1
     if selector.startswith("mu="):
@@ -261,7 +261,7 @@ def profile(branch_file, selector, M, fmt, out):
     """Reconstruct the free-surface profile of one stored solution."""
     data = _read_branch(branch_file)
     idx = _select_point(data, selector)
-    pt = data.points[idx]
+    pt = data.point(idx)
     try:
         prof = surface_curve(pt.coeffs, pt.mu, data.depth, M=M)
     except DomainError as exc:

@@ -8,12 +8,23 @@ the same build and round-trip exactly through float parsing.
 Each traced branch produces two files: `<label>.csv` with one summary
 row per point, and `<label>.solutions.csv` carrying the full coefficient
 vectors, from which profiles can be reconstructed without re-solving.
+
+CSV rows are formatted one `%` per block of rows, and every file is
+written to a temporary file beside its path and renamed onto it, so a
+reader never sees a partly written file.  A branch is read with one parse
+of its sidecar; the SolutionPoint of a stored row is built only when it is
+asked for.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import secrets
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +51,52 @@ class BranchFormatError(ValueError):
     """A branch file or its solution sidecar is not in the expected format."""
 
 
+# values per `%` in the CSV writers, which bounds the argument tuple and
+# the text of one block: 4096 rows of a profile's three columns
+_BLOCK_VALUES = 3 * 4096
+
+
 def _f(x: float) -> str:
     return "%.17g" % float(x)
+
+
+def _csv_rows(row_fmt: str, rows: np.ndarray) -> Iterator[str]:
+    """The rows of a 2-D float array through `row_fmt`, one `%` per block of rows.
+
+    `tolist()` gives Python floats, so each "%.17g" field holds the bytes
+    `_f` gives for the same value.
+    """
+    step = max(1, _BLOCK_VALUES // row_fmt.count("%"))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        yield (row_fmt * len(block)) % tuple(block.ravel().tolist())
+
+
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks to a new file beside `path`, then rename it onto `path`.
+
+    A reader sees the old file or the whole new one.  If writing or the
+    rename fails, `path` keeps its old bytes and the temporary file is
+    removed.  A pipe or device, such as /dev/stdout, is written in place,
+    since renaming onto it would replace it.
+    """
+    if path.exists() and not path.is_file():
+        with path.open("w") as fh:
+            fh.writelines(chunks)
+        return
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fh = tmp.open("x")  # exclusive, so never another writer's file
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    _write_atomic(path, [json.dumps(doc, indent=1, default=float), "\n"])
 
 
 def _event_flags(branch: Branch) -> list[str]:
@@ -88,55 +143,66 @@ def write_branch(branch: Branch, outdir, depth: float, fmt: str = "csv") -> list
             "depth": float(depth),
             "points": rows,
         }
-        path.write_text(json.dumps(doc, indent=1, default=float) + "\n")
+        _write_json(path, doc)
         written.append(path)
     elif fmt == "csv":
         path = outdir / f"{branch.label}.csv"
-        with path.open("w") as fh:
-            fh.write(f"# babenko-branch v{FORMAT_VERSION}\n")
-            fh.write(
-                f"# label={branch.label} mode={branch.mode} "
-                f"parent={branch.parent} depth={_f(depth)}\n"
+        header = [
+            f"# babenko-branch v{FORMAT_VERSION}\n",
+            f"# label={branch.label} mode={branch.mode} "
+            f"parent={branch.parent} depth={_f(depth)}\n",
+            "index,a_target,mu,sup_norm,mean,r,residual,event_flags\n",
+        ]
+        row_fmt = "%d," + "%.17g," * 6 + "%s\n"
+        _write_atomic(path, itertools.chain(header, (
+            row_fmt % (
+                row["index"], row["a_target"], row["mu"], row["sup_norm"],
+                row["mean"], row["r"], row["residual"], row["event_flags"],
             )
-            fh.write("index,a_target,mu,sup_norm,mean,r,residual,event_flags\n")
-            for row in rows:
-                fh.write(
-                    "%d,%s,%s,%s,%s,%s,%s,%s\n"
-                    % (
-                        row["index"], _f(row["a_target"]), _f(row["mu"]),
-                        _f(row["sup_norm"]), _f(row["mean"]), _f(row["r"]),
-                        _f(row["residual"]), row["event_flags"],
-                    )
-                )
+            for row in rows
+        )))
         written.append(path)
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 
     if branch.points:
-        N = branch.points[0].coeffs.size
+        coeffs = np.array([p.coeffs for p in branch.points])
+        n, N = coeffs.shape
         spath = outdir / f"{branch.label}.solutions.csv"
-        with spath.open("w") as fh:
-            fh.write(f"# babenko-solutions v{FORMAT_VERSION}\n")
-            fh.write(f"# label={branch.label} depth={_f(depth)} N={N}\n")
-            fh.write("index,mu," + ",".join(f"c{k}" for k in range(N)) + "\n")
-            for i, p in enumerate(branch.points):
-                fh.write(
-                    "%d,%s," % (i, _f(p.mu))
-                    + ",".join(_f(c) for c in p.coeffs)
-                    + "\n"
-                )
+        header = [
+            f"# babenko-solutions v{FORMAT_VERSION}\n",
+            f"# label={branch.label} depth={_f(depth)} N={N}\n",
+            "index,mu," + ",".join(f"c{k}" for k in range(N)) + "\n",
+        ]
+        table = np.column_stack((np.arange(n), [p.mu for p in branch.points], coeffs))
+        row_fmt = "%d," + ",".join(["%.17g"] * (N + 1)) + "\n"
+        _write_atomic(spath, itertools.chain(header, _csv_rows(row_fmt, table)))
         written.append(spath)
     return written
 
 
 @dataclass
 class BranchData:
-    """Branch data reconstructed from a summary file plus its sidecar."""
+    """Branch data read from a summary file plus its sidecar.
+
+    solutions holds the sidecar as parsed, one row (mu, c_0, ..., c_{N-1})
+    per point, and no rows when the branch has no sidecar.  point(i) builds
+    the SolutionPoint of row i; points builds every one on first use and
+    keeps the list.
+    """
 
     label: str
     depth: float
     table: list  # summary dict per point
-    points: list  # SolutionPoint per point, when the sidecar was present
+    solutions: np.ndarray
+
+    def point(self, i: int) -> SolutionPoint:
+        row = self.solutions[i]
+        return SolutionPoint.from_solution(row[1:], row[0], self.depth)
+
+    @cached_property
+    def points(self) -> list[SolutionPoint]:
+        return [self.point(i) for i in range(len(self.solutions))]
 
     @property
     def mus(self) -> np.ndarray:
@@ -170,18 +236,18 @@ def read_branch(path) -> BranchData:
     try:
         label, depth, table = _read_table(path)
         sidecar = path.parent / f"{label}.solutions.csv"
-        points = []
+        solutions = np.empty((0, 0))
         if sidecar.exists():
-            points = _read_sidecar(sidecar, depth)
-            if len(points) != len(table):
+            solutions = _read_sidecar(sidecar)
+            if len(solutions) != len(table):
                 raise BranchFormatError(
-                    f"{sidecar} holds {len(points)} points, {path} {len(table)}"
+                    f"{sidecar} holds {len(solutions)} points, {path} {len(table)}"
                 )
     except BranchFormatError:
         raise
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise BranchFormatError(f"malformed branch data for {path}: {exc!r}") from exc
-    return BranchData(label=label, depth=depth, table=table, points=points)
+    return BranchData(label=label, depth=depth, table=table, solutions=solutions)
 
 
 def _read_table(path: Path) -> tuple[str, float, list]:
@@ -207,26 +273,25 @@ def _read_table(path: Path) -> tuple[str, float, list]:
     return meta["label"], float(meta["depth"]), table
 
 
-def _read_sidecar(sidecar: Path, depth: float) -> list[SolutionPoint]:
+def _read_sidecar(sidecar: Path) -> np.ndarray:
+    """The (mu, c_0, ..., c_{N-1}) rows of a sidecar, parsed in one call.
+
+    np.loadtxt makes no Python object per value, so a read holds little
+    more than the text and the array.
+    """
     slines = sidecar.read_text().splitlines()
     N = int(_parse_header_meta(slines[1])["N"])
-    points = []
-    for line in slines[3:]:
-        if not line:
-            continue
-        vals = line.split(",")
-        if len(vals) != N + 2:
+    rows = [line for line in slines[3:] if line]
+    for line in rows:
+        if line.count(",") != N + 1:
             raise BranchFormatError(
-                f"{sidecar}: row has {len(vals) - 2} coefficients, expected N={N}"
+                f"{sidecar}: row has {line.count(',') - 1} coefficients, expected N={N}"
             )
-        coeffs = np.array([float(v) for v in vals[2:]])
-        points.append(
-            SolutionPoint.from_solution(
-                coeffs, float(vals[1]), depth,
-                residual_norm=float("nan"), iterations=0,
-            )
-        )
-    return points
+    if not rows:
+        return np.empty((0, N + 1))
+    # comments=None: a '#' in a row is a bad value, not the start of a comment
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
+                      usecols=range(1, N + 2))
 
 
 def write_events(branches: list[Branch], outdir, depth: float) -> Path:
@@ -250,7 +315,7 @@ def write_events(branches: list[Branch], outdir, depth: float) -> Path:
             for ev in b.events
         ],
     }
-    path.write_text(json.dumps(doc, indent=1, default=float) + "\n")
+    _write_json(path, doc)
     return path
 
 
@@ -280,14 +345,16 @@ def write_profile(profile, point: SolutionPoint, path, fmt: str = "csv") -> Path
             {"t": float(t), "x": float(x), "y": float(y)}
             for t, x, y in zip(profile.t, profile.x, profile.y)
         ]
-        path.write_text(json.dumps(meta, indent=1, default=float) + "\n")
+        _write_json(path, meta)
     elif fmt == "csv":
-        with path.open("w") as fh:
-            fh.write(f"# babenko-profile v{FORMAT_VERSION}\n")
-            fh.write("# " + json.dumps(meta, default=float) + "\n")
-            fh.write("t,x,y\n")
-            for t, x, y in zip(profile.t, profile.x, profile.y):
-                fh.write(f"{_f(t)},{_f(x)},{_f(y)}\n")
+        header = [
+            f"# babenko-profile v{FORMAT_VERSION}\n",
+            "# " + json.dumps(meta, default=float) + "\n",
+            "t,x,y\n",
+        ]
+        samples = np.column_stack((profile.t, profile.x, profile.y))
+        _write_atomic(path, itertools.chain(
+            header, _csv_rows("%.17g,%.17g,%.17g\n", samples)))
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     return path
@@ -333,14 +400,14 @@ def write_rcurve(series: np.ndarray, path, fmt: str = "csv") -> Path:
         meta = {"format": "babenko-rcurve", "version": FORMAT_VERSION}
     if fmt == "json":
         meta["samples"] = [{"sup_norm": a, "r": r} for a, r in series]
-        path.write_text(json.dumps(meta, indent=1, default=float) + "\n")
+        _write_json(path, meta)
     elif fmt == "csv":
-        with path.open("w") as fh:
-            fh.write(f"# babenko-rcurve v{FORMAT_VERSION}\n")
-            fh.write("# " + json.dumps(meta, default=float) + "\n")
-            fh.write("sup_norm,r\n")
-            for a, r in series:
-                fh.write(f"{_f(a)},{_f(r)}\n")
+        header = [
+            f"# babenko-rcurve v{FORMAT_VERSION}\n",
+            "# " + json.dumps(meta, default=float) + "\n",
+            "sup_norm,r\n",
+        ]
+        _write_atomic(path, itertools.chain(header, _csv_rows("%.17g,%.17g\n", series)))
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     return path
@@ -350,5 +417,5 @@ def write_report(report: dict, path) -> Path:
     path = Path(path)
     doc = {"format": "babenko-verify", "version": FORMAT_VERSION}
     doc.update(report)
-    path.write_text(json.dumps(doc, indent=1, default=float) + "\n")
+    _write_json(path, doc)
     return path

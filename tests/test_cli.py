@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from babenko.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY, main
+from babenko.solver import SolutionPoint
 
 from conftest import H
 
@@ -170,6 +171,31 @@ class TestProfile:
         assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
 
 
+def _count_point_builds(monkeypatch) -> list:
+    """Spy on SolutionPoint.from_solution; returns the list of recorded calls."""
+    calls, build = [], SolutionPoint.from_solution
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(SolutionPoint, "from_solution", spy)
+    return calls
+
+
+@pytest.mark.parametrize("args, builds", [
+    (["profile", "--point", "3"], 1),
+    (["rcurve"], 0),
+], ids=["profile", "rcurve"])
+def test_postprocessing_builds_only_the_points_it_uses(
+        runner, traced_dir, tmp_path, monkeypatch, args, builds):
+    calls = _count_point_builds(monkeypatch)
+    res = runner.invoke(main, [args[0], str(traced_dir / "C1.csv"), *args[1:],
+                               "--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == EXIT_OK, res.output
+    assert len(calls) == builds
+
+
 class TestRcurve:
     def test_series_written(self, runner, traced_dir, tmp_path):
         out = tmp_path / "r.csv"
@@ -209,14 +235,26 @@ def _sidecar_missing_row(src, dst):
     (dst / "C1.solutions.csv").write_text("\n".join(lines[:-1]) + "\n")
 
 
+def _non_numeric_coefficient(src, dst):
+    (dst / "C1.csv").write_text((src / "C1.csv").read_text())
+    lines = (src / "C1.solutions.csv").read_text().splitlines()
+    middle = 3 + (len(lines) - 3) // 2
+    cells = lines[middle].split(",")
+    cells[5] = "abc"
+    lines[middle] = ",".join(cells)
+    (dst / "C1.solutions.csv").write_text("\n".join(lines) + "\n")
+
+
+# profile reads point 0, so a bad row elsewhere is caught only by
+# validating the whole sidecar on read
 @pytest.mark.parametrize("damage", [
     _truncated_header, _not_a_branch_file, _truncated_sidecar, _short_sidecar_row,
-    _sidecar_missing_row,
+    _sidecar_missing_row, _non_numeric_coefficient,
 ])
 def test_malformed_branch_file_is_config_error(runner, traced_dir, tmp_path, damage):
     damage(traced_dir, tmp_path)
     path = str(tmp_path / "C1.csv")
-    for args in (["profile", path], ["rcurve", path],
+    for args in (["profile", path, "--point", "0"], ["rcurve", path],
                  ["verify", path, "--out", str(tmp_path / "rep.json")]):
         res = runner.invoke(main, args)
         assert res.exit_code == EXIT_CONFIG, (args[0], res.output, res.exception)

@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from babenko import io
 from babenko.continuation import Branch, BranchEvent
 from babenko.geometry import r_curve, surface_curve
 from babenko.io import (
@@ -52,6 +55,43 @@ class TestBranchRoundTrip:
         p2 = write_branch(c1_coarse, tmp_path / "b", H)
         for a, b in zip(p1, p2):
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("block_values", [io._BLOCK_VALUES, 7])
+    def test_rows_match_per_value_formatting(self, c1_coarse, tmp_path, monkeypatch,
+                                             block_values):
+        # the writers format a block of rows with one `%`; the oracle formats
+        # each value on its own with "%.17g" % float(value); 7 values per
+        # block puts one sidecar row or two profile rows in each block
+        monkeypatch.setattr(io, "_BLOCK_VALUES", block_values)
+
+        def f(x):
+            return "%.17g" % float(x)
+
+        def body(path):
+            return path.read_text().split("\n", 3)[3]
+
+        branch = Branch(label="C1", mode=1, points=list(c1_coarse.points))
+        target = branch.points[3]
+        branch.events.append(
+            BranchEvent("turning_point", target.mu, target.sup_norm, target.sup_norm)
+        )
+        table, sidecar = write_branch(branch, tmp_path, H)
+        assert body(table) == "".join(
+            f"{i},{f(p.sup_norm)},{f(p.mu)},{f(p.sup_norm)},{f(p.mean)},{f(p.r)},"
+            f"{f(p.residual_norm)},{'turning_point' if i == 3 else ''}\n"
+            for i, p in enumerate(branch.points)
+        )
+        assert body(sidecar) == "".join(
+            f"{i},{f(p.mu)}," + ",".join(f(c) for c in p.coeffs) + "\n"
+            for i, p in enumerate(branch.points)
+        )
+        pt = branch.last
+        for M in (None, 16384):
+            prof = surface_curve(pt.coeffs, pt.mu, H, M=M)
+            path = write_profile(prof, pt, tmp_path / f"p{M}.csv")
+            assert body(path) == "".join(
+                f"{f(t)},{f(x)},{f(y)}\n" for t, x, y in zip(prof.t, prof.x, prof.y)
+            )
 
     def test_event_flags_attach_to_nearest_point(self, c1_coarse, tmp_path):
         branch = Branch(label="flagged", mode=1, points=list(c1_coarse.points))
@@ -181,6 +221,54 @@ class TestProfileAndCurves:
             write_profile(prof, pt, tmp_path / "p.x", fmt="x")
         with pytest.raises(ValueError):
             write_rcurve(np.zeros((2, 2)), tmp_path / "r.x", fmt="x")
+
+
+def _write_one_kind(kind, branch, outdir, k):
+    """Write one kind of output file; k = 0 and k = 1 give different contents."""
+    pt = branch.points[-1 - k]
+    if kind == "branch":
+        return write_branch(branch, outdir, H + k)
+    if kind == "events":
+        return [write_events([branch], outdir, H + k)]
+    if kind == "profile":
+        return [write_profile(surface_curve(pt.coeffs, pt.mu, H), pt, outdir / "p.csv")]
+    if kind == "rcurve":
+        return [write_rcurve(r_curve(branch)[k:], outdir / "r.csv")]
+    return [write_report({"passed": bool(k)}, outdir / "v.json")]
+
+
+@pytest.mark.parametrize("kind, target", [
+    ("branch", "C1.csv"), ("branch", "C1.solutions.csv"), ("events", "events.json"),
+    ("profile", "p.csv"), ("rcurve", "r.csv"), ("report", "v.json"),
+])
+def test_failed_write_keeps_old_file(c1_coarse, tmp_path, monkeypatch, kind, target):
+    written = _write_one_kind(kind, c1_coarse, tmp_path, 0)
+    old = {p.name: p.read_bytes() for p in written}
+    replace = os.replace
+
+    def fail_on_target(src, dst):
+        if os.path.basename(dst) == target:
+            raise OSError("no space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_target)
+    with pytest.raises(OSError, match="no space"):
+        _write_one_kind(kind, c1_coarse, tmp_path, 1)
+    assert (tmp_path / target).read_bytes() == old[target]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)
+
+
+def test_write_to_a_pipe_goes_through_it(tmp_path):
+    fifo = tmp_path / "out"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a reader, so opening to write cannot block
+    try:
+        write_report({"passed": True}, fifo)
+        text = os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
+    assert json.loads(text)["passed"] is True
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 class TestReport:
