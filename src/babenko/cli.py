@@ -57,8 +57,8 @@ class RunConfig:
     fmt: str = "csv"
 
     def validate(self) -> "RunConfig":
-        if not self.depth > 0:
-            raise ConfigError(f"depth must be positive, got {self.depth}")
+        if not (math.isfinite(self.depth) and self.depth > 0):
+            raise ConfigError(f"depth must be positive and finite, got {self.depth}")
         if self.N < 16 or self.N > 4096 or self.N & (self.N - 1):
             raise ConfigError(
                 f"modes must be a power of two between 16 and 4096, got {self.N}"
@@ -68,6 +68,13 @@ class RunConfig:
         for spec in self.branches:
             if spec["mode"] < 1:
                 raise ConfigError(f"branch mode must be positive, got {spec['mode']}")
+            cap = spec["amplitude_max"]
+            if cap is not None and not (
+                isinstance(cap, (int, float)) and math.isfinite(cap) and cap > 0
+            ):
+                raise ConfigError(
+                    f"amplitude_max must be a positive finite number, got {cap!r}"
+                )
         try:
             self.continuation()
         except ValueError as exc:

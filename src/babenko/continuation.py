@@ -15,7 +15,7 @@ direction phi it was seeded along, since near its bifurcation the
 amplitude cannot separate it from its parent, and its first secant point
 is the event point.  Secondary bifurcations are located from sign changes
 of the determinants of the mu-frozen Jacobian's symmetry-class blocks,
-each assembled on its own (Golubitsky, Stewart & Schaeffer 1988,
+each assembled over its own index set (Golubitsky, Stewart & Schaeffer 1988,
 ch. XIII); the navigator seeds new branches along the associated null
 vectors and abandons a seed that retraces an earlier one.
 """
@@ -380,7 +380,7 @@ def detect_secondary_bifurcations(
     """Locate symmetry-breaking bifurcations along a traced branch.
 
     The determinant sign of each symmetry-class block of the mu-frozen
-    Jacobian, assembled on its own from the class' index set, is monitored
+    Jacobian, assembled over the class' index set alone, is monitored
     across the recorded points; every sign change is bracketed by bisection
     in branch.row . c down to BIFURCATION_MONITOR_TOL, each midpoint a
     _correct solve between the bracketing points.  A bracket whose null

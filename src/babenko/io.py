@@ -228,7 +228,9 @@ def read_branch(path) -> BranchData:
     Raises BranchFormatError when either file is not a well-formed branch
     file: a missing or truncated header, a row that does not parse, a
     sidecar row whose length does not match its N, or a sidecar whose
-    point count differs from the table's.
+    point count or mu column differs from the table's.  write_branch
+    writes both mu columns exactly (%.17g or the JSON repr), so a sidecar
+    left beside another run's table does not read as the same branch.
     """
     path = Path(path)
     if not path.exists():
@@ -243,6 +245,8 @@ def read_branch(path) -> BranchData:
                 raise BranchFormatError(
                     f"{sidecar} holds {len(solutions)} points, {path} {len(table)}"
                 )
+            if not np.array_equal(solutions[:, 0], [row["mu"] for row in table]):
+                raise BranchFormatError(f"the mu column of {sidecar} differs from {path}'s")
     except BranchFormatError:
         raise
     except (IndexError, KeyError, TypeError, ValueError) as exc:

@@ -8,11 +8,12 @@ quadratic products; one linear closing row on the coefficients
 (ProjectionConstraint), such as the series value at a crest or a
 null-vector projection, closes the system.  The analytic Jacobian,
 including the chain-rule terms through the conformal-radius functional,
-is assembled in place from the structured product matrices of
-spectral.add_product_matrix: diagonal symbols, row and column scalings
-and rank-one terms, with no change of basis and no N x N temporary.  The
-block of an index set, such as a symmetry class, is assembled on its own
-from spectral.product_block.
+is derived once, by DiscreteSystem._assemble, over an index set: all N
+modes, the modes of a mode-n subspace, or one symmetry class.  Its terms
+are diagonal symbols, row and column scalings and rank-one terms on the
+structured product matrices, written in place with no change of basis and
+no N x N temporary; all N rows take those matrices from
+spectral.add_product_matrix, an index set from spectral.product_block.
 
 Newton is a chord (Shamanskii) iteration: it allocates one bordered
 Jacobian buffer per solve, (N+1) square, or ceil(N/n)+1 square for a
@@ -187,7 +188,8 @@ class DiscreteSystem:
     """The collocation system at fixed N and depth h, on coefficient vectors.
 
     Instances hold O(N) data only; get_system reuses one per (N, h).  The
-    Jacobian is assembled in place into a buffer the caller owns
+    Jacobian, of all N modes or of the rows and columns of a sorted index
+    set, is assembled by _assemble in place into a buffer the caller owns
     (stacked_jacobian's out), so the cached systems hold no N x N arrays.
     """
 
@@ -229,17 +231,14 @@ class DiscreteSystem:
     def jacobian(self, c: np.ndarray, mu: float, idx: np.ndarray | None = None):
         """Analytic d(residual)/dc and d(residual)/dmu in coefficient space.
 
-        Given a sorted index set idx that leaves out some index, such as
-        one symmetry class, only the rows and columns idx are assembled
-        (see _block).  Otherwise both are views into one stacked buffer;
-        see stacked_jacobian.
+        Given a sorted index set idx, such as one symmetry class, only the
+        rows and columns idx; see _assemble.  Both are views into one
+        buffer.
         """
-        if idx is not None and idx.size < self.N:
-            return self._block(c, mu, idx)
-        N = self.N
-        J = np.empty((N + 1, N + 1))
-        self._assemble(c, mu, J)
-        return J[:N, :N], J[:N, N]
+        L = self.N if idx is None else idx.size
+        J = np.empty((L, L + 1))
+        self._assemble(c, mu, J, idx)
+        return J[:, :L], J[:, L]
 
     def stacked_residual(self, c: np.ndarray, mu: float, constraint) -> np.ndarray:
         """Residual coefficients followed by the closing row's value."""
@@ -256,52 +255,71 @@ class DiscreteSystem:
         when given (every entry is overwritten) and returned; the whole
         Jacobian is assembled with no N x N temporary.
         """
-        L = self.N if idx is None else idx.size
+        row = constraint.vector if idx is None else constraint.vector[idx]
+        L = row.size
         if out is None:
             out = np.empty((L + 1, L + 1))
         elif out.shape != (L + 1, L + 1):
             raise ValueError(f"out must have shape {(L + 1, L + 1)}, got {out.shape}")
-        if idx is None:
-            self._assemble(c, mu, out)
-            out[L, :L] = constraint.vector
-        else:
-            out[:L, :L], out[:L, L] = self._block(c, mu, idx)
-            out[L, :L] = constraint.vector[idx]
+        self._assemble(c, mu, out[:L], idx)
+        out[L, :L] = row
         out[L, L] = 0.0
         return out
 
-    def _assemble(self, c: np.ndarray, mu: float, J: np.ndarray) -> None:
-        """Write d(residual)/dc into J[:N, :N] and d(residual)/dmu into J[:N, N].
+    def _assemble(
+        self, c: np.ndarray, mu: float, A: np.ndarray, idx: np.ndarray | None = None,
+    ) -> None:
+        """Rows and columns idx of d(residual)/dc into A[:, :L], d/dmu into A[:, L].
 
-        The residual is mus(sigma) * P(w) J w + mu_h(rho) * w, plus w^2 / 2
-        and -mu * w outside the mean mode, where P is product_matrix,
-        J w = lam(rho) * c, rho = exp(-h - c_0) and sigma = exp(-h - g_0)
-        with g = -P(w) J w.  Its derivative is built in place, one pass
-        over the rows per term.  The passes run over the whole rows of
-        J[:N], which are contiguous, and column N, which they leave
-        meaningless, is written last.
+        idx is a sorted index set of size L, and None means all N; a set
+        of all N indices, such as the one class of a mode-1 branch, is
+        assembled as None, so it forms no N x N temporary.  The residual is
+        mus(sigma) * P(w) J w + mu_h(rho) * w, plus w^2 / 2 and -mu * w
+        outside the mean mode, where P is product_matrix, J w = lam(rho) * c,
+        rho = exp(-h - c_0) and sigma = exp(-h - g_0) with g = -P(w) J w.
+        Its derivative is written once over the modes k of the rows and
+        columns, one pass per term; the chain-rule terms through rho fill
+        column 0, so they apply only when idx holds 0, and the rank-one
+        term of sigma needs row 0 of D at the columns k, which is lam * c
+        apart from its column 0.  The product matrices alone come from two
+        places: those of all N modes are added in place by
+        add_product_matrix over the whole rows of A, and those of an index
+        set are gathered once by product_block.  No N x N temporary is
+        made, and column L is written last.
         """
         N = self.N
-        A = J[:N]
+        if idx is not None and idx.size == N:
+            idx = None
+        k = np.arange(N) if idx is None else idx
+        L = k.size
+        D = A[:, :L]
         rho = self._radius(c[0])
         lam = lambda_symbol(rho, N)
-        g = -product_coeffs(c, lam * c)
+        lc = lam * c
+        g = -product_coeffs(c, lc)
         sigma = self._sigma(g[0])
-        mus = mu_symbol_total(sigma, N)
 
         # dg/dc = -D with D = P(Jw) + P(w) diag(lam) - the column-0 term
-        A.fill(0.0)
-        add_product_matrix(c, A)
-        A *= np.append(lam, 0.0)  # whole rows; column N is rewritten last
-        add_product_matrix(lam * c, A)
-        A[:, 0] -= product_coeffs(c, rho * dlambda_dr(rho, N) * c)
+        if idx is None:
+            A.fill(0.0)
+            add_product_matrix(c, A)
+            A *= np.append(lam, 0.0)
+            add_product_matrix(lc, A)
+        else:
+            P = product_block(c, idx)
+            np.add(P * lam[idx], product_block(lc, idx), out=D)
+        d0 = np.append(lc[k], 0.0)  # row 0 of D at the columns k, and column L
+        if k[0] == 0:
+            col0 = product_coeffs(c, rho * dlambda_dr(rho, N) * c)
+            D[:, 0] -= col0[k]
+            d0[0] = -col0[0]
 
         # middle term -mus(sigma(c)) * g(c): the row scaling by mus and the
-        # rank-one term of sigma = exp(-h - g_0), in row blocks
-        d0 = A[0].copy()
-        beta = sigma * dmu_dr(sigma, N) * g
-        tmp = np.empty((min(N, self._BLOCK), N + 1))
-        for i in range(0, N, self._BLOCK):
+        # rank-one term of sigma = exp(-h - g_0), in blocks of whole rows
+        mus = mu_symbol_total(sigma, N)[k]
+        beta = (sigma * dmu_dr(sigma, N) * g)[k]
+        tmp = np.empty((min(L, self._BLOCK), L + 1))
+        for i in range(0, L, self._BLOCK):
             rows = slice(i, i + self._BLOCK)
             block = A[rows]
             t = np.multiply.outer(beta[rows], d0, out=tmp[: len(block)])
@@ -309,51 +327,22 @@ class DiscreteSystem:
             block -= t
 
         # w^2 / 2, which the mean mode's row does not carry
-        row0 = A[0].copy()
-        add_product_matrix(c, A)
-        A[0] = row0
+        rows = np.flatnonzero(k)  # all but the mean mode's
+        if idx is None:
+            row0 = D[0].copy()
+            add_product_matrix(c, A)
+            D[0] = row0
+        else:
+            D[rows] += P[rows]
         # the L-type term mu_h(rho) * w with its column-0 chain rule term,
         # and -mu * w outside the mean mode
-        diag = np.arange(N)
-        A[diag, diag] += mu_symbol_total(rho, N)
-        A[diag[1:], diag[1:]] -= mu
-        A[:, 0] -= rho * dmu_dr(rho, N) * c
-        A[:, N] = -c
-        A[0, N] = 0.0
-
-    def _block(self, c: np.ndarray, mu: float, idx: np.ndarray):
-        """Rows and columns idx of d(residual)/dc, and rows idx of d(residual)/dmu.
-
-        The derivative of _assemble, with the product matrices gathered by
-        spectral.product_block.  The rank-one term needs row 0 of D at the
-        columns idx, which is lam * c apart from its column 0.
-        """
-        N = self.N
-        rho = self._radius(c[0])
-        lam = lambda_symbol(rho, N)
-        lc = lam * c
-        g = -product_coeffs(c, lc)
-        sigma = self._sigma(g[0])
-
-        P = product_block(c, idx)
-        A = P * lam[idx] + product_block(lc, idx)
-        d0 = lc[idx]
-        if idx[0] == 0:
-            col0 = product_coeffs(c, rho * dlambda_dr(rho, N) * c)
-            A[:, 0] -= col0[idx]
-            d0[0] = -col0[0]
-        A *= mu_symbol_total(sigma, N)[idx, None]
-        A -= np.multiply.outer((sigma * dmu_dr(sigma, N) * g)[idx], d0)
-
-        rows = np.flatnonzero(idx)  # all but the mean mode's
-        A[rows] += P[rows]
-        A.flat[:: idx.size + 1] += mu_symbol_total(rho, N)[idx]
-        A[rows, rows] -= mu
-        dF_dmu = -c[idx]
-        if idx[0] == 0:
-            A[:, 0] -= (rho * dmu_dr(rho, N) * c)[idx]
-            dF_dmu[0] = 0.0
-        return A, dF_dmu
+        diag = np.arange(L)
+        D[diag, diag] += mu_symbol_total(rho, N)[k]
+        D[rows, rows] -= mu
+        A[:, L] = -c[k]
+        if k[0] == 0:
+            D[:, 0] -= (rho * dmu_dr(rho, N) * c)[k]
+            A[0, L] = 0.0
 
 
 _SYSTEM_CACHE: dict[tuple[int, float], DiscreteSystem] = {}

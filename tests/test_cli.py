@@ -52,8 +52,9 @@ class TestBifpoints:
         assert res.exit_code == EXIT_CONFIG
 
     def test_bad_depth_is_config_error(self, runner):
-        res = runner.invoke(main, ["bifpoints", "--depth", "-1"])
-        assert res.exit_code == EXIT_CONFIG
+        for depth in ("-1", "inf"):
+            res = runner.invoke(main, ["bifpoints", "--depth", depth])
+            assert res.exit_code == EXIT_CONFIG, depth
 
 
 class TestTrace:
@@ -113,14 +114,22 @@ class TestTrace:
         (["--step", "0.5"], None),
         (["--step", "0"], None),
         ([], {"residual_tol": 0}),
-    ], ids=["step-above-max", "step-zero", "residual-tol-zero"])
+        (["--amplitude-max", "nan"], None),
+        (["--amplitude-max", "0"], None),
+        (["--amplitude-max", "-1"], None),
+        ([], {"branches": [{"mode": 1, "amplitude_max": "x"}]}),
+        (["--depth", "inf"], None),
+    ], ids=["step-above-max", "step-zero", "residual-tol-zero", "amplitude-max-nan",
+            "amplitude-max-zero", "amplitude-max-negative", "amplitude-max-not-a-number",
+            "depth-inf"])
     def test_bad_solver_settings_are_config_errors(self, runner, tmp_path, extra, doc):
-        args = ["trace", "--branch", "C1", "--modes", "32", "--amplitude-max", "0.03",
-                "--out", str(tmp_path)]
-        if doc is not None:
-            cfgfile = tmp_path / "run.json"
-            cfgfile.write_text(json.dumps(doc))
-            args += ["--config", str(cfgfile)]
+        # the branch and its cap come from the config file, so that both a
+        # flag and the file's own fields can replace the cap
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(
+            {"branches": [{"mode": 1, "amplitude_max": 0.03}], **(doc or {})}
+        ))
+        args = ["trace", "--modes", "32", "--config", str(cfgfile), "--out", str(tmp_path)]
         res = runner.invoke(main, args + extra)
         assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
 
@@ -245,11 +254,23 @@ def _non_numeric_coefficient(src, dst):
     (dst / "C1.solutions.csv").write_text("\n".join(lines) + "\n")
 
 
+def _table_mu_shifted(src, dst):
+    # a table beside another run's sidecar: profile reads mu from the
+    # sidecar, and --point mu= selects on the table's
+    lines = (src / "C1.csv").read_text().splitlines()
+    for i in range(3, len(lines)):
+        cells = lines[i].split(",")
+        cells[2] = "%.17g" % (float(cells[2]) + 0.01)
+        lines[i] = ",".join(cells)
+    (dst / "C1.csv").write_text("\n".join(lines) + "\n")
+    (dst / "C1.solutions.csv").write_text((src / "C1.solutions.csv").read_text())
+
+
 # profile reads point 0, so a bad row elsewhere is caught only by
 # validating the whole sidecar on read
 @pytest.mark.parametrize("damage", [
     _truncated_header, _not_a_branch_file, _truncated_sidecar, _short_sidecar_row,
-    _sidecar_missing_row, _non_numeric_coefficient,
+    _sidecar_missing_row, _non_numeric_coefficient, _table_mu_shifted,
 ])
 def test_malformed_branch_file_is_config_error(runner, traced_dir, tmp_path, damage):
     damage(traced_dir, tmp_path)

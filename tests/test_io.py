@@ -135,6 +135,24 @@ class TestBranchReadErrors:
         with pytest.raises(BranchFormatError):
             read_branch(paths[0])
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sidecar_mu_must_match_table(self, c1_coarse, tmp_path, fmt):
+        # one table mu moved by one unit in the last place
+        paths = write_branch(c1_coarse, tmp_path, H, fmt=fmt)
+        assert read_branch(paths[0]).solutions.shape[0] == len(c1_coarse.points)
+        mu = c1_coarse.points[2].mu
+        shifted = np.nextafter(mu, np.inf)
+        if fmt == "json":
+            doc = json.loads(paths[0].read_text())
+            doc["points"][2]["mu"] = shifted
+            paths[0].write_text(json.dumps(doc))
+        else:
+            text = paths[0].read_text()
+            assert text.count(",%.17g," % mu) == 1
+            paths[0].write_text(text.replace(",%.17g," % mu, ",%.17g," % shifted))
+        with pytest.raises(BranchFormatError, match="mu column"):
+            read_branch(paths[0])
+
     def test_table_without_sidecar_loads(self, c1_coarse, tmp_path):
         paths = write_branch(c1_coarse, tmp_path, H)
         paths[1].unlink()

@@ -232,19 +232,33 @@ class TestInPlaceAssembly:
             fresh = sys.stacked_jacobian(c, 0.6, con)
             assert np.max(np.abs(buf - fresh)) <= 1e-15 * np.max(np.abs(fresh))
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 512])
-    def test_matches_reference_assembly(self, N):
+    # the full matrix at every N, and at N = 8, 64, 512 the index sets
+    # of a mode-5 subspace solve and of two mode-5 symmetry classes, one
+    # holding the mean mode and one without it
+    @pytest.mark.parametrize("N, index_set", [
+        *(pytest.param(N, None, id=str(N)) for N in (1, 2, 3, 8, 64, 512)),
+        *((N, s) for N in (8, 64, 512) for s in ("stride5", "class0", "class1")),
+    ])
+    def test_matches_reference_assembly(self, N, index_set):
         rng = np.random.default_rng(100 + N)
         sys = get_system(N, H)
         c = random_state(N, rng)
+        classes = continuation._symmetry_classes(N, 5)
+        idx = {None: None, "stride5": np.arange(0, N, 5), "class0": classes[0],
+               "class1": classes[1]}[index_set]
+        rows = np.arange(N) if idx is None else idx
+        L = rows.size
         for con in self.constraints(N, rng):
             ref = reference_stacked_jacobian(sys, c, 0.6, con)
-            got = sys.stacked_jacobian(c, 0.6, con)
+            ref = ref[np.ix_(np.append(rows, N), np.append(rows, N))]
+            got = sys.stacked_jacobian(c, 0.6, con, idx=idx)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.array_equal(got[:L, L], ref[:L, L])
+            assert np.array_equal(got[L], np.append(con.vector[rows], 0.0))
         # jacobian is the same assembly without the closing row
-        A, dF_dmu = sys.jacobian(c, 0.6)
-        assert np.array_equal(A, got[:N, :N])
-        assert np.array_equal(dF_dmu, got[:N, N])
+        A, dF_dmu = sys.jacobian(c, 0.6, idx)
+        assert np.array_equal(A, got[:L, :L])
+        assert np.array_equal(dF_dmu, got[:L, L])
 
     def test_no_matrix_sized_temporaries(self):
         # one 512 x 512 array is 2.1 MB
