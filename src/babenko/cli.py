@@ -109,23 +109,28 @@ def _build_config(config_path, depth, modes, branch, amplitude_max, step, fmt, o
             doc = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}")
-        cfg.depth = float(doc.get("depth", cfg.depth))
-        cfg.N = int(doc.get("modes", doc.get("N", cfg.N)))
-        cfg.amplitude_step = float(doc.get("amplitude_step", cfg.amplitude_step))
-        cfg.residual_tol = float(doc.get("residual_tol", cfg.residual_tol))
-        cfg.fmt = doc.get("format", cfg.fmt)
-        cfg.outdir = Path(doc.get("outdir", cfg.outdir))
-        for spec in doc.get("branches", []):
-            if isinstance(spec, str):
-                cfg.branches.append(_parse_branch_spec(spec))
-            else:
-                cfg.branches.append(
-                    {
-                        "mode": int(spec["mode"]),
-                        "amplitude_max": spec.get("amplitude_max"),
-                        "navigate": bool(spec.get("navigate", False)),
-                    }
-                )
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {config_path} must be a JSON object")
+        try:
+            cfg.depth = float(doc.get("depth", cfg.depth))
+            cfg.N = int(doc.get("modes", doc.get("N", cfg.N)))
+            cfg.amplitude_step = float(doc.get("amplitude_step", cfg.amplitude_step))
+            cfg.residual_tol = float(doc.get("residual_tol", cfg.residual_tol))
+            cfg.fmt = doc.get("format", cfg.fmt)
+            cfg.outdir = Path(doc.get("outdir", cfg.outdir))
+            for spec in doc.get("branches", []):
+                if isinstance(spec, str):
+                    cfg.branches.append(_parse_branch_spec(spec))
+                else:
+                    cfg.branches.append(
+                        {
+                            "mode": int(spec["mode"]),
+                            "amplitude_max": spec.get("amplitude_max"),
+                            "navigate": bool(spec.get("navigate", False)),
+                        }
+                    )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad value in config {config_path}: {exc!r}")
     if depth is not None:
         cfg.depth = depth
     if modes is not None:

@@ -10,10 +10,11 @@ a = max_t |w(t)| of the cosine series, which is monotone along the
 families of interest, and turning points in mu are passed without
 arclength machinery.  Its first secant point is the trivial solution
 (mu_n, 0), and newton_solve keeps it exactly in its subspace c_k = 0, k
-not a multiple of n.  A secondary branch's row is the unit null-vector
-direction phi it was seeded along, since near its bifurcation the
-amplitude cannot separate it from its parent, and its first secant point
-is the event point.  Secondary bifurcations are located from sign changes
+not a multiple of n, solving each step on the band of that subspace's
+coefficients k < K that the iterate resolves to rounding.  A secondary
+branch's row is the unit null-vector direction phi it was seeded along,
+since near its bifurcation the amplitude cannot separate it from its
+parent, and its first secant point is the event point.  Secondary bifurcations are located from sign changes
 of the determinants of the mu-frozen Jacobian's symmetry-class blocks,
 each assembled over its own index set (Golubitsky, Stewart & Schaeffer 1988,
 ch. XIII); the navigator seeds new branches along the associated null

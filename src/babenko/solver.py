@@ -15,13 +15,21 @@ structured product matrices, written in place with no change of basis and
 no N x N temporary; all N rows take those matrices from
 spectral.add_product_matrix, an index set from spectral.product_block.
 
-Newton is a chord (Shamanskii) iteration: it allocates one bordered
-Jacobian buffer per solve, (N+1) square, or ceil(N/n)+1 square for a
-mode-n predictor solved on its fixed-point subspace, assembles the
-Jacobian into it, factors it in place with scipy.linalg.lu_factor and takes further steps by
-back-substitution, reassembling and refactoring only when the residual
-contracts by less than CONTRACTION per step (Kelley, Solving Nonlinear
-Equations with Newton's Method, SIAM 2003, ch. 5).  Newton judges
+Newton is a chord (Shamanskii) iteration on the resolved band, the
+coefficients k = 0, n, 2n, ... < K and mu, where n = 1 except for a
+mode-n predictor, whose iterates stay on that fixed-point subspace.  K is
+the smallest power of two >= BAND_MIN, capped at N, such that every c_k
+with k >= K/2 is at most eps * max|c|, and it never shrinks within a
+solve; the coefficients k >= K are set to 0, which moves each by at most
+that much, so the band's matrix is the K-mode system's own Jacobian, the
+leading rows and columns of the N-mode one (Boyd, Chebyshev and Fourier
+Spectral Methods, 2001, ch. 2, on the spectral tail).  Newton allocates
+one bordered buffer per band, (len(band)+1) square, assembles the
+Jacobian into it, factors it in place with scipy.linalg.lu_factor and
+takes further steps by back-substitution, reassembling, and choosing K
+again, only when the residual contracts by less than CONTRACTION per step
+(Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003,
+ch. 5).  The residual stays that of all N modes.  Newton judges
 convergence on the nodal values of the residual, and declares divergence
 as soon as that norm exceeds max(|R_0|, 1), its starting value floored at
 one (a residual monitor in the sense of Deuflhard, Newton Methods for
@@ -390,6 +398,24 @@ def lu_factor_in_place(A: np.ndarray):
 
 # refactor when a chord step leaves more than this fraction of the residual
 CONTRACTION = 0.2
+# the smallest resolved band, in modes
+BAND_MIN = 64
+
+
+def _band(c: np.ndarray) -> int:
+    """Modes K the Newton matrix keeps for the iterate c.
+
+    K is the smallest power of two >= BAND_MIN, capped at c.size, such
+    that every c_k with k >= K/2 is at most eps * max|c|: the products of
+    the coefficients left then reach the modes k >= K only at that
+    rounding level.
+    """
+    a = np.abs(c)
+    resolved = np.flatnonzero(a > np.finfo(float).eps * a.max())
+    K = BAND_MIN
+    while K < c.size and resolved.size and resolved[-1] >= K // 2:
+        K *= 2
+    return min(K, c.size)
 
 
 def newton_solve(
@@ -406,14 +432,16 @@ def newton_solve(
     raises NewtonDiverged before anything is assembled.  With n > 1 the
     gcd of the indices k >= 1 of the seed's nonzero coefficients, the
     iterates stay in the subspace c_k = 0, k not a multiple of n (mode-n
-    series map to mode-n series), so the linear part is solved on the
-    coefficients k = 0, n, 2n, ... and mu alone; the residual, its
-    convergence test and the divergence guard stay those of all N modes.
-    One bordered Jacobian buffer, (N+1) or ceil(N/n)+1 square, is
-    allocated per solve; it is assembled and factored in place, and each
-    step is a back-substitution with those factors.  After a step that
-    leaves more than CONTRACTION of the residual norm, the Jacobian is
-    reassembled and refactored at the new iterate before the next step.
+    series map to mode-n series).  The linear part is solved on the band
+    k = 0, n, 2n, ... < K and mu alone, with K = _band(c) chosen at every
+    assembly and never shrinking, and c_k = 0 for k >= K; the residual,
+    its convergence test and the divergence guard stay those of all N
+    modes, and with K = N the band is the whole subspace.  One bordered
+    Jacobian buffer, (len(band)+1) square, is allocated per band; it is
+    assembled and factored in place, and each step is a back-substitution
+    with those factors.  After a step that leaves more than CONTRACTION of
+    the residual norm, the Jacobian is reassembled and refactored at the
+    new iterate before the next step.
     The point records the steps taken (iterations) and the factorizations.
     Raises a SolveFailure subclass, carrying the same counts and the
     residual history, on divergence, iteration exhaustion, an exactly
@@ -430,7 +458,6 @@ def newton_solve(
         raise NewtonDiverged("seed is not finite")
     sys = get_system(c.size, as_depth(depth).h)
     n = max(int(np.gcd.reduce(np.flatnonzero(c[1:]) + 1)), 1)
-    idx = np.arange(0, sys.N, n) if n > 1 else None
 
     def res(c, mu):
         # coefficients for the step, nodal values for the convergence test
@@ -449,8 +476,7 @@ def newton_solve(
     R, norm = res(c, mu)
     history = [norm]
     norm0 = max(norm, 1.0)  # the divergence guard
-    L = sys.N if idx is None else idx.size
-    J = np.empty((L + 1, L + 1))  # assembled into and factored in place
+    K = 0  # the band, which never shrinks
     factors = None
     factorizations = 0
 
@@ -459,12 +485,22 @@ def newton_solve(
             if norm <= cfg.residual_tol:
                 return point(it)
             if factors is None:
-                sys.stacked_jacobian(c, mu, constraint, out=J, idx=idx)
+                band = _band(c)
+                if band > K:
+                    K = band
+                    idx = np.arange(0, K, n) if n > 1 else None
+                    L = -(-K // n)  # the coefficients 0, n, 2n, ... < K
+                    J = np.empty((L + 1, L + 1))  # assembled into and factored in place
+                c[K:] = 0.0
+                get_system(K, sys.h).stacked_jacobian(
+                    c[:K], mu, ProjectionConstraint(constraint.vector[:K], constraint.target),
+                    out=J, idx=idx,
+                )
                 factors = lu_factor_in_place(J)
                 factorizations += 1
                 if not np.all(np.diagonal(factors[0])):
                     raise SingularJacobian("exactly singular Jacobian")
-            step = lu_solve(factors, -np.append(R[:-1][::n], R[-1]), trans=1,
+            step = lu_solve(factors, -np.append(R[:K:n], R[-1]), trans=1,
                             check_finite=False)
             if not np.all(np.isfinite(step)):
                 raise SingularJacobian("non-finite Newton step")
@@ -474,7 +510,7 @@ def newton_solve(
             scale = 1.0
             for _ in range(9):
                 c_new = c.copy()
-                c_new[::n] += scale * step[:-1]
+                c_new[:K:n] += scale * step[:-1]
                 mu_new = mu + scale * step[-1]
                 if c_new[0] > -sys.h + sys.MEAN_MARGIN:
                     break

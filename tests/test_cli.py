@@ -133,6 +133,17 @@ class TestTrace:
         res = runner.invoke(main, args + extra)
         assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
 
+    @pytest.mark.parametrize("doc", [
+        {"depth": "x"},
+        [1, 2],
+        {"branches": [{"mode": "x"}]},
+    ], ids=["depth-not-a-number", "not-an-object", "branch-mode-not-a-number"])
+    def test_malformed_config_is_config_error(self, runner, tmp_path, doc):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["trace", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
+
     def test_unreadable_config(self, runner, tmp_path):
         res = runner.invoke(main, ["trace", "--config", str(tmp_path / "missing.json")])
         assert res.exit_code == EXIT_CONFIG

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from babenko import continuation
+from babenko import continuation, solver
 from babenko.solver import (
     DiscreteSystem,
     InadmissibleIterate,
@@ -20,7 +20,13 @@ from babenko.solver import (
     residual_fixed_r,
     residual_modified,
 )
-from babenko.continuation import _det_sign, continue_branch, switch_branch
+from babenko.continuation import (
+    ContinuationConfig,
+    _det_sign,
+    continue_branch,
+    start_branch,
+    switch_branch,
+)
 from babenko.spectral import (
     CosineGrid,
     DomainError,
@@ -380,6 +386,19 @@ def off_class(c, n):
     return c[np.arange(c.size) % n != 0]
 
 
+def spy_shapes(monkeypatch):
+    """Record the shape of every bordered Jacobian Newton assembles."""
+    shapes = []
+    original = DiscreteSystem.stacked_jacobian
+
+    def spy(self, c, mu, constraint, out=None, idx=None):
+        shapes.append(out.shape)
+        return original(self, c, mu, constraint, out=out, idx=idx)
+
+    monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", spy)
+    return shapes
+
+
 class TestSubspaceSolve:
     """A mode-n predictor is solved on the subspace c_k = 0, k not = 0 mod n."""
 
@@ -425,14 +444,7 @@ class TestSubspaceSolve:
 
     def test_tiny_off_class_coefficient_takes_the_full_solve(self, c5_bundle,
                                                              monkeypatch):
-        shapes = []
-        original = DiscreteSystem.stacked_jacobian
-
-        def spy(self, c, mu, constraint, out=None, idx=None):
-            shapes.append(out.shape)
-            return original(self, c, mu, constraint, out=out, idx=idx)
-
-        monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", spy)
+        shapes = spy_shapes(monkeypatch)
         c, mu, con = secant_predictor(c5_bundle["parent"], 6)
         newton_solve(c, mu, H, con, NewtonConfig())
         assert shapes and set(shapes) == {(104, 104)}  # ceil(512 / 5) + 1
@@ -440,6 +452,89 @@ class TestSubspaceSolve:
         c[7] = 1e-300
         newton_solve(c, mu, H, con, NewtonConfig())
         assert shapes and set(shapes) == {(513, 513)}
+
+
+class TestBandSolve:
+    """Newton solves each step on the modes 0, n, 2n, ... < K the iterate resolves."""
+
+    def test_band_jacobian_is_the_leading_block(self, c1_full):
+        # with c_k = 0 for k >= K, the K-mode system's bordered Jacobian is
+        # rows and columns < K of the N-mode one, with the same border
+        p, K = c1_full.points[9], 128
+        c = p.coeffs.copy()
+        c[K:] = 0.0
+        con = ProjectionConstraint(c1_full.row, 0.0)
+        full = get_system(c.size, H).stacked_jacobian(c, p.mu, con)
+        band = get_system(K, H).stacked_jacobian(
+            c[:K], p.mu, ProjectionConstraint(c1_full.row[:K], 0.0))
+        keep = np.append(np.arange(K), c.size)
+        ref = full[np.ix_(keep, keep)]
+        assert np.max(np.abs(band - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_small_amplitudes_factor_the_smallest_band(self, monkeypatch):
+        shapes = spy_shapes(monkeypatch)
+        start_branch(1, 0.01, H, ContinuationConfig(N=1024))
+        assert shapes and set(shapes) == {(65, 65)}
+        shapes.clear()
+        start_branch(5, 0.01, H, ContinuationConfig(N=512))
+        assert shapes and set(shapes) == {(14, 14)}  # k = 0, 5, ..., 60 and mu
+
+    def test_coefficients_beyond_the_band_are_zeroed(self, c1_full):
+        # a predictor coefficient below eps * max|c| outside the band is
+        # set to 0, not carried along untouched by the steps
+        c, mu, con = secant_predictor(c1_full, 9)
+        c[300] = 1e-20
+        assert solver._band(c) == 128
+        pt = newton_solve(c, mu, H, con, NewtonConfig())
+        assert not np.any(pt.coeffs[128:])
+
+    def test_matches_the_full_band(self, c1_full, monkeypatch):
+        indices = range(2, 13)  # the C1@512 predictors with K < N
+        band = []
+        for i in indices:
+            c, mu, con = secant_predictor(c1_full, i)
+            assert solver._band(c) < c.size
+            band.append(newton_solve(c, mu, H, con, NewtonConfig()))
+        monkeypatch.setattr(solver, "_band", lambda c: c.size)
+        for i, pt in zip(indices, band):
+            c, mu, con = secant_predictor(c1_full, i)
+            ref = newton_solve(c, mu, H, con, NewtonConfig())
+            assert np.max(np.abs(pt.coeffs - ref.coeffs)) < 1e-14
+            assert abs(pt.mu - ref.mu) < 1e-14
+            assert (pt.iterations, pt.factorizations) == (ref.iterations, ref.factorizations)
+
+    def test_truncated_predictor_widens_the_band(self, c1_full, monkeypatch):
+        # a = 0.19 needs 128 modes or more; a predictor cut to 32 of them
+        # starts on the 64-mode band, which widens once the steps fill its
+        # top half.  Both solves are driven below the default tolerance,
+        # so that they agree on the solution rather than on where each
+        # one stopped.
+        cfg = NewtonConfig(residual_tol=1e-12)
+        c, mu, con = secant_predictor(c1_full, 12)
+        assert c1_full.points[12].sup_norm == pytest.approx(0.19, abs=5e-3)
+        ref = newton_solve(c, mu, H, con, cfg)
+        c[32:] = 0.0
+        shapes = spy_shapes(monkeypatch)
+        pt = newton_solve(c, mu, H, con, cfg)
+        assert pt.residual_norm <= cfg.residual_tol
+        assert shapes[0] == (65, 65) and shapes[-1] > shapes[0]
+        assert shapes == sorted(shapes)
+        assert np.max(np.abs(pt.coeffs - ref.coeffs)) < 1e-12
+        assert abs(pt.mu - ref.mu) < 1e-12
+
+    def test_mode_one_band_gathers_no_product_block(self, c1_full, monkeypatch):
+        # the K-mode system fills whole rows with add_product_matrix;
+        # gathering the band with product_block would allocate two more
+        # band-sized matrices per assembly
+        calls = []
+        monkeypatch.setattr(solver, "product_block",
+                            lambda *args: calls.append(args) or None)
+        shapes = spy_shapes(monkeypatch)
+        c, mu, con = secant_predictor(c1_full, 9)
+        pt = newton_solve(c, mu, H, con, NewtonConfig())
+        assert pt.residual_norm <= NewtonConfig().residual_tol
+        assert shapes and set(shapes) == {(129, 129)}
+        assert calls == []
 
 
 class TestDivergenceGuard:
