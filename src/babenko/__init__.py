@@ -16,7 +16,6 @@ from .continuation import (
     navigate_secondaries,
     start_branch,
     switch_branch,
-    trace_to_extreme,
     trivial_bifurcation_mu,
 )
 from .geometry import (
@@ -72,7 +71,6 @@ __all__ = [
     "start_branch",
     "surface_curve",
     "switch_branch",
-    "trace_to_extreme",
     "trivial_bifurcation_mu",
     "__version__",
 ]

@@ -69,9 +69,7 @@ class RunConfig:
             if spec["mode"] < 1:
                 raise ConfigError(f"branch mode must be positive, got {spec['mode']}")
             cap = spec["amplitude_max"]
-            if cap is not None and not (
-                isinstance(cap, (int, float)) and math.isfinite(cap) and cap > 0
-            ):
+            if cap is not None and not (math.isfinite(cap) and cap > 0):
                 raise ConfigError(
                     f"amplitude_max must be a positive finite number, got {cap!r}"
                 )
@@ -102,6 +100,15 @@ def _parse_branch_spec(text: str) -> dict:
     return {"mode": mode, "amplitude_max": None, "navigate": navigate}
 
 
+def _typed(doc: dict, key: str, kinds: tuple, default=None):
+    """doc[key], or default if absent; a value of another JSON type is a ConfigError."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) and bool not in kinds or not isinstance(value, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ConfigError(f"config field {key!r} must be {names}, got {value!r}")
+    return value
+
+
 def _build_config(config_path, depth, modes, branch, amplitude_max, step, fmt, out) -> RunConfig:
     cfg = RunConfig()
     if config_path:
@@ -111,25 +118,26 @@ def _build_config(config_path, depth, modes, branch, amplitude_max, step, fmt, o
             raise ConfigError(f"cannot read config {config_path}: {exc}")
         if not isinstance(doc, dict):
             raise ConfigError(f"config {config_path} must be a JSON object")
+        number = (int, float)
         try:
-            cfg.depth = float(doc.get("depth", cfg.depth))
-            cfg.N = int(doc.get("modes", doc.get("N", cfg.N)))
-            cfg.amplitude_step = float(doc.get("amplitude_step", cfg.amplitude_step))
-            cfg.residual_tol = float(doc.get("residual_tol", cfg.residual_tol))
+            cfg.depth = float(_typed(doc, "depth", number, cfg.depth))
+            cfg.N = _typed(doc, "modes", (int,), _typed(doc, "N", (int,), cfg.N))
+            cfg.amplitude_step = float(_typed(doc, "amplitude_step", number, cfg.amplitude_step))
+            cfg.residual_tol = float(_typed(doc, "residual_tol", number, cfg.residual_tol))
             cfg.fmt = doc.get("format", cfg.fmt)
             cfg.outdir = Path(doc.get("outdir", cfg.outdir))
-            for spec in doc.get("branches", []):
+            for spec in _typed(doc, "branches", (list,), []):
                 if isinstance(spec, str):
                     cfg.branches.append(_parse_branch_spec(spec))
                 else:
                     cfg.branches.append(
                         {
-                            "mode": int(spec["mode"]),
-                            "amplitude_max": spec.get("amplitude_max"),
-                            "navigate": bool(spec.get("navigate", False)),
+                            "mode": _typed(spec, "mode", (int,)),
+                            "amplitude_max": _typed(spec, "amplitude_max", (*number, type(None))),
+                            "navigate": _typed(spec, "navigate", (bool,), False),
                         }
                     )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad value in config {config_path}: {exc!r}")
     if depth is not None:
         cfg.depth = depth

@@ -14,11 +14,13 @@ not a multiple of n, solving each step on the band of that subspace's
 coefficients k < K that the iterate resolves to rounding.  A secondary
 branch's row is the unit null-vector direction phi it was seeded along,
 since near its bifurcation the amplitude cannot separate it from its
-parent, and its first secant point is the event point.  Secondary bifurcations are located from sign changes
-of the determinants of the mu-frozen Jacobian's symmetry-class blocks,
-each assembled over its own index set (Golubitsky, Stewart & Schaeffer 1988,
-ch. XIII); the navigator seeds new branches along the associated null
-vectors and abandons a seed that retraces an earlier one.
+parent, and its first secant point is the event point.  Secondary
+bifurcations are located from sign changes of the determinants of the
+mu-frozen Jacobian's symmetry-class blocks, each assembled over its own
+index set (Golubitsky, Stewart & Schaeffer 1988, ch. XIII) and factored
+once: the LU gives the sign, and inverse iteration on it the smallest
+singular value and the null vector; the navigator seeds new branches
+along those null vectors and abandons a seed that retraces an earlier one.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "detect_secondary_bifurcations",
     "switch_branch",
     "navigate_secondaries",
-    "trace_to_extreme",
 ]
 
 # largest continuation step, in the branch's parameter
@@ -62,7 +63,7 @@ MAX_POINTS = 2000
 # detection bisects a determinant sign change down to this bracket in row . c
 BIFURCATION_MONITOR_TOL = 1e-6
 # interior parameter values of the finer scan over an interval with a deep
-# dip in a class' smallest singular value
+# dip in a class' smallest singular value, as its inverse-iteration estimate
 REFINE_SCAN = 6
 
 
@@ -364,15 +365,30 @@ def _symmetry_classes(N: int, mode: int | None) -> list[np.ndarray]:
     return classes
 
 
-def _det_sign(block: np.ndarray) -> float:
-    """Sign of det(block) from its LU factors; block is overwritten.
+def _det_sign(factors) -> float:
+    """Sign of a block's determinant from its lu_factor_in_place factors.
 
     The sign is the product of the signs of U's diagonal times the parity
     of the row interchanges, and 0 for an exactly singular block.
     """
-    lu, piv = lu_factor_in_place(block)
+    lu, piv = factors
     swaps = np.count_nonzero(piv != np.arange(piv.size))
     return float(np.prod(np.sign(np.diagonal(lu)))) * (-1.0) ** swaps
+
+
+def _inverse_step(factors, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """One inverse-iteration step on J^T J from the unit vector x.
+
+    factors are lu_factor_in_place's of J, so those of J.T: y = J^-T x and
+    z = J^-1 y.  Returns ||y|| / ||z||, never below J's smallest singular
+    value, and z / ||z||, the next estimate of its null vector.
+    """
+    from scipy.linalg import lu_solve
+
+    y = lu_solve(factors, x, check_finite=False)
+    z = lu_solve(factors, y, trans=1, check_finite=False)
+    nz = np.linalg.norm(z)
+    return float(np.linalg.norm(y) / nz), z / nz
 
 
 def detect_secondary_bifurcations(
@@ -384,18 +400,17 @@ def detect_secondary_bifurcations(
     Jacobian, assembled over the class' index set alone, is monitored
     across the recorded points; every sign change is bracketed by bisection
     in branch.row . c down to BIFURCATION_MONITOR_TOL, each midpoint a
-    _correct solve between the bracketing points.  A bracket whose null
-    vector lies along the bracket's secant is a fold, whose null vector is
-    the branch tangent; it is left to the turning points.  Intervals where
-    a class' smallest singular value dips far below its neighbours are
-    re-scanned at REFINE_SCAN interior parameter values, so nearby
-    crossings of the same class are resolved individually when the
-    resolution allows.  Detected events (with null-vector estimates) are
-    returned and replace the branch's earlier secondary_bifurcation events,
-    so repeated calls leave the same events.
+    _correct solve between the bracketing points.  A block's one LU gives
+    its sign, and one _inverse_step per point, carried along the branch, an
+    estimate of its smallest singular value; three more steps at the
+    bracket's lower end give the null vector, its largest entry positive.
+    A bracket whose null vector lies along its secant is a fold, left to
+    the turning points.  Intervals where a class' estimate dips far below
+    its neighbours are re-scanned at REFINE_SCAN interior parameter values,
+    so nearby crossings of the same class are resolved individually.
+    Detected events are returned and replace the branch's earlier
+    secondary_bifurcation events, so repeated calls leave the same events.
     """
-    from scipy.linalg import svd, svdvals
-
     cfg = cfg or ContinuationConfig()
     if len(branch.points) < 3:
         return []
@@ -407,24 +422,24 @@ def detect_secondary_bifurcations(
     # the turning points, so only the other classes are scanned
     scanned = range(1, len(classes)) if len(classes) > 1 else range(1)
 
-    def block(pt: SolutionPoint, ci: int) -> np.ndarray:
-        return sys.jacobian(pt.coeffs, pt.mu, classes[ci])[0]
+    def factors(pt: SolutionPoint, ci: int):
+        return lu_factor_in_place(sys.jacobian(pt.coeffs, pt.mu, classes[ci])[0])
 
-    # per point and scanned class: (determinant sign, smallest singular value)
+    # per point and scanned class: (determinant sign, estimate of the
+    # smallest singular value, the inverse-iteration vector it leaves)
     data = []
+    x = {ci: np.full(classes[ci].size, classes[ci].size ** -0.5) for ci in scanned}
     for pt in branch.points:
         data.append({})
         for ci in scanned:
-            A = block(pt, ci)
-            smin = float(svdvals(A, check_finite=False)[-1])  # _det_sign overwrites A
-            data[-1][ci] = (_det_sign(A), smin)
+            f = factors(pt, ci)
+            sigma, x[ci] = _inverse_step(f, x[ci])
+            data[-1][ci] = (_det_sign(f), sigma, x[ci])
 
     events: list[BranchEvent] = []
 
-    def bisect(
-        p0: SolutionPoint, p1: SolutionPoint, ci: int, sign_lo: float
-    ) -> BranchEvent | None:
-        # sign_lo is the scan's class-ci determinant sign at p0
+    def bisect(p0: SolutionPoint, p1: SolutionPoint, ci: int, sign_lo: float, v: np.ndarray):
+        # sign_lo is the class-ci determinant sign at p0, v a scan vector
         lo, hi = p0, p1
         while row @ (hi.coeffs - lo.coeffs) > BIFURCATION_MONITOR_TOL:
             t_mid = 0.5 * float(row @ (lo.coeffs + hi.coeffs))
@@ -432,65 +447,53 @@ def detect_secondary_bifurcations(
                 mid = _correct(depth, cfg, t_mid, lo, hi, row)
             except SolveFailure:
                 break
-            if _det_sign(block(mid, ci)) == sign_lo:
+            if _det_sign(factors(mid, ci)) == sign_lo:
                 lo = mid
             else:
                 hi = mid
-        U, s, Vt = svd(block(lo, ci), check_finite=False)
+        f = factors(lo, ci)
+        for _ in range(3):
+            sigma, v = _inverse_step(f, v)
+        v = v * np.sign(v[np.argmax(np.abs(v))])
         # off the branch's own class the secant is exactly 0
         secant = (hi.coeffs - lo.coeffs)[classes[ci]]
-        if abs(Vt[-1] @ secant) > 0.9 * np.linalg.norm(secant):
-            return None  # a fold, reported as a turning point
+        if abs(v @ secant) > 0.9 * np.linalg.norm(secant):
+            return  # a fold, reported as a turning point
         phi = np.zeros(sys.N)
-        phi[classes[ci]] = Vt[-1]
+        phi[classes[ci]] = v
         a_ev = 0.5 * (lo.sup_norm + hi.sup_norm)
         mu_ev = 0.5 * (lo.mu + hi.mu)
-        return BranchEvent(
+        events.append(BranchEvent(
             "secondary_bifurcation", mu_ev, a_ev, a_ev,
             diagnostics={
                 "class": ci,
-                "sigma_min": float(s[-1]),
+                "sigma_min": sigma,
                 "null_vector_coeffs": phi,
                 "w_coeffs": lo.coeffs.copy(),
                 "mu_at_event": lo.mu,
             },
-        )
+        ))
 
     npts = len(branch.points)
     for ci in scanned:
         for i in range(npts - 1):
             p0, p1 = branch.points[i], branch.points[i + 1]
-            s0, m0 = data[i][ci]
-            s1, m1 = data[i + 1][ci]
-            if s0 != s1:
-                ev = bisect(p0, p1, ci, s0)
-                if ev is not None:
-                    events.append(ev)
-            elif (
-                0 < i
-                and m0 < 0.1 * data[i - 1][ci][1]
-                and i + 2 < npts
-                and m1 < 0.1 * data[i + 2][ci][1]
+            (s0, m0, v0), (s1, m1, _) = data[i][ci], data[i + 1][ci]
+            sub = [p0, p1]
+            if s0 == s1 and 0 < i < npts - 2 and (
+                m0 < 0.1 * data[i - 1][ci][1] and m1 < 0.1 * data[i + 2][ci][1]
             ):
                 # deep dip without net sign change: scan finer for an even
                 # number of nearby crossings
-                sub = [p0]
                 grid = np.linspace(row @ p0.coeffs, row @ p1.coeffs, REFINE_SCAN + 2)[1:-1]
-                ok = True
-                for t_s in grid:
-                    try:
-                        sub.append(_correct(depth, cfg, float(t_s), p0, p1, row))
-                    except SolveFailure:
-                        ok = False
-                        break
-                sub.append(p1)
-                if ok:
-                    signs = [s0] + [_det_sign(block(q, ci)) for q in sub[1:-1]] + [s1]
-                    for k in range(len(sub) - 1):
-                        if signs[k] != signs[k + 1]:
-                            ev = bisect(sub[k], sub[k + 1], ci, signs[k])
-                            if ev is not None:
-                                events.append(ev)
+                try:
+                    sub[1:1] = [_correct(depth, cfg, float(t), p0, p1, row) for t in grid]
+                except SolveFailure:
+                    continue
+            signs = [s0] + [_det_sign(factors(q, ci)) for q in sub[1:-1]] + [s1]
+            for k in range(len(sub) - 1):
+                if signs[k] != signs[k + 1]:
+                    bisect(sub[k], sub[k + 1], ci, signs[k], v0)
 
     branch.events = [
         e for e in branch.events if e.kind != "secondary_bifurcation"
@@ -689,12 +692,3 @@ def navigate_secondaries(
         seen[census] = rep + 1
     return out
 
-
-def trace_to_extreme(branch: Branch, depth, cfg: ContinuationConfig | None = None) -> BranchEvent:
-    """Extend the branch until its extreme-wave endpoint and return the event."""
-    cfg = cfg or ContinuationConfig()
-    continue_branch(branch, depth, cfg)
-    for ev in branch.events:
-        if ev.kind in ("extreme_termination", "hard_failure"):
-            return ev
-    raise SolveFailure("branch stopped before reaching an endpoint event")

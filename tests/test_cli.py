@@ -137,7 +137,18 @@ class TestTrace:
         {"depth": "x"},
         [1, 2],
         {"branches": [{"mode": "x"}]},
-    ], ids=["depth-not-a-number", "not-an-object", "branch-mode-not-a-number"])
+        # values that convert, but to something else: N = 32, depth 1.0,
+        # mode 2, the branch "5" read as a list of characters, and a
+        # navigated branch
+        {"modes": 32.9},
+        {"depth": True},
+        {"modes": 32, "branches": [{"mode": 2.7, "amplitude_max": 0.03}]},
+        {"modes": 32, "branches": "5"},
+        {"modes": 32, "branches": [{"mode": 1, "amplitude_max": 0.03, "navigate": "false"}]},
+        {"branches": [5]},
+    ], ids=["depth-not-a-number", "not-an-object", "branch-mode-not-a-number",
+            "modes-not-an-integer", "depth-a-boolean", "branch-mode-not-an-integer",
+            "branches-a-string", "navigate-a-string", "branch-not-an-object"])
     def test_malformed_config_is_config_error(self, runner, tmp_path, doc):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps(doc))

@@ -12,16 +12,17 @@ from babenko.continuation import (
     Branch,
     BranchEvent,
     ContinuationConfig,
+    _correct,
+    _det_sign,
     _symmetry_classes,
     continue_branch,
     detect_secondary_bifurcations,
     detect_turning_points,
     start_branch,
     switch_branch,
-    trace_to_extreme,
     trivial_bifurcation_mu,
 )
-from babenko.solver import SolutionPoint, SolveFailure
+from babenko.solver import SolutionPoint, SolveFailure, get_system, lu_factor_in_place
 
 from conftest import H
 
@@ -148,12 +149,6 @@ class TestEndpointAndTurning:
         assert tps[0].mu == pytest.approx(0.71604, abs=5e-3)
         assert tps[0].amplitude == pytest.approx(0.34553, abs=5e-3)
 
-    def test_trace_to_extreme_returns_event(self):
-        cfg = ContinuationConfig(N=32)
-        b = start_branch(1, 0.01, H, cfg)
-        ev = trace_to_extreme(b, H, cfg)
-        assert ev.kind in ("extreme_termination", "hard_failure")
-
     def test_detect_turning_points_on_synthetic_parabola(self):
         # mu(a) = 0.7 - (a - 0.3)^2 peaks at a = 0.3
         pts = []
@@ -197,6 +192,20 @@ def c2_256():
     b = continue_branch(start_branch(2, 0.01, H, cfg), H, cfg)
     detect_secondary_bifurcations(b, H, cfg)
     return b, cfg
+
+
+@pytest.fixture(scope="module")
+def c5_256():
+    """C5 at N=256 with detection run: class-1 crossings at a = 0.105047
+    and 0.121234, one class-2 crossing at 0.10492."""
+    cfg = ContinuationConfig(N=256)
+    b = continue_branch(start_branch(5, 0.01, H, cfg), H, cfg)
+    detect_secondary_bifurcations(b, H, cfg)
+    return b, cfg
+
+
+def class_block(pt, cfg, mode, ci):
+    return get_system(cfg.N, H).jacobian(pt.coeffs, pt.mu, _symmetry_classes(cfg.N, mode)[ci])[0]
 
 
 class TestSecondaryDetection:
@@ -265,6 +274,83 @@ class TestSecondaryDetection:
         cfg = ContinuationConfig(N=32)
         b = start_branch(2, 0.01, H, cfg)
         assert detect_secondary_bifurcations(b, H, cfg) == []
+
+    @staticmethod
+    def branch_and_cfg(request, name):
+        got = request.getfixturevalue(name)
+        return (got["parent"], got["cfg"]) if name == "c5_bundle" else got
+
+    @pytest.mark.parametrize("name", ["c2_256", "c5_bundle"])
+    def test_null_vector_and_sigma_min_match_the_svd(self, request, name):
+        # the SVD of the class block at the event point is the oracle of the
+        # inverse iteration on its LU factors
+        from scipy.linalg import svd
+
+        b, cfg = self.branch_and_cfg(request, name)
+        evs = [e for e in b.events if e.kind == "secondary_bifurcation"]
+        assert evs
+        for e in evs:
+            d = e.diagnostics
+            idx = _symmetry_classes(cfg.N, b.mode)[d["class"]]
+            pt = SolutionPoint.from_solution(d["w_coeffs"], d["mu_at_event"], H)
+            _, s, Vt = svd(class_block(pt, cfg, b.mode, d["class"]))
+            phi = d["null_vector_coeffs"]
+            assert not np.any(np.delete(phi, idx))
+            v = phi[idx]
+            assert v[np.argmax(np.abs(v))] > 0
+            assert np.max(np.abs(v - np.sign(v @ Vt[-1]) * Vt[-1])) < 1e-12
+            assert abs(d["sigma_min"] - s[-1]) < 1e-6 * s[-1]
+
+    @pytest.mark.parametrize("name", ["c2_256", "c5_bundle"])
+    def test_detection_takes_no_svd(self, request, name, monkeypatch):
+        import scipy.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("detection took an SVD")
+
+        for fn in ("svd", "svdvals"):
+            monkeypatch.setattr(scipy.linalg, fn, refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        b, cfg = self.branch_and_cfg(request, name)
+        again = dataclasses.replace(b, events=list(b.events))
+        evs = detect_secondary_bifurcations(again, H, cfg)
+        ref = [e for e in b.events if e.kind == "secondary_bifurcation"]
+        assert [(e.mu, e.amplitude) for e in evs] == [(e.mu, e.amplitude) for e in ref]
+
+    def test_dip_rescan_resolves_two_nearby_crossings(self, c5_256, monkeypatch):
+        # six points around C5's two class-1 crossings: the interval between
+        # them shows no class-1 sign change, only a dip of sigma_min at both
+        # ends, so the crossings are found by the finer re-scan alone
+        b, cfg = c5_256
+        full = [e for e in b.events if e.kind == "secondary_bifurcation"]
+        a1, a2 = sorted(e.amplitude for e in full if e.diagnostics["class"] == 1)
+        assert a1 == pytest.approx(0.105047, abs=1e-6)
+        assert a2 == pytest.approx(0.121234, abs=1e-6)
+        amps, last = b.amplitudes(), b.last.sup_norm
+        pts = []
+        for t in (a1 - 4e-3, a1 - 2e-3, a1 - 1e-5, a2 + 1e-5,
+                  a2 + (last - a2) / 3, a2 + 2 * (last - a2) / 3):
+            i = min(int(np.searchsorted(amps, t)), len(amps) - 1)
+            pts.append(_correct(H, cfg, t, b.points[i - 1], b.points[i], b.row))
+        signs = [_det_sign(lu_factor_in_place(class_block(p, cfg, 5, 1))) for p in pts]
+        assert signs[2] == signs[3]
+        targets = []
+        correct = continuation._correct
+
+        def spy(depth, ccfg, target, *rest):
+            targets.append(target)
+            return correct(depth, ccfg, target, *rest)
+
+        monkeypatch.setattr(continuation, "_correct", spy)
+        six = Branch(label="C5", mode=5, points=pts, row=b.row, origin=b.origin)
+        evs = detect_secondary_bifurcations(six, H, cfg)
+        got = sorted(e.amplitude for e in evs if e.diagnostics["class"] == 1)
+        assert len(got) == 2
+        assert got == pytest.approx([a1, a2], abs=1e-6)
+        # the re-scan ran once, on the middle interval
+        grid = np.linspace(b.row @ pts[2].coeffs, b.row @ pts[3].coeffs,
+                           continuation.REFINE_SCAN + 2)[1:-1]
+        assert np.count_nonzero(np.isin(targets, grid)) == continuation.REFINE_SCAN
 
 
 @pytest.fixture(scope="module")
