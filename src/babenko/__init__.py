@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .solver import (
     NewtonConfig,
-    ProjectionConstraint,
     SolutionPoint,
     SolveFailure,
     newton_solve,
@@ -52,7 +51,6 @@ __all__ = [
     "DepthParams",
     "DomainError",
     "NewtonConfig",
-    "ProjectionConstraint",
     "SolutionPoint",
     "SolveFailure",
     "WaveProfile",

@@ -66,8 +66,10 @@ class RunConfig:
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         for spec in self.branches:
-            if spec["mode"] < 1:
-                raise ConfigError(f"branch mode must be positive, got {spec['mode']}")
+            if not 1 <= spec["mode"] < self.N:
+                raise ConfigError(
+                    f"branch mode must satisfy 1 <= mode < modes = {self.N}, got {spec['mode']}"
+                )
             cap = spec["amplitude_max"]
             if cap is not None and not (math.isfinite(cap) and cap > 0):
                 raise ConfigError(

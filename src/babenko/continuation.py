@@ -16,11 +16,12 @@ branch's row is the unit null-vector direction phi it was seeded along,
 since near its bifurcation the amplitude cannot separate it from its
 parent, and its first secant point is the event point.  Secondary
 bifurcations are located from sign changes of the determinants of the
-mu-frozen Jacobian's symmetry-class blocks, each assembled over its own
-index set (Golubitsky, Stewart & Schaeffer 1988, ch. XIII) and factored
-once: the LU gives the sign, and inverse iteration on it the smallest
-singular value and the null vector; the navigator seeds new branches
-along those null vectors and abandons a seed that retraces an earlier one.
+mu-frozen Jacobian's symmetry-class blocks that break the branch's
+symmetry, each assembled over its own index set (Golubitsky, Stewart &
+Schaeffer 1988, ch. XIII) and factored once: the LU gives the sign, and
+inverse iteration on it the smallest singular value and the null vector;
+the navigator seeds new branches along those null vectors and abandons a
+seed that retraces an earlier one.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from .solver import (
     NewtonConfig,
-    ProjectionConstraint,
     SolutionPoint,
     SolveFailure,
     get_system,
@@ -137,8 +137,11 @@ def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None)
     The corrector pins w(t_c) = |s| at the predictor's crest, t_c = 0 for
     s > 0 and t_c = pi/n for s < 0, with the row cos(k t_c) that the branch
     keeps as its parameter row; its origin is the trivial solution (mu_n, 0).
+    The mode n must satisfy 1 <= n < cfg.N.
     """
     cfg = cfg or ContinuationConfig()
+    if not 1 <= n < cfg.N:
+        raise ValueError(f"mode must satisfy 1 <= n < N = {cfg.N}, got {n}")
     if not 0 < abs(s) <= 0.05:
         raise ValueError(f"seed amplitude must satisfy 0 < |s| <= 0.05, got {s}")
     depth = as_depth(depth)
@@ -151,7 +154,7 @@ def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None)
         c = np.zeros(cfg.N)
         c[n] = s
         try:
-            pt = newton_solve(c, mu_n, depth, ProjectionConstraint(row, abs(s)), cfg.newton)
+            pt = newton_solve(c, mu_n, depth, row, abs(s), cfg.newton)
             return Branch(label=f"C{n}", mode=n, points=[pt], row=row, origin=origin)
         except SolveFailure as exc:
             err = exc
@@ -177,7 +180,7 @@ def _correct(
     t = (target - s) / (s - s2)
     c = prev.coeffs + t * (prev.coeffs - prev2.coeffs)
     mu = prev.mu + t * (prev.mu - prev2.mu)
-    return newton_solve(c, mu, depth, ProjectionConstraint(row, target), cfg.newton)
+    return newton_solve(c, mu, depth, row, target, cfg.newton)
 
 
 def _stop_ratio(pt: SolutionPoint) -> float:
@@ -396,18 +399,22 @@ def detect_secondary_bifurcations(
 ) -> list[BranchEvent]:
     """Locate symmetry-breaking bifurcations along a traced branch.
 
-    The determinant sign of each symmetry-class block of the mu-frozen
-    Jacobian, assembled over the class' index set alone, is monitored
-    across the recorded points; every sign change is bracketed by bisection
-    in branch.row . c down to BIFURCATION_MONITOR_TOL, each midpoint a
+    Detection scans only the classes that break the branch's symmetry:
+    class 0 carries the branch and its folds, which are the turning
+    points, and a mode-1 or secondary branch has no other class, so it
+    yields no event and costs no solve.  The system's N is the branch's
+    own, and cfg supplies the Newton settings only.  The determinant sign
+    of each scanned symmetry-class block of the mu-frozen Jacobian,
+    assembled over the class' index set alone, is monitored across the
+    recorded points; every sign change is bracketed by bisection in
+    branch.row . c down to BIFURCATION_MONITOR_TOL, each midpoint a
     _correct solve between the bracketing points.  A block's one LU gives
     its sign, and one _inverse_step per point, carried along the branch, an
     estimate of its smallest singular value; three more steps at the
     bracket's lower end give the null vector, its largest entry positive.
-    A bracket whose null vector lies along its secant is a fold, left to
-    the turning points.  Intervals where a class' estimate dips far below
-    its neighbours are re-scanned at REFINE_SCAN interior parameter values,
-    so nearby crossings of the same class are resolved individually.
+    Intervals where a class' estimate dips far below its neighbours are
+    re-scanned at REFINE_SCAN interior parameter values, so nearby
+    crossings of the same class are resolved individually.
     Detected events are returned and replace the branch's earlier
     secondary_bifurcation events, so repeated calls leave the same events.
     """
@@ -416,11 +423,10 @@ def detect_secondary_bifurcations(
         return []
     depth = as_depth(depth)
     row = branch.row
-    sys = get_system(cfg.N, depth.h)
+    sys = get_system(branch.last.coeffs.size, depth.h)
     classes = _symmetry_classes(sys.N, branch.mode)
-    # on a mode > 1 branch class 0 carries the branch itself; its folds are
-    # the turning points, so only the other classes are scanned
-    scanned = range(1, len(classes)) if len(classes) > 1 else range(1)
+    # class 0 carries the branch itself and its folds, the turning points
+    scanned = range(1, len(classes))
 
     def factors(pt: SolutionPoint, ci: int):
         return lu_factor_in_place(sys.jacobian(pt.coeffs, pt.mu, classes[ci])[0])
@@ -455,10 +461,6 @@ def detect_secondary_bifurcations(
         for _ in range(3):
             sigma, v = _inverse_step(f, v)
         v = v * np.sign(v[np.argmax(np.abs(v))])
-        # off the branch's own class the secant is exactly 0
-        secant = (hi.coeffs - lo.coeffs)[classes[ci]]
-        if abs(v @ secant) > 0.9 * np.linalg.norm(secant):
-            return  # a fold, reported as a turning point
         phi = np.zeros(sys.N)
         phi[classes[ci]] = v
         a_ev = 0.5 * (lo.sup_norm + hi.sup_norm)
@@ -537,9 +539,9 @@ def _switch_along(
     last_exc: Exception | None = None
     for eps_rel in (2e-3, 1e-3, 4e-3):
         eps = eps_rel * event.amplitude
-        con = ProjectionConstraint(phi_c, float(phi_c @ c_ev) + eps)
         try:
-            pt = newton_solve(c_ev + eps * phi_c, mu_ev, depth, con, cfg.newton)
+            pt = newton_solve(c_ev + eps * phi_c, mu_ev, depth, phi_c,
+                              float(phi_c @ c_ev) + eps, cfg.newton)
         except SolveFailure as exc:
             last_exc = exc
             continue

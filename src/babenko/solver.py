@@ -4,9 +4,9 @@ The unknowns are the N cosine coefficients c of w, a plain float vector
 whose length is N, plus the wave-speed parameter mu; every public function
 here takes and returns such vectors.  The nonlinear residual couples the
 multiplier symbols at the radius exp(-h - c_0) with exactly dealiased
-quadratic products; one linear closing row on the coefficients
-(ProjectionConstraint), such as the series value at a crest or a
-null-vector projection, closes the system.  The analytic Jacobian,
+quadratic products; one linear closing row . c = target on the
+coefficients, a plain vector row such as the series value at a crest or a
+null-vector direction, closes the system.  The analytic Jacobian,
 including the chain-rule terms through the conformal-radius functional,
 is derived once, by DiscreteSystem._assemble, over an index set: all N
 modes, the modes of a mode-n subspace, or one symmetry class.  Its terms
@@ -16,14 +16,16 @@ no N x N temporary; all N rows take those matrices from
 spectral.add_product_matrix, an index set from spectral.product_block.
 
 Newton is a chord (Shamanskii) iteration on the resolved band, the
-coefficients k = 0, n, 2n, ... < K and mu, where n = 1 except for a
-mode-n predictor, whose iterates stay on that fixed-point subspace.  K is
-the smallest power of two >= BAND_MIN, capped at N, such that every c_k
-with k >= K/2 is at most eps * max|c|, and it never shrinks within a
-solve; the coefficients k >= K are set to 0, which moves each by at most
-that much, so the band's matrix is the K-mode system's own Jacobian, the
-leading rows and columns of the N-mode one (Boyd, Chebyshev and Fourier
-Spectral Methods, 2001, ch. 2, on the spectral tail).  Newton allocates
+coefficients k = 0, n, 2n, ... < K and mu.  A coefficient is resolved
+when |c_k| > eps * max|c|; n is the gcd of the predictor's resolved modes,
+so n = 1 except for a mode-n predictor, whose iterates stay on that
+fixed-point subspace, and K is the smallest power of two >= BAND_MIN,
+capped at N, such that no c_k with k >= K/2 is resolved; it never shrinks
+within a solve.  The coefficients off 0, n, 2n, ... and those with k >= K
+are set to 0, which moves each by at most eps * max|c|, so the band's
+matrix is the K-mode system's own Jacobian, the leading rows and columns
+of the N-mode one (Boyd, Chebyshev and Fourier Spectral Methods, 2001,
+ch. 2, on the spectral tail).  Newton allocates
 one bordered buffer per band, (len(band)+1) square, assembles the
 Jacobian into it, factors it in place with scipy.linalg.lu_factor and
 takes further steps by back-substitution, reassembling, and choosing K
@@ -67,7 +69,6 @@ from .spectral import (
 
 __all__ = [
     "NewtonConfig",
-    "ProjectionConstraint",
     "SolutionPoint",
     "SolveFailure",
     "NewtonDiverged",
@@ -129,22 +130,6 @@ class NewtonConfig:
             raise ValueError("residual_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-
-
-@dataclass
-class ProjectionConstraint:
-    """Linear closing row vector . c = target on the cosine coefficients.
-
-    Continuation steps every branch in vector . c on a fixed row: the
-    series value at the crest cos(k t_c) on a primary branch, and a unit
-    null-vector direction on a secondary one.
-    """
-
-    vector: np.ndarray
-    target: float
-
-    def value(self, c: np.ndarray) -> float:
-        return float(self.vector @ c) - self.target
 
 
 @dataclass
@@ -248,22 +233,26 @@ class DiscreteSystem:
         self._assemble(c, mu, J, idx)
         return J[:, :L], J[:, L]
 
-    def stacked_residual(self, c: np.ndarray, mu: float, constraint) -> np.ndarray:
-        """Residual coefficients followed by the closing row's value."""
-        return np.append(self.residual(c, mu), constraint.value(c))
+    def stacked_residual(
+        self, c: np.ndarray, mu: float, row: np.ndarray, target: float,
+    ) -> np.ndarray:
+        """Residual coefficients followed by the closing row's value row . c - target."""
+        return np.append(self.residual(c, mu), float(row @ c) - target)
 
     def stacked_jacobian(
-        self, c: np.ndarray, mu: float, constraint, out: np.ndarray | None = None,
+        self, c: np.ndarray, mu: float, row: np.ndarray, out: np.ndarray | None = None,
         idx: np.ndarray | None = None,
     ) -> np.ndarray:
         """(N+1) x (N+1) Jacobian of stacked_residual in (c, mu).
 
-        Given a sorted index set idx of size L, only the rows and columns
-        idx, the mu column and the closing row.  It is written into out
+        Its last row is the closing row, row; the target does not enter
+        it.  Given a sorted index set idx of size L, only the rows and
+        columns idx, the mu column and the closing row.  It is written into out
         when given (every entry is overwritten) and returned; the whole
         Jacobian is assembled with no N x N temporary.
         """
-        row = constraint.vector if idx is None else constraint.vector[idx]
+        if idx is not None:
+            row = row[idx]
         L = row.size
         if out is None:
             out = np.empty((L + 1, L + 1))
@@ -280,7 +269,7 @@ class DiscreteSystem:
         """Rows and columns idx of d(residual)/dc into A[:, :L], d/dmu into A[:, L].
 
         idx is a sorted index set of size L, and None means all N; a set
-        of all N indices, such as the one class of a mode-1 branch, is
+        of all N indices, such as the stride-1 band of a Newton step, is
         assembled as None, so it forms no N x N temporary.  The residual is
         mus(sigma) * P(w) J w + mu_h(rho) * w, plus w^2 / 2 and -mu * w
         outside the mean mode, where P is product_matrix, J w = lam(rho) * c,
@@ -402,16 +391,21 @@ CONTRACTION = 0.2
 BAND_MIN = 64
 
 
+def _resolved(c: np.ndarray) -> np.ndarray:
+    """Indices k of the coefficients c resolves, those with |c_k| > eps * max|c|."""
+    a = np.abs(c)
+    return np.flatnonzero(a > np.finfo(float).eps * a.max())
+
+
 def _band(c: np.ndarray) -> int:
     """Modes K the Newton matrix keeps for the iterate c.
 
     K is the smallest power of two >= BAND_MIN, capped at c.size, such
-    that every c_k with k >= K/2 is at most eps * max|c|: the products of
-    the coefficients left then reach the modes k >= K only at that
-    rounding level.
+    that every c_k with k >= K/2 is unresolved: the products of the
+    coefficients left then reach the modes k >= K only at the rounding
+    level eps * max|c|.
     """
-    a = np.abs(c)
-    resolved = np.flatnonzero(a > np.finfo(float).eps * a.max())
+    resolved = _resolved(c)
     K = BAND_MIN
     while K < c.size and resolved.size and resolved[-1] >= K // 2:
         K *= 2
@@ -422,21 +416,24 @@ def newton_solve(
     c0: np.ndarray,
     initial_mu: float,
     depth,
-    constraint: ProjectionConstraint,
+    row: np.ndarray,
+    target: float,
     cfg: NewtonConfig | None = None,
 ) -> SolutionPoint:
     """Chord Newton iteration on the stacked system from the given predictor.
 
     c0 holds the predictor's N cosine coefficients and is copied; the
     system is get_system(N, h) at the depth h.  A seed that is not finite
-    raises NewtonDiverged before anything is assembled.  With n > 1 the
-    gcd of the indices k >= 1 of the seed's nonzero coefficients, the
-    iterates stay in the subspace c_k = 0, k not a multiple of n (mode-n
-    series map to mode-n series).  The linear part is solved on the band
-    k = 0, n, 2n, ... < K and mu alone, with K = _band(c) chosen at every
-    assembly and never shrinking, and c_k = 0 for k >= K; the residual,
-    its convergence test and the divergence guard stay those of all N
-    modes, and with K = N the band is the whole subspace.  One bordered
+    raises NewtonDiverged before anything is assembled.  With n the gcd
+    of the indices of the seed's resolved coefficients, |c_k| > eps *
+    max|c|, the seed's coefficients off k = 0, n, 2n, ... are set to 0 and
+    the iterates stay in that subspace (mode-n series map to mode-n
+    series).  The closing row is row . c = target.  The linear part is
+    solved on the band k = 0, n, 2n, ... < K and mu alone, with
+    K = _band(c) chosen at every assembly and never shrinking, and c_k = 0
+    for k >= K; the residual, its convergence test and the divergence
+    guard stay those of all N modes, and with K = N the band is the whole
+    subspace.  One bordered
     Jacobian buffer, (len(band)+1) square, is allocated per band; it is
     assembled and factored in place, and each step is a back-substitution
     with those factors.  After a step that leaves more than CONTRACTION of
@@ -457,12 +454,13 @@ def newton_solve(
     if not (np.all(np.isfinite(c)) and math.isfinite(mu)):
         raise NewtonDiverged("seed is not finite")
     sys = get_system(c.size, as_depth(depth).h)
-    n = max(int(np.gcd.reduce(np.flatnonzero(c[1:]) + 1)), 1)
+    n = max(int(np.gcd.reduce(_resolved(c))), 1)  # gcd(0, k) = k
+    c[np.arange(c.size) % n != 0] = 0.0
 
     def res(c, mu):
         # coefficients for the step, nodal values for the convergence test
         try:
-            R = sys.stacked_residual(c, mu, constraint)
+            R = sys.stacked_residual(c, mu, row, target)
         except DomainError as exc:  # exp(-h - c_0) left (0, 1) or underflowed
             raise InadmissibleIterate(str(exc)) from exc
         nodal = transform_inverse(R[:-1], sys.grid)
@@ -488,14 +486,11 @@ def newton_solve(
                 band = _band(c)
                 if band > K:
                     K = band
-                    idx = np.arange(0, K, n) if n > 1 else None
-                    L = -(-K // n)  # the coefficients 0, n, 2n, ... < K
+                    idx = np.arange(0, K, n)  # the coefficients 0, n, 2n, ... < K
+                    L = idx.size
                     J = np.empty((L + 1, L + 1))  # assembled into and factored in place
                 c[K:] = 0.0
-                get_system(K, sys.h).stacked_jacobian(
-                    c[:K], mu, ProjectionConstraint(constraint.vector[:K], constraint.target),
-                    out=J, idx=idx,
-                )
+                get_system(K, sys.h).stacked_jacobian(c[:K], mu, row[:K], out=J, idx=idx)
                 factors = lu_factor_in_place(J)
                 factorizations += 1
                 if not np.all(np.diagonal(factors[0])):

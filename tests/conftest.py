@@ -17,19 +17,19 @@ from babenko.continuation import (
     navigate_secondaries,
     start_branch,
 )
-from babenko.solver import NewtonConfig, ProjectionConstraint, get_system, newton_solve
+from babenko.solver import NewtonConfig, get_system, newton_solve
 from babenko.spectral import product_coeffs, transform_forward
 
 H = math.pi / 5
 
 
-def node_constraint(N, j, sign, target):
-    """Closing row sign * w(x_j) = target at collocation node j of N.
+def node_row(N, j, sign):
+    """Closing row of sign * w(x_j) at collocation node j of N.
 
     On the coefficients the row is sign * cos(k x_j).
     """
     x_j = np.pi * (2 * j + 1) / (2 * N)
-    return ProjectionConstraint(sign * np.cos(np.arange(N) * x_j), target)
+    return sign * np.cos(np.arange(N) * x_j)
 
 
 def dense_product_matrix(c):
@@ -43,9 +43,9 @@ def solve_small(N, n=1, s=0.01, depth=H):
     x = s * np.cos(n * sys.grid.nodes)
     mu = math.tanh(n * depth) / n
     j = int(np.argmax(np.abs(x)))
-    con = node_constraint(N, j, 1 if x[j] >= 0 else -1, s)
+    row = node_row(N, j, 1 if x[j] >= 0 else -1)
     c = transform_forward(x, sys.grid)
-    return newton_solve(c, mu, depth, con, NewtonConfig())
+    return newton_solve(c, mu, depth, row, s, NewtonConfig())
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ from babenko.continuation import (
 from babenko.geometry import crest_angle_estimate, r_curve, surface_curve
 from babenko.solver import (
     NewtonConfig,
-    ProjectionConstraint,
     get_system,
     newton_solve,
     residual_fixed_r,
@@ -206,11 +205,8 @@ class TestCriterion08:
         p = c1_full.last
         c2 = np.zeros(2 * p.coeffs.size)
         c2[: p.coeffs.size] = p.coeffs
-        q = newton_solve(
-            c2, p.mu, H,
-            ProjectionConstraint(np.ones(c2.size), float(np.sum(p.coeffs))),
-            NewtonConfig(),
-        )
+        q = newton_solve(c2, p.mu, H, np.ones(c2.size), float(np.sum(p.coeffs)),
+                         NewtonConfig())
         dmu = abs(q.mu - p.mu)
 
         ok = (worst_mean <= 1e-14 and worst_gap > 0 and r_ok

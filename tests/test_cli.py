@@ -155,6 +155,21 @@ class TestTrace:
         res = runner.invoke(main, ["trace", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
 
+    @pytest.mark.parametrize("args, doc", [
+        (["--branch", "C300", "--modes", "256"], None),
+        ([], {"modes": 64, "branches": [{"mode": 64}]}),
+    ], ids=["flag", "config-file"])
+    def test_branch_mode_not_below_modes_is_config_error(self, runner, tmp_path, args, doc):
+        # the seed sets coefficient n, which a grid of N modes does not hold
+        if doc is not None:
+            cfgfile = tmp_path / "run.json"
+            cfgfile.write_text(json.dumps(doc))
+            args = ["--config", str(cfgfile)]
+        res = runner.invoke(main, ["trace", *args, "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
+        assert "1 <= mode < modes" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_unreadable_config(self, runner, tmp_path):
         res = runner.invoke(main, ["trace", "--config", str(tmp_path / "missing.json")])
         assert res.exit_code == EXIT_CONFIG

@@ -69,6 +69,11 @@ class TestConfigAndSeeding:
         with pytest.raises(ValueError):
             start_branch(1, 0.5, H)
 
+    @pytest.mark.parametrize("n", [0, 32, 300])
+    def test_start_branch_rejects_a_mode_outside_the_grid(self, n):
+        with pytest.raises(ValueError, match="1 <= n < N = 32"):
+            start_branch(n, 0.01, H, ContinuationConfig(N=32))
+
     def test_continuation_requires_seed(self):
         with pytest.raises(ValueError):
             continue_branch(Branch(label="empty", mode=1), H)
@@ -99,9 +104,9 @@ class TestAmplitudeContinuation:
         assert below < cfg.amplitude_max
         solve = continuation.newton_solve
 
-        def short_of_cap(c, mu, depth, con, ncfg):
-            pt = solve(c, mu, depth, con, ncfg)
-            if con.target == cfg.amplitude_max:
+        def short_of_cap(c, mu, depth, row, target, ncfg):
+            pt = solve(c, mu, depth, row, target, ncfg)
+            if target == cfg.amplitude_max:
                 pt.sup_norm = below
             return pt
 
@@ -263,12 +268,47 @@ class TestSecondaryDetection:
             assert np.all(np.diff(t) > 0)
 
     def test_c1_fold_is_not_a_bifurcation(self, c1_full):
-        # at the fold the determinant changes sign too, but the null vector
-        # is the branch tangent; the fold stays a turning point only
+        # at the fold the whole Jacobian's determinant changes sign, but
+        # on a mode-1 branch that is class 0, the branch's own, which is
+        # not scanned; the fold stays a turning point only
         b = dataclasses.replace(c1_full, events=list(c1_full.events))
         assert detect_secondary_bifurcations(b, H, ContinuationConfig(N=512)) == []
         assert [e.kind for e in b.events] == [e.kind for e in c1_full.events]
         assert [e.kind for e in b.events].count("turning_point") == 1
+
+    def test_mode_one_branch_costs_no_solve(self, c1_full, monkeypatch):
+        # a mode-1 branch has no class but its own, so detection neither
+        # solves nor factors
+        calls = {"newton_solve": 0, "lu_factor_in_place": 0}
+
+        def spy(name):
+            fn = getattr(continuation, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(continuation, name, counted)
+
+        spy("newton_solve")
+        spy("lu_factor_in_place")
+        b = dataclasses.replace(c1_full, events=list(c1_full.events))
+        assert detect_secondary_bifurcations(b, H, ContinuationConfig(N=512)) == []
+        assert calls == {"newton_solve": 0, "lu_factor_in_place": 0}
+
+    def test_system_size_comes_from_the_branch(self, c2_256):
+        # cfg supplies the Newton settings only; the system's N is the
+        # branch's own
+        b, cfg = c2_256
+
+        def events(ccfg):
+            again = dataclasses.replace(b, events=list(b.events))
+            return [(e.mu, e.amplitude, e.diagnostics["class"])
+                    for e in detect_secondary_bifurcations(again, H, ccfg)]
+
+        ref = events(cfg)
+        assert ref
+        assert events(ContinuationConfig(N=64)) == ref
 
     def test_short_branch_yields_no_events(self):
         cfg = ContinuationConfig(N=32)

@@ -12,7 +12,6 @@ from babenko.solver import (
     NewtonConfig,
     NewtonDiverged,
     NewtonMaxIter,
-    ProjectionConstraint,
     SingularJacobian,
     SolveFailure,
     get_system,
@@ -39,7 +38,7 @@ from babenko.spectral import (
     transform_inverse,
 )
 
-from conftest import H, dense_product_matrix, node_constraint, solve_small
+from conftest import H, dense_product_matrix, node_row, solve_small
 
 RNG = np.random.default_rng(7)
 
@@ -49,7 +48,7 @@ def nodal(pt):
     return transform_inverse(pt.coeffs, CosineGrid(pt.coeffs.size))
 
 
-def central_difference_stacked_jacobian(sys, c, mu, constraint, step=1e-7):
+def central_difference_stacked_jacobian(sys, c, mu, row, target, step=1e-7):
     """Stacked Jacobian in (c, mu) by central differences of stacked_residual."""
     N = sys.N
     J = np.empty((N + 1, N + 1))
@@ -61,12 +60,12 @@ def central_difference_stacked_jacobian(sys, c, mu, constraint, step=1e-7):
             cm[i] -= step
         else:
             mup, mum = mu + step, mu - step
-        J[:, i] = (sys.stacked_residual(cp, mup, constraint)
-                   - sys.stacked_residual(cm, mum, constraint)) / (2.0 * step)
+        J[:, i] = (sys.stacked_residual(cp, mup, row, target)
+                   - sys.stacked_residual(cm, mum, row, target)) / (2.0 * step)
     return J
 
 
-def reference_stacked_jacobian(sys, c, mu, constraint):
+def reference_stacked_jacobian(sys, c, mu, row):
     """Stacked Jacobian by dense arithmetic on fresh product matrices.
 
     The assembly in DiscreteSystem fills one buffer in place, term by term;
@@ -89,11 +88,11 @@ def reference_stacked_jacobian(sys, c, mu, constraint):
     J = np.zeros((N + 1, N + 1))
     J[:N, :N] = A
     J[1:N, N] = -c[1:]
-    J[N, :N] = constraint.vector
+    J[N, :N] = row
     return J
 
 
-def reference_newton_solve(sys, c, mu, constraint, tol, max_iter=50):
+def reference_newton_solve(sys, c, mu, row, target, tol, max_iter=50):
     """Full Newton: a fresh Jacobian and numpy.linalg.solve at every step.
 
     newton_solve reuses one factorization over several steps; this is the
@@ -102,11 +101,11 @@ def reference_newton_solve(sys, c, mu, constraint, tol, max_iter=50):
     """
     c = c.copy()
     for it in range(max_iter + 1):
-        R = sys.stacked_residual(c, mu, constraint)
+        R = sys.stacked_residual(c, mu, row, target)
         norm = max(np.max(np.abs(transform_inverse(R[:-1], sys.grid))), abs(R[-1]))
         if norm <= tol:
             return c, mu, it
-        step = np.linalg.solve(sys.stacked_jacobian(c, mu, constraint), -R)
+        step = np.linalg.solve(sys.stacked_jacobian(c, mu, row), -R)
         c, mu = c + step[:-1], mu + step[-1]
     raise AssertionError(f"reference Newton did not converge (residual {norm:.3e})")
 
@@ -114,15 +113,16 @@ def reference_newton_solve(sys, c, mu, constraint, tol, max_iter=50):
 def secant_predictor(branch, i):
     """The corrector's predictor for point i from points i-2 and i-1.
 
-    Returns coefficients, mu and the closing row branch.row . c = target,
-    as continue_branch builds them for the parameter value of point i.
+    Returns coefficients, mu and the closing row and target (branch.row,
+    target), as continue_branch builds them for the parameter value of
+    point i.
     """
     row = branch.row
     p0, p1 = branch.points[i - 2], branch.points[i - 1]
     s0, s1, target = (float(row @ p.coeffs) for p in (p0, p1, branch.points[i]))
     t = (target - s1) / (s1 - s0)
     c = p1.coeffs + t * (p1.coeffs - p0.coeffs)
-    return c, p1.mu + t * (p1.mu - p0.mu), ProjectionConstraint(row, target)
+    return c, p1.mu + t * (p1.mu - p0.mu), (row, target)
 
 
 def random_state(N, rng):
@@ -202,8 +202,7 @@ class TestJacobian:
 
     def test_stacked_shape_and_constraint_row(self):
         pt = solve_small(16)
-        con = node_constraint(16, 0, 1, pt.sup_norm)
-        J = get_system(16, H).stacked_jacobian(pt.coeffs, pt.mu, con)
+        J = get_system(16, H).stacked_jacobian(pt.coeffs, pt.mu, node_row(16, 0, 1))
         assert J.shape == (17, 17)
         # last row: derivative of sign * w(x_0) - a with respect to the
         # coefficients, cos(k x_0), and nothing in the mu column
@@ -214,29 +213,28 @@ class TestJacobian:
 
     def test_finite_difference_mode_agrees(self):
         pt = solve_small(16)
-        con = node_constraint(16, 0, 1, pt.sup_norm)
-        J_an = get_system(16, H).stacked_jacobian(pt.coeffs, pt.mu, con)
+        row = node_row(16, 0, 1)
+        J_an = get_system(16, H).stacked_jacobian(pt.coeffs, pt.mu, row)
         J_fd = central_difference_stacked_jacobian(get_system(16, H), pt.coeffs,
-                                                   pt.mu, con)
+                                                   pt.mu, row, pt.sup_norm)
         assert np.max(np.abs(J_an - J_fd)) < 1e-5
 
 
 class TestInPlaceAssembly:
     @staticmethod
-    def constraints(N, rng):
-        return [node_constraint(N, 0, 1, 0.05),
-                ProjectionConstraint(rng.standard_normal(N), 0.01)]
+    def rows(N, rng):
+        return [node_row(N, 0, 1), rng.standard_normal(N)]
 
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
     def test_fills_supplied_buffer(self, N):
         rng = np.random.default_rng(N)
         sys = get_system(N, H)
         c = random_state(N, rng)
-        for con in self.constraints(N, rng):
+        for row in self.rows(N, rng):
             buf = np.full((N + 1, N + 1), np.nan)
-            got = sys.stacked_jacobian(c, 0.6, con, out=buf)
+            got = sys.stacked_jacobian(c, 0.6, row, out=buf)
             assert got is buf
-            fresh = sys.stacked_jacobian(c, 0.6, con)
+            fresh = sys.stacked_jacobian(c, 0.6, row)
             assert np.max(np.abs(buf - fresh)) <= 1e-15 * np.max(np.abs(fresh))
 
     # the full matrix at every N, and at N = 8, 64, 512 the index sets
@@ -255,13 +253,13 @@ class TestInPlaceAssembly:
                "class1": classes[1]}[index_set]
         rows = np.arange(N) if idx is None else idx
         L = rows.size
-        for con in self.constraints(N, rng):
-            ref = reference_stacked_jacobian(sys, c, 0.6, con)
+        for row in self.rows(N, rng):
+            ref = reference_stacked_jacobian(sys, c, 0.6, row)
             ref = ref[np.ix_(np.append(rows, N), np.append(rows, N))]
-            got = sys.stacked_jacobian(c, 0.6, con, idx=idx)
+            got = sys.stacked_jacobian(c, 0.6, row, idx=idx)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
             assert np.array_equal(got[:L, L], ref[:L, L])
-            assert np.array_equal(got[L], np.append(con.vector[rows], 0.0))
+            assert np.array_equal(got[L], np.append(row[rows], 0.0))
         # jacobian is the same assembly without the closing row
         A, dF_dmu = sys.jacobian(c, 0.6, idx)
         assert np.array_equal(A, got[:L, :L])
@@ -272,12 +270,12 @@ class TestInPlaceAssembly:
         N = 512
         sys = get_system(N, H)
         c = random_state(N, np.random.default_rng(5))
-        con = node_constraint(N, 0, 1, 0.05)
+        row = node_row(N, 0, 1)
         buf = np.empty((N + 1, N + 1))
-        sys.stacked_jacobian(c, 0.6, con, out=buf)
+        sys.stacked_jacobian(c, 0.6, row, out=buf)
         tracemalloc.start()
         try:
-            sys.stacked_jacobian(c, 0.6, con, out=buf)
+            sys.stacked_jacobian(c, 0.6, row, out=buf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,16 +284,16 @@ class TestInPlaceAssembly:
     def test_wrong_buffer_shape_rejected(self):
         sys = get_system(8, H)
         with pytest.raises(ValueError):
-            sys.stacked_jacobian(random_state(8, RNG), 0.6,
-                                 node_constraint(8, 0, 1, 0.05), out=np.empty((8, 8)))
+            sys.stacked_jacobian(random_state(8, RNG), 0.6, node_row(8, 0, 1),
+                                 out=np.empty((8, 8)))
 
     def test_newton_reuses_one_buffer(self, monkeypatch):
         seen = []
         original = DiscreteSystem.stacked_jacobian
 
-        def spy(self, c, mu, constraint, out=None, idx=None):
+        def spy(self, c, mu, row, out=None, idx=None):
             seen.append(out)
-            return original(self, c, mu, constraint, out=out, idx=idx)
+            return original(self, c, mu, row, out=out, idx=idx)
 
         monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", spy)
         pt = solve_small(32, n=1, s=0.1)  # far enough to refactor
@@ -315,8 +313,8 @@ class TestChordNewton:
         cfg = NewtonConfig(residual_tol=1e-12)
         for i in indices:
             c, mu, con = secant_predictor(branch, i)
-            pt = newton_solve(c, mu, H, con, cfg)
-            ref_c, ref_mu, _ = reference_newton_solve(sys, c, mu, con, cfg.residual_tol)
+            pt = newton_solve(c, mu, H, *con, cfg)
+            ref_c, ref_mu, _ = reference_newton_solve(sys, c, mu, *con, cfg.residual_tol)
             assert np.max(np.abs(pt.coeffs - ref_c)) < 1e-9
             assert abs(pt.mu - ref_mu) < 1e-9
             assert 1 <= pt.factorizations < pt.iterations
@@ -358,8 +356,8 @@ class TestChordNewton:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularJacobian, match="exactly singular"):
-                newton_solve(transform_forward(x, sys.grid), 0.55, H,
-                             ProjectionConstraint(np.zeros(16), 0.0), NewtonConfig())
+                newton_solve(transform_forward(x, sys.grid), 0.55, H, np.zeros(16), 0.0,
+                             NewtonConfig())
 
     def test_paths_are_pinned(self, c1_full, c5_bundle):
         # step growth keys on factorizations; these are the point counts
@@ -392,9 +390,9 @@ def spy_shapes(monkeypatch):
     shapes = []
     original = DiscreteSystem.stacked_jacobian
 
-    def spy(self, c, mu, constraint, out=None, idx=None):
+    def spy(self, c, mu, row, out=None, idx=None):
         shapes.append(out.shape)
-        return original(self, c, mu, constraint, out=out, idx=idx)
+        return original(self, c, mu, row, out=out, idx=idx)
 
     monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", spy)
     return shapes
@@ -422,16 +420,15 @@ class TestSubspaceSolve:
                                                    ("C5", 5, (3, 6, 12, 20))])
     def test_matches_full_solve_away_from_events(self, c2_full, c5_bundle, label, n,
                                                  indices):
-        # one off-class coefficient of 1e-30 sends the same predictor
-        # through the full (N+1)-square solve; 1e-300 would too, but its
-        # products are subnormal and slow the factorization a hundredfold
+        # one resolved off-class coefficient, 1e-14 against eps * max|c| of
+        # about 1e-17, sends the same predictor through the stride-1 solve
         branch = c2_full if label == "C2" else c5_bundle["parent"]
         cfg = NewtonConfig(residual_tol=1e-12)
         for i in indices:
             c, mu, con = secant_predictor(branch, i)
-            sub = newton_solve(c, mu, H, con, cfg)
-            c[1] = 1e-30
-            full = newton_solve(c, mu, H, con, cfg)
+            sub = newton_solve(c, mu, H, *con, cfg)
+            c[1] = 1e-14
+            full = newton_solve(c, mu, H, *con, cfg)
             assert not np.any(off_class(sub.coeffs, n))
             assert np.max(np.abs(sub.coeffs - full.coeffs)) < 1e-12
             assert abs(sub.mu - full.mu) < 1e-12
@@ -443,16 +440,21 @@ class TestSubspaceSolve:
         for ev in c5_bundle["events"]:
             assert not np.any(off_class(ev.diagnostics["w_coeffs"], 5))
 
-    def test_tiny_off_class_coefficient_takes_the_full_solve(self, c5_bundle,
-                                                             monkeypatch):
+    def test_unresolved_off_class_coefficient_stays_on_the_subspace(self, c5_bundle,
+                                                                    monkeypatch):
+        # an off-class coefficient below eps * max|c| is not resolved, so
+        # the stride stays 5 and the coefficient is set to 0; solved on all
+        # modes, its products would be subnormal and slow every factorization
         shapes = spy_shapes(monkeypatch)
         c, mu, con = secant_predictor(c5_bundle["parent"], 6)
-        newton_solve(c, mu, H, con, NewtonConfig())
-        assert shapes and set(shapes) == {(104, 104)}  # ceil(512 / 5) + 1
-        shapes.clear()
+        clean = newton_solve(c, mu, H, *con, NewtonConfig())
         c[7] = 1e-300
-        newton_solve(c, mu, H, con, NewtonConfig())
-        assert shapes and set(shapes) == {(513, 513)}
+        shapes.clear()
+        pt = newton_solve(c, mu, H, *con, NewtonConfig())
+        assert shapes and set(shapes) == {(104, 104)}  # ceil(512 / 5) + 1
+        assert np.array_equal(pt.coeffs, clean.coeffs)
+        assert pt.mu == clean.mu
+        assert not np.any(off_class(pt.coeffs, 5))
 
 
 class TestBandSolve:
@@ -464,10 +466,8 @@ class TestBandSolve:
         p, K = c1_full.points[9], 128
         c = p.coeffs.copy()
         c[K:] = 0.0
-        con = ProjectionConstraint(c1_full.row, 0.0)
-        full = get_system(c.size, H).stacked_jacobian(c, p.mu, con)
-        band = get_system(K, H).stacked_jacobian(
-            c[:K], p.mu, ProjectionConstraint(c1_full.row[:K], 0.0))
+        full = get_system(c.size, H).stacked_jacobian(c, p.mu, c1_full.row)
+        band = get_system(K, H).stacked_jacobian(c[:K], p.mu, c1_full.row[:K])
         keep = np.append(np.arange(K), c.size)
         ref = full[np.ix_(keep, keep)]
         assert np.max(np.abs(band - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -486,7 +486,7 @@ class TestBandSolve:
         c, mu, con = secant_predictor(c1_full, 9)
         c[300] = 1e-20
         assert solver._band(c) == 128
-        pt = newton_solve(c, mu, H, con, NewtonConfig())
+        pt = newton_solve(c, mu, H, *con, NewtonConfig())
         assert not np.any(pt.coeffs[128:])
 
     def test_matches_the_full_band(self, c1_full, monkeypatch):
@@ -495,11 +495,11 @@ class TestBandSolve:
         for i in indices:
             c, mu, con = secant_predictor(c1_full, i)
             assert solver._band(c) < c.size
-            band.append(newton_solve(c, mu, H, con, NewtonConfig()))
+            band.append(newton_solve(c, mu, H, *con, NewtonConfig()))
         monkeypatch.setattr(solver, "_band", lambda c: c.size)
         for i, pt in zip(indices, band):
             c, mu, con = secant_predictor(c1_full, i)
-            ref = newton_solve(c, mu, H, con, NewtonConfig())
+            ref = newton_solve(c, mu, H, *con, NewtonConfig())
             assert np.max(np.abs(pt.coeffs - ref.coeffs)) < 1e-14
             assert abs(pt.mu - ref.mu) < 1e-14
             assert (pt.iterations, pt.factorizations) == (ref.iterations, ref.factorizations)
@@ -513,10 +513,10 @@ class TestBandSolve:
         cfg = NewtonConfig(residual_tol=1e-12)
         c, mu, con = secant_predictor(c1_full, 12)
         assert c1_full.points[12].sup_norm == pytest.approx(0.19, abs=5e-3)
-        ref = newton_solve(c, mu, H, con, cfg)
+        ref = newton_solve(c, mu, H, *con, cfg)
         c[32:] = 0.0
         shapes = spy_shapes(monkeypatch)
-        pt = newton_solve(c, mu, H, con, cfg)
+        pt = newton_solve(c, mu, H, *con, cfg)
         assert pt.residual_norm <= cfg.residual_tol
         assert shapes[0] == (65, 65) and shapes[-1] > shapes[0]
         assert shapes == sorted(shapes)
@@ -532,7 +532,7 @@ class TestBandSolve:
                             lambda *args: calls.append(args) or None)
         shapes = spy_shapes(monkeypatch)
         c, mu, con = secant_predictor(c1_full, 9)
-        pt = newton_solve(c, mu, H, con, NewtonConfig())
+        pt = newton_solve(c, mu, H, *con, NewtonConfig())
         assert pt.residual_norm <= NewtonConfig().residual_tol
         assert shapes and set(shapes) == {(129, 129)}
         assert calls == []
@@ -588,7 +588,7 @@ class TestDivergenceGuard:
         x = 0.1 * np.cos(sys.grid.nodes)
         with pytest.raises(NewtonMaxIter) as info:
             newton_solve(transform_forward(x, sys.grid), math.tanh(H), H,
-                         node_constraint(32, 0, 1, 0.1), NewtonConfig(max_iter=2))
+                         node_row(32, 0, 1), 0.1, NewtonConfig(max_iter=2))
         exc = info.value
         assert exc.iterations == 2
         assert len(exc.residual_history) == 3
@@ -629,16 +629,14 @@ class TestNewton:
         base = solve_small(32, n=1, s=0.02)
         row = RNG.standard_normal(32)
         target = float(row @ base.coeffs)
-        pt = newton_solve(base.coeffs, base.mu, H, ProjectionConstraint(row, target),
-                          NewtonConfig())
+        pt = newton_solve(base.coeffs, base.mu, H, row, target, NewtonConfig())
         assert abs(row @ pt.coeffs - target) < 1e-9
 
     def test_divergence_raises(self):
         sys = get_system(16, H)
         x = 5.0 * np.cos(sys.grid.nodes)  # far outside the solution set
-        con = node_constraint(16, 0, 1, 5.0)
         with pytest.raises(NewtonDiverged) as info:
-            newton_solve(transform_forward(x, sys.grid), 0.55, H, con,
+            newton_solve(transform_forward(x, sys.grid), 0.55, H, node_row(16, 0, 1), 5.0,
                          NewtonConfig(max_iter=12))
         assert info.value.iterations < 12
 
@@ -656,7 +654,7 @@ class TestNewton:
         else:
             c[3] = bad
         with pytest.raises(NewtonDiverged, match="not finite") as info:
-            newton_solve(c, mu, H, node_constraint(16, 0, 1, 0.01), NewtonConfig())
+            newton_solve(c, mu, H, node_row(16, 0, 1), 0.01, NewtonConfig())
         assert (info.value.iterations, info.value.factorizations) == (0, 0)
 
     @pytest.mark.parametrize("mean", [800.0, -2 * H], ids=["underflow", "below_bottom"])
@@ -666,7 +664,7 @@ class TestNewton:
         c = np.zeros(16)
         c[0] = mean
         with pytest.raises(InadmissibleIterate) as info:
-            newton_solve(c, 0.5, H, node_constraint(16, 0, 1, 0.01), NewtonConfig())
+            newton_solve(c, 0.5, H, node_row(16, 0, 1), 0.01, NewtonConfig())
         # it fails at the seed, before any step
         exc = info.value
         assert (exc.iterations, exc.factorizations, exc.residual_history) == (0, 0, ())
