@@ -215,9 +215,9 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     halved on Newton failure, grown after easy solves, and capped so the
     amplitude gain predicted by the secant slope d(amplitude)/d(row . c)
     stays below a fraction of the remaining gap to the limiting height
-    mu/2.  amplitude_max clamps the steps of primary branches only: the
-    trace stops after the solve whose target was clamped to it, or at once
-    if the last point is within cfg.step_min of it.  A trace ends in
+    mu/2.  A step is cut where the secant slope puts amplitude_max, exactly
+    on a primary; the trace stops after that solve, or at once if the last
+    point is within cfg.step_min of it.  A trace ends in
     extreme_termination once the gap falls below EXTREME_STOP_RATIO of
     mu/2; turning points are then appended as events.  It ends in a
     retrace event alone once a point retraces a branch.twins.
@@ -228,7 +228,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     depth = as_depth(depth)
     row = branch.row
     step = cfg.amplitude_step if branch.step is None else branch.step
-    cap = cfg.amplitude_max if branch.mode is not None else None
+    cap = cfg.amplitude_max
 
     while len(branch.points) < MAX_POINTS and not branch.terminated():
         prev = branch.last
@@ -237,7 +237,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
         if _stop_ratio(prev) < EXTREME_STOP_RATIO:
             _terminate(branch, "stop_ratio")
             break
-        if cfg.amplitude_max is not None and cfg.amplitude_max - prev.sup_norm < cfg.step_min:
+        if cap is not None and cap - prev.sup_norm < cfg.step_min:
             break
 
         # the gap cap in the parameter, through the secant slope
@@ -247,10 +247,10 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
         da = prev.sup_norm - prev2.sup_norm
         slope = da / abs(dt) if dt != 0 and da > 0 else 0.0
         eff = min(step, 0.35 * gap / slope) if slope > 0 else step
-        target = s + eff
-        capped = cap is not None and target >= cap
-        if capped:
-            target = cap
+        reach = (cap - prev.sup_norm) / slope if cap is not None and slope > 0 else math.inf
+        to_cap = cap if cap is not None and branch.mode is not None else s + reach
+        capped = s + eff >= to_cap
+        target = to_cap if capped else s + eff
 
         try:
             pt = _correct(depth, cfg, target, prev, prev2, row)
@@ -290,11 +290,10 @@ def detect_turning_points(
 ) -> list[BranchEvent]:
     """Interior local maxima of mu along the branch.
 
-    With only the recorded points available the maximum comes from a
-    quadratic through the three bracketing samples, which carries a bias
-    of the order of the local step.  When depth and cfg are supplied the
-    bracket is polished by a bounded scalar search with fresh corrector
-    solves, which pins the fold to the solver tolerance.
+    With only the recorded points the maximum comes from a quadratic in the
+    amplitude through the three bracketing samples, with a bias of the
+    order of the local step.  With depth and cfg, _refine_turning_point
+    starts from those samples and locates it to the solver tolerance.
     """
     mus = branch.mus()
     amps = branch.amplitudes()
@@ -305,9 +304,7 @@ def detect_turning_points(
             a_star = float(-coef[1] / (2 * coef[0])) if coef[0] != 0 else float(amps[i])
             mu_star = float(np.polyval(coef, a_star))
             if depth is not None and cfg is not None:
-                refined = _refine_turning_point(
-                    branch.points[i - 1], branch.points[i + 1], branch.row, depth, cfg
-                )
+                refined = _refine_turning_point(*branch.points[i - 1 : i + 2], branch.row, depth, cfg)
                 if refined is not None:
                     a_star, mu_star = refined
             events.append(
@@ -320,28 +317,31 @@ def detect_turning_points(
 
 
 def _refine_turning_point(
-    p0: SolutionPoint, p1: SolutionPoint, row: np.ndarray, depth, cfg: ContinuationConfig
+    p0: SolutionPoint, mid: SolutionPoint, p1: SolutionPoint, row: np.ndarray, depth,
+    cfg: ContinuationConfig,
 ) -> tuple[float, float] | None:
-    """(amplitude, mu) of the largest mu solved between p0 and p1 in row . c."""
-    from scipy.optimize import minimize_scalar
+    """(amplitude, mu) of the largest mu among p0, mid, p1 and the solves.
 
-    depth = as_depth(depth)
-    best: list[SolutionPoint] = []
-
-    def neg_mu(t: float) -> float:
-        pt = _correct(depth, cfg, float(t), p0, p1, row)
-        if not best or pt.mu > best[0].mu:
-            best[:] = [pt]
-        return -pt.mu
-
-    try:
-        minimize_scalar(
-            neg_mu, bounds=(float(row @ p0.coeffs), float(row @ p1.coeffs)),
-            method="bounded", options={"xatol": 1e-7},
-        )
-    except SolveFailure:
-        return None
-    return best[0].sup_norm, best[0].mu
+    Successive parabolic interpolation in row . c (Brent 1973, ch. 5): each
+    _correct solve, from the p0-p1 secant, is at the vertex of the parabola
+    through the three highest mu so far, clamped to [p0, p1], until it is
+    not concave, lies within 1e-7 of a solved parameter, or 8 solves are
+    made.  None if a solve fails.
+    """
+    pts = {float(row @ p.coeffs): p for p in (p0, mid, p1)}
+    for _ in range(8):
+        (sa, a), (sb, b), (sc, c) = sorted(pts.items(), key=lambda kv: kv[1].mu)[-3:]
+        d1 = (b.mu - a.mu) / (sb - sa)
+        d2 = ((c.mu - b.mu) / (sc - sb) - d1) / (sc - sa)
+        s = float(np.clip(0.5 * (sa + sb - d1 / d2), min(pts), max(pts))) if d2 < 0 else None
+        if s is None or min(abs(s - t) for t in pts) <= 1e-7:
+            break
+        try:
+            pts[s] = _correct(depth, cfg, s, p0, p1, row)
+        except SolveFailure:
+            return None
+    best = max(pts.values(), key=lambda p: p.mu)
+    return best.sup_norm, best.mu
 
 
 # ---------------------------------------------------------------------------

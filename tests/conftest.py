@@ -88,8 +88,9 @@ def c5_bundle():
 
     N=512 rather than the package default of 256: the cluster of nearly
     degenerate crossings and the endpoints of the secondary branches are
-    resolution-sensitive and need at least this size to settle (N=1024
-    moves the endpoints by under 5e-4 further).
+    resolution-sensitive and need at least this size to settle.  N=1024
+    still moves the census-1/2/3/4 endpoints by 4e-5 / 4.4e-4 / 9.0e-4 /
+    1.4e-3 in mu.
     """
     cfg = ContinuationConfig(N=512)
     branch = start_branch(5, 0.01, H, cfg)

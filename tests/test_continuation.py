@@ -1,5 +1,10 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from babenko.continuation import (
     continue_branch,
     detect_secondary_bifurcations,
     detect_turning_points,
+    navigate_secondaries,
     start_branch,
     switch_branch,
     trivial_bifurcation_mu,
@@ -121,6 +127,20 @@ class TestAmplitudeContinuation:
             continue_branch(b, H, cfg)
             assert len(b.points) == len(amps)
 
+    def test_secondaries_stop_at_amplitude_max(self):
+        # a secondary's parameter is not its amplitude, so its last step is
+        # cut where the secant slope puts the cap; the trace stops there
+        cfg = ContinuationConfig(N=256, amplitude_max=0.11)
+        b = continue_branch(start_branch(5, 0.01, H, cfg), H, cfg)
+        assert b.last.sup_norm == pytest.approx(0.11, abs=1e-12)
+        detect_secondary_bifurcations(b, H, cfg)
+        secs = navigate_secondaries(b, H, cfg)
+        assert secs
+        for sec in secs:
+            assert abs(sec.last.sup_norm - 0.11) < 1e-4
+            assert np.all(sec.amplitudes()[:-1] < 0.11)
+            assert not sec.terminated()
+
     def test_retrace_is_reproducible(self, c1_coarse):
         cfg = ContinuationConfig(N=64, amplitude_max=0.1)
         again = continue_branch(start_branch(1, 0.01, H, cfg), H, cfg)
@@ -170,6 +190,105 @@ class TestEndpointAndTurning:
 
     def test_monotone_branch_has_no_turning_point(self, c1_coarse):
         assert detect_turning_points(c1_coarse) == []
+
+
+def reference_fold(p0, p1, row, depth, cfg):
+    """The fold by scipy's bounded scalar search on -mu over [p0, p1] in row . c.
+
+    _refine_turning_point replaced this search: xatol 1e-7, every
+    evaluation a _correct solve from the p0-p1 secant.  Returns the
+    (amplitude, mu) of the largest mu solved.
+    """
+    from scipy.optimize import minimize_scalar
+
+    best = []
+
+    def neg_mu(t):
+        pt = _correct(depth, cfg, float(t), p0, p1, row)
+        if not best or pt.mu > best[0].mu:
+            best[:] = [pt]
+        return -pt.mu
+
+    minimize_scalar(neg_mu, bounds=(float(row @ p0.coeffs), float(row @ p1.coeffs)),
+                    method="bounded", options={"xatol": 1e-7})
+    return best[0].sup_norm, best[0].mu
+
+
+@pytest.fixture(scope="module", params=["c1_full", "c2_full"])
+def located_fold(request):
+    """A branch's folds located again, with the corrector solves they took.
+
+    Returns the branch, its config, the turning_point events and the
+    number of newton_solve calls detect_turning_points made, all of them
+    under _refine_turning_point.
+    """
+    b = request.getfixturevalue(request.param)
+    cfg = ContinuationConfig(N=b.last.coeffs.size)
+    calls = []
+    solve = continuation.newton_solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "newton_solve", counted)
+        events = detect_turning_points(b, H, cfg)
+    return b, cfg, events, len(calls)
+
+
+class TestFoldLocation:
+    """Folds from parabolic interpolation through the samples already solved."""
+
+    def test_at_most_four_solves(self, located_fold):
+        b, _, events, solves = located_fold
+        assert len(events) == 1
+        assert 1 <= solves <= 4
+        # the same fold the trace recorded
+        recorded = [e for e in b.events if e.kind == "turning_point"]
+        assert [(e.mu, e.amplitude) for e in recorded] == [(e.mu, e.amplitude) for e in events]
+
+    def test_matches_the_bounded_search(self, located_fold):
+        b, cfg, events, _ = located_fold
+        i = events[0].diagnostics["index"]
+        a_ref, mu_ref = reference_fold(b.points[i - 1], b.points[i + 1], b.row, H, cfg)
+        assert abs(events[0].amplitude - a_ref) < 2e-7
+        assert abs(events[0].mu - mu_ref) < 1e-12
+
+    def test_not_below_the_recorded_maximum(self, located_fold):
+        b, _, events, _ = located_fold
+        assert events[0].mu >= max(b.mus())
+
+    def test_solve_failure_keeps_the_quadratic_fit(self, c1_full, monkeypatch):
+        def fail(*args):
+            raise SolveFailure("no solve")
+
+        monkeypatch.setattr(continuation, "newton_solve", fail)
+        got = detect_turning_points(c1_full, H, ContinuationConfig(N=512))
+        fit = detect_turning_points(c1_full)
+        assert [(e.mu, e.amplitude) for e in got] == [(e.mu, e.amplitude) for e in fit]
+
+    def test_one_shot_trace_imports_no_scipy_optimize(self, tmp_path):
+        # N=256 is the smallest N at which C1 records a fold; a fresh
+        # `babenko trace` locates it without loading scipy.optimize
+        code = (
+            "import atexit, sys\n"
+            "atexit.register(lambda: print('scipy.optimize' in sys.modules))\n"
+            "from babenko.cli import main\n"
+            "main(sys.argv[1:])\n"
+        )
+        src = str(Path(continuation.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", code, "trace", "--branch", "C1", "--modes", "256",
+             "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split()[-1] == "False"
+        events = json.loads((tmp_path / "events.json").read_text())["events"]
+        assert [e["kind"] for e in events].count("turning_point") == 1
 
 
 class TestSymmetryClasses:
