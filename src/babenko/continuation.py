@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .solver import (
     NewtonConfig,
     SolutionPoint,
@@ -588,39 +589,33 @@ def _retraces(pt: SolutionPoint, other: Branch) -> bool:
     return bool(np.max(np.abs(dc)) < RETRACE_TOL)
 
 
-def _sorted_crest_heights(c: np.ndarray) -> np.ndarray:
-    from .geometry import crest_heights
-
-    return np.sort([h for _, h in crest_heights(c)])
-
-
-def _n_highest_crests(c: np.ndarray) -> int:
-    from .geometry import EQUAL_CREST_RTOL
-
-    heights = _sorted_crest_heights(c)
-    if heights.size == 0:
-        return 0
-    scale = max(abs(heights[-1]), 1e-300)
-    return int(np.sum(heights >= heights[-1] - EQUAL_CREST_RTOL * scale))
+def _dihedral(seq: np.ndarray) -> np.ndarray:
+    """The 2n rotations and reflections of a cyclic sequence, one per row."""
+    turns = (np.arange(seq.size)[:, None] + np.arange(seq.size)) % seq.size
+    return np.concatenate([seq[turns], seq[::-1][turns]])
 
 
-def _distinct(b1: Branch, b2: Branch) -> bool:
-    """Decide whether two secondary branches are physically different.
+def _distinct(h1: np.ndarray, h2: np.ndarray, sup: float) -> bool:
+    """Whether two endpoints' positive crest heights, in t order, differ.
 
-    Opposite perturbation directions at different events can land on
-    shifted even representatives of one and the same wave, whose nodal
-    values differ; the multiset of crest heights is phase-invariant, so
-    the endpoints are compared through it.
+    One wave is reached through shifted and reflected even
+    representatives, whose crests come in another t order, so the
+    sequences are compared up to rotation and reflection: the endpoints
+    are the same wave if some dihedral image of h1 lies within
+    EQUAL_CREST_RTOL * sup of h2 in every crest.
     """
-    p1, p2 = b1.last, b2.last
-    if abs(p1.mu - p2.mu) > 2e-3 or abs(p1.sup_norm - p2.sup_norm) > 2e-3:
-        return True
-    h1 = _sorted_crest_heights(p1.coeffs)
-    h2 = _sorted_crest_heights(p2.coeffs)
     if h1.size != h2.size:
         return True
-    scale = max(p1.sup_norm, 1e-12)
-    return bool(np.max(np.abs(h1 - h2)) > 1e-3 * scale)
+    gap = np.min(np.max(np.abs(_dihedral(h1) - h2), axis=1))
+    return bool(gap > geometry.EQUAL_CREST_RTOL * sup)
+
+
+def _word(h: np.ndarray) -> str:
+    """h's crests as 1 where level with the highest (geometry._top_crests)
+    and 0 elsewhere, read from the crest and way round that give the least
+    word."""
+    marks = _dihedral(geometry._top_crests(h).astype(int))
+    return min("".join(map(str, w)) for w in marks)
 
 
 # events closer than this in amplitude are treated as one cluster whose
@@ -645,13 +640,16 @@ def navigate_secondaries(
     point that retraces one of them (on C5 within 1e-6 from the second
     point, against at least 1.7e-4 between distinct seeds); it would have
     been dropped as its twin was.  The rest are traced to the end, and
-    duplicates, including the same branch reached through a shifted even
-    representative, are dropped by comparing phase-invariant crest-height
-    multisets at the endpoints.
+    one is dropped if its endpoint's positive crest heights, in t order,
+    match a kept branch's up to rotation and reflection (_distinct): the
+    same wave, reached through a shifted or reflected even representative.
 
-    Each surviving branch is labeled parent label + number of
-    equally-highest terminal crests; when several branches share that
-    count the later ones get a letter suffix.
+    The same sequence names each kept branch: its census, the number of
+    crests level with the highest, and its word (_word), which marks
+    those crests round the period.  Branches are sorted by (census,
+    word, mu) and labeled parent label + census, with a letter suffix
+    from "b" on for the later ones of a census, so mu orders only
+    branches whose words tie.
     """
     cfg = cfg or ContinuationConfig()
     events = [e for e in branch.events if e.kind == "secondary_bifurcation"]
@@ -670,7 +668,7 @@ def navigate_secondaries(
                 for s2 in (1.0, -1.0):
                     seeds.append((e1, s1 * p1 + s2 * p2))
 
-    out: list[Branch] = []
+    kept: list[tuple[Branch, np.ndarray, str]] = []
     traced: list[Branch] = []
     for ev, phi in seeds:
         try:
@@ -682,15 +680,14 @@ def navigate_secondaries(
         if any(e.kind == "retrace" for e in sec.events):
             continue
         traced.append(sec)
-        if all(_distinct(sec, other) for other in out):
-            out.append(sec)
-    out.sort(key=lambda sec: (_n_highest_crests(sec.last.coeffs), sec.last.mu))
+        h = np.array([y for _, y in geometry.crest_heights(sec.last.coeffs) if y > 0])
+        if all(_distinct(h, h2, sec.last.sup_norm) for _, h2, _ in kept):
+            kept.append((sec, h, _word(h)))
+    kept.sort(key=lambda k: (k[2].count("1"), k[2], k[0].last.mu))
     seen: dict[int, int] = {}
-    for sec in out:
-        census = _n_highest_crests(sec.last.coeffs)
+    for sec, _, word in kept:
+        census = word.count("1")
         rep = seen.get(census, 0)
-        suffix = "" if rep == 0 else chr(ord("a") + rep)
-        sec.label = f"{branch.label}{census}{suffix}"
+        sec.label = f"{branch.label}{census}{chr(ord('a') + rep) if rep else ''}"
         seen[census] = rep + 1
-    return out
-
+    return [sec for sec, *_ in kept]

@@ -67,12 +67,14 @@ class WaveProfile:
 
     def n_highest(self) -> int:
         """Number of crests within EQUAL_CREST_RTOL of the tallest one."""
-        if not self.crest_census:
-            return 0
-        heights = np.array([h for _, h in self.crest_census])
-        top = heights.max()
-        scale = max(np.max(np.abs(self.y)), 1e-300)
-        return int(np.sum(heights >= top - EQUAL_CREST_RTOL * scale))
+        return int(np.sum(_top_crests([h for _, h in self.crest_census])))
+
+
+def _top_crests(heights) -> np.ndarray:
+    """Which heights lie within EQUAL_CREST_RTOL of the highest, relative to it."""
+    heights = np.asarray(heights, dtype=float)
+    top = np.max(heights, initial=-np.inf)
+    return heights >= top - EQUAL_CREST_RTOL * abs(top)
 
 
 def modified_coefficients(c: np.ndarray, r: float) -> np.ndarray:

@@ -14,11 +14,16 @@ from click.testing import CliRunner
 from babenko.cli import main as cli_main
 from babenko.continuation import (
     ContinuationConfig,
-    _n_highest_crests,
     continue_branch,
     start_branch,
 )
-from babenko.geometry import crest_angle_estimate, r_curve, surface_curve
+from babenko.geometry import (
+    _top_crests,
+    crest_angle_estimate,
+    crest_heights,
+    r_curve,
+    surface_curve,
+)
 from babenko.solver import (
     NewtonConfig,
     get_system,
@@ -137,7 +142,8 @@ class TestCriterion06:
         secs = c5_bundle["secondaries"]
         by_census = {}
         for s in secs:
-            by_census.setdefault(_n_highest_crests(s.last.coeffs), []).append(s)
+            census = int(np.sum(_top_crests([h for _, h in crest_heights(s.last.coeffs)])))
+            by_census.setdefault(census, []).append(s)
         targets = {1: (0.22913, 0.11456), 2: (0.23106, 0.11553), 3: (0.23322, 0.11661)}
         endpoints = {}
         for census, (tmu, ta) in targets.items():

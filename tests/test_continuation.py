@@ -28,9 +28,19 @@ from babenko.continuation import (
     switch_branch,
     trivial_bifurcation_mu,
 )
+from babenko.geometry import crest_heights
 from babenko.solver import SolutionPoint, SolveFailure, get_system, lu_factor_in_place
 
 from conftest import H
+
+
+def crests(sec):
+    """Heights of the positive crests of sec's endpoint, in t order."""
+    return np.array([h for _, h in crest_heights(sec.last.coeffs) if h > 0])
+
+
+def crest_word(sec):
+    return continuation._word(crests(sec))
 
 
 class TestConfigAndSeeding:
@@ -127,9 +137,11 @@ class TestAmplitudeContinuation:
             continue_branch(b, H, cfg)
             assert len(b.points) == len(amps)
 
-    def test_secondaries_stop_at_amplitude_max(self):
+    def test_secondaries_stop_at_amplitude_max(self, c5_bundle):
         # a secondary's parameter is not its amplitude, so its last step is
-        # cut where the secant slope puts the cap; the trace stops there
+        # cut where the secant slope puts the cap; the trace stops there.
+        # The capped branches are the N=512 families traced to their ends:
+        # each label names the same crest word at both N
         cfg = ContinuationConfig(N=256, amplitude_max=0.11)
         b = continue_branch(start_branch(5, 0.01, H, cfg), H, cfg)
         assert b.last.sup_norm == pytest.approx(0.11, abs=1e-12)
@@ -140,6 +152,8 @@ class TestAmplitudeContinuation:
             assert abs(sec.last.sup_norm - 0.11) < 1e-4
             assert np.all(sec.amplitudes()[:-1] < 0.11)
             assert not sec.terminated()
+        assert {s.label: crest_word(s) for s in secs} == \
+            {s.label: crest_word(s) for s in c5_bundle["secondaries"]}
 
     def test_retrace_is_reproducible(self, c1_coarse):
         cfg = ContinuationConfig(N=64, amplitude_max=0.1)
@@ -658,8 +672,8 @@ class TestRetraceCheck:
 
     def test_keeps_tracing_the_distinct_census2_pair(self, c5_bundle, c5_seeds):
         # seeds 0 (C52) and 2 end within 3e-6 of each other in mu and are
-        # two crest arrangements; seed 2 is traced to its end
-        _, seeds = c5_seeds
+        # two crest arrangements; seed 2 is traced to its end and kept
+        kept, seeds = c5_seeds
         c52 = next(b for b in c5_bundle["secondaries"] if b.label == "C52")
         (s0, _), (s2, log2) = seeds[0], seeds[2]
         assert s0.last.mu == c52.last.mu
@@ -668,6 +682,7 @@ class TestRetraceCheck:
         vs0 = [dist for k, j, hit, dist in log2 if j == 0]
         assert len(vs0) >= len(s2.points) - 2
         assert min(vs0) > 10 * RETRACE_TOL
+        assert any(b is s2 for b in kept) and s2.label == "C52b"
 
     def test_abandoned_seed_stops_at_its_second_point(self, c5_bundle, c5_seeds):
         _, seeds = c5_seeds
@@ -692,3 +707,46 @@ class TestRetraceCheck:
                 assert np.array_equal(p.coeffs, q.coeffs)
             assert [(e.kind, e.mu, e.amplitude) for e in b.events] == \
                 [(e.kind, e.mu, e.amplitude) for e in r.events]
+
+
+class TestBranchIdentity:
+    """The navigator keeps one branch per wave, named by its crest word."""
+
+    def test_words_and_duplicates_of_crest_sequences(self):
+        h = np.array([1.0, 0.5, 1.0, 0.5, 0.5])
+        assert continuation._word(h) == "00101"
+        assert continuation._word(np.array([1.0, 1.0, 0.5, 0.5, 0.5])) == "00011"
+        # the same wave read from another crest and the other way round
+        g = np.array([1.0, 0.9, 0.7, 0.5, 0.6])
+        assert not continuation._distinct(np.roll(g[::-1], 2), g, 1.0)
+        assert continuation._distinct(np.array([1.0, 1.0, 0.5, 0.5, 0.5]), h, 1.0)
+        assert continuation._distinct(h[:4], h[:4] + 2e-3, 1.0)
+        assert continuation._distinct(h[:4], h, 1.0)
+
+    def test_c4_keeps_one_branch_per_wave(self, monkeypatch):
+        cfg = ContinuationConfig(N=256)
+        b = continue_branch(start_branch(4, 0.01, H, cfg), H, cfg)
+        detect_secondary_bifurcations(b, H, cfg)
+        traced = []
+        trace = continuation.continue_branch
+
+        def recorded(sec, depth, cfg):
+            traced.append(sec)
+            return trace(sec, depth, cfg)
+
+        monkeypatch.setattr(continuation, "continue_branch", recorded)
+        kept = navigate_secondaries(b, H, cfg)
+        # C41 and C41b share a word, and mu orders them
+        assert [(s.label, len(s.points), crest_word(s)) for s in kept] == [
+            ("C41", 17, "0001"), ("C41b", 19, "0001"), ("C42", 16, "0101")]
+        ends = [s for s in traced if s.events[-1].kind != "retrace"]
+        dropped = [s for s in ends if not any(s is k for k in kept)]
+        assert len(ends) == 6 and len(dropped) == 3
+        # each dropped branch is a kept one shifted along the period: its
+        # crests, rotated or reflected, match that one's to rounding and
+        # the others' by no less than 0.1 sup
+        for s in dropped:
+            gaps = sorted(
+                np.min(np.max(np.abs(continuation._dihedral(crests(s)) - crests(k)), axis=1))
+                for k in kept)
+            assert gaps[0] < 1e-12 * s.last.sup_norm and gaps[1] > 0.1 * s.last.sup_norm

@@ -363,7 +363,7 @@ class TestChordNewton:
         # step growth keys on factorizations; these are the point counts
         # of the full-Newton paths it reproduces
         counts = {b.label: len(b.points) for b in c5_bundle["secondaries"]}
-        assert counts == {"C51": 14, "C52": 17, "C53": 20, "C53b": 16, "C54": 18}
+        assert counts == {"C51": 14, "C52": 17, "C52b": 14, "C53": 20, "C53b": 16, "C54": 18}
         assert len(c5_bundle["parent"].points) == 25
         assert len(c1_full.points) == 30
         # endpoints (mu, sup_norm) of the secondaries, to rounding; the
@@ -372,6 +372,7 @@ class TestChordNewton:
         endpoints = {
             "C51": (0.22865517157092038, 0.11424554312973967),
             "C52": (0.23149337343402512, 0.1156392787353089),
+            "C52b": (0.23149222610994466, 0.1156411514170888),
             "C53": (0.23434205835506622, 0.11709032303856555),
             "C53b": (0.23436419987132046, 0.1170902682530432),
             "C54": (0.23725242158861048, 0.11852798759527802),
