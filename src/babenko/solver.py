@@ -41,7 +41,9 @@ guard, so it never ends one of them; the correctors stepped too far along
 a C5 secondary branch cross it after 4 to 18 iterations instead of
 running to max_iter.  A SolveFailure from newton_solve carries the steps,
 factorizations and residual history of the failed solve.  scipy.linalg is
-imported where it is used, so commands that never factor do not load it.
+imported inside the functions that factor, and it is the only scipy module
+the package uses (the spectral transforms run on numpy.fft), so importing
+babenko, and every command that never factors, loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -59,10 +61,11 @@ from .spectral import (
     as_depth,
     dlambda_dr,
     dmu_dr,
+    fine_coeffs,
+    fine_values,
     lambda_symbol,
     mu_symbol_total,
     product_block,
-    product_coeffs,
     series_peak,
     transform_inverse,
 )
@@ -214,11 +217,13 @@ class DiscreteSystem:
     def residual(self, c: np.ndarray, mu: float) -> np.ndarray:
         """Depth-parametrized residual in coefficient space."""
         rho = self._radius(c[0])
-        g = -product_coeffs(c, lambda_symbol(rho, self.N) * c)  # -w * (J w)
-        mus = mu_symbol_total(self._sigma(g[0]), self.N)
-        out = mu_symbol_total(rho, self.N) * c - mus * g
+        # w on the fine grid once, for w^2 and w * (J w) = -g
+        f = fine_values((c, lambda_symbol(rho, self.N) * c))
+        w2, wjw = fine_coeffs(f[0] * f)
+        mus = mu_symbol_total(self._sigma(-wjw[0]), self.N)
+        out = mu_symbol_total(rho, self.N) * c + mus * wjw
         # the mean mode carries neither mu * w nor w^2 / 2
-        out[1:] += 0.5 * product_coeffs(c, c)[1:] - mu * c[1:]
+        out[1:] += 0.5 * w2[1:] - mu * c[1:]
         return out
 
     def jacobian(self, c: np.ndarray, mu: float, idx: np.ndarray | None = None):
@@ -293,7 +298,12 @@ class DiscreteSystem:
         rho = self._radius(c[0])
         lam = lambda_symbol(rho, N)
         lc = lam * c
-        g = -product_coeffs(c, lc)
+        # w on the fine grid once, for g = -w * (J w) and, when the columns
+        # hold the mean mode, the chain-rule column w * (rho dJ/drho w)
+        mean = k[0] == 0
+        f = fine_values((c, lc, rho * dlambda_dr(rho, N) * c) if mean else (c, lc))
+        prods = fine_coeffs(f[0] * f[1:])
+        g = -prods[0]
         sigma = self._sigma(g[0])
 
         # dg/dc = -D with D = P(Jw) + P(w) diag(lam) - the column-0 term
@@ -306,8 +316,8 @@ class DiscreteSystem:
             P = product_block(c, idx)
             np.add(P * lam[idx], product_block(lc, idx), out=D)
         d0 = np.append(lc[k], 0.0)  # row 0 of D at the columns k, and column L
-        if k[0] == 0:
-            col0 = product_coeffs(c, rho * dlambda_dr(rho, N) * c)
+        if mean:
+            col0 = prods[1]
             D[:, 0] -= col0[k]
             d0[0] = -col0[0]
 
@@ -337,7 +347,7 @@ class DiscreteSystem:
         D[diag, diag] += mu_symbol_total(rho, N)[k]
         D[rows, rows] -= mu
         A[:, L] = -c[k]
-        if k[0] == 0:
+        if mean:
             D[:, 0] -= (rho * dmu_dr(rho, N) * c)[k]
             A[0, L] = 0.0
 
@@ -364,8 +374,10 @@ def residual_fixed_r(c: np.ndarray, mu: float, r: float) -> np.ndarray:
     N = c.size
     lam = lambda_symbol(r, N)
     mur = mu_symbol_total(r, N)
-    out = mur * c + mur * product_coeffs(c, lam * c)
-    out[1:] += 0.5 * product_coeffs(c, c)[1:] - mu * c[1:]
+    f = fine_values((c, lam * c))
+    w2, wjw = fine_coeffs(f[0] * f)
+    out = mur * c + mur * wjw
+    out[1:] += 0.5 * w2[1:] - mu * c[1:]
     return out
 
 

@@ -3,23 +3,32 @@
 An even 2*pi-periodic function is a plain float vector c of the
 coefficients of cos(k*t), k = 0..N-1, with N = c.size.  Its values at the
 shifted collocation nodes x_n = pi*(2n-1)/(2N) follow by a type-III
-discrete cosine transform and go back by a type-II one.  On top of the
-transforms this module provides the diagonal Fourier-multiplier symbols of
-the finite-depth wave problem and the exactly dealiased pointwise product
-with its structured matrix, whole or on an index set.  The
-depth-parametrized operators are these symbols at the radius
-r = exp(-h - c_0), e.g. lambda_symbol(r, N) * c for the J-type one; the
-solver evaluates them so and accumulates the product matrices in place
-into its Newton system.
+discrete cosine transform and go back by a type-II one.  Both are one real
+FFT of N points plus an O(N) twiddle, after Makhoul's reordering of the
+nodes (those of even index ascending, then those of odd index descending;
+Makhoul, A fast cosine transform in one and two dimensions, IEEE TASSP 28,
+1980), on numpy.fft, so importing this module loads no scipy.  The only state is
+one twiddle pair per transform size.
+
+On top of the transforms this module provides the diagonal
+Fourier-multiplier symbols of the finite-depth wave problem and the
+exactly dealiased pointwise product: factors are evaluated on the 2N-node
+fine grid (fine_values), multiplied there and taken back to N modes
+(fine_coeffs), so a caller multiplying one factor with several others
+evaluates it once.  The product's structured matrix is given whole or on
+an index set.  The depth-parametrized operators are these symbols at the
+radius r = exp(-h - c_0), e.g. lambda_symbol(r, N) * c for the J-type
+one; the solver evaluates them so and accumulates the product matrices in
+place into its Newton system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
 
 __all__ = [
     "DomainError",
@@ -36,6 +45,8 @@ __all__ = [
     "hilbert_symbol",
     "dlambda_dr",
     "dmu_dr",
+    "fine_values",
+    "fine_coeffs",
     "product_coeffs",
     "add_product_matrix",
     "product_block",
@@ -73,26 +84,55 @@ class CosineGrid:
         return f"CosineGrid(N={self.N})"
 
 
+@cache
+def _twiddles(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Twiddles of the N-point transforms at the rfft frequencies k = 0..N//2.
+
+    The forward one is 2 exp(-i pi k / (2N)) and the inverse one its
+    reciprocal, exp(i pi k / (2N)) / 2; entry 0 of both is 1.  With the
+    forward-normalised FFTs they map the reordered nodal values straight to
+    cosine coefficients and back, with no further scaling.  Every caller
+    shares them, so they are read-only.
+    """
+    e = np.exp(-0.5j * np.pi / N * np.arange(N // 2 + 1))
+    fwd, inv = 2.0 * e, 0.5 * e.conj()
+    fwd[0] = inv[0] = 1.0
+    fwd.flags.writeable = inv.flags.writeable = False
+    return fwd, inv
+
+
 def transform_forward(nodal: np.ndarray, grid: CosineGrid) -> np.ndarray:
     """Nodal values -> cosine coefficients (exact interpolation in span{cos kt})."""
     nodal = np.asarray(nodal, dtype=float)
-    if nodal.shape != (grid.N,):
-        raise ValueError(f"expected {grid.N} nodal values, got shape {nodal.shape}")
-    # DCT-II on this grid: y_k = 2 * sum_n f_n cos(k x_n)
-    y = dct(nodal, type=2)
-    c = y / grid.N
-    c[0] *= 0.5
+    N = grid.N
+    if nodal.shape != (N,):
+        raise ValueError(f"expected {N} nodal values, got shape {nodal.shape}")
+    # z_k = c_k - i c_(N-k): the real parts give c_k up to k = N//2, the
+    # imaginary parts the rest, read backwards
+    v = np.concatenate((nodal[::2], nodal[1::2][::-1]))
+    z = np.fft.rfft(v, norm="forward") * _twiddles(N)[0]
+    c = np.empty(N)
+    c[: z.size] = z.real
+    c[z.size :] = -z.imag[(N - 1) // 2 : 0 : -1]
     return c
 
 
 def transform_inverse(coeffs: np.ndarray, grid: CosineGrid) -> np.ndarray:
     """Cosine coefficients -> nodal values, f_n = sum_k c_k cos(k x_n)."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (grid.N,):
-        raise ValueError(f"expected {grid.N} coefficients, got shape {coeffs.shape}")
-    a = 0.5 * coeffs
-    a[0] = coeffs[0]
-    return dct(a, type=3)
+    N = grid.N
+    if coeffs.shape != (N,):
+        raise ValueError(f"expected {N} coefficients, got shape {coeffs.shape}")
+    inv = _twiddles(N)[1]
+    z = np.empty(inv.size, dtype=complex)  # c_k - i c_(N-k), with c_N = 0
+    z.real = coeffs[: z.size]
+    z.imag[0] = 0.0
+    z.imag[1:] = -coeffs[N - 1 : N - z.size : -1]
+    v = np.fft.irfft(z * inv, N, norm="forward")
+    nodal = np.empty(N)
+    nodal[::2] = v[: (N + 1) // 2]
+    nodal[1::2] = v[::-1][: N // 2]
+    return nodal
 
 
 def transform_matrix(grid: CosineGrid) -> np.ndarray:
@@ -199,26 +239,44 @@ def dmu_dr(r: float, N: int) -> np.ndarray:
     return m
 
 
-def _padded_nodal(coeffs: np.ndarray, grid: CosineGrid) -> np.ndarray:
-    """Evaluate an N-mode cosine series on a grid of at least N nodes."""
-    cp = np.zeros(grid.N)
-    cp[: coeffs.size] = coeffs
-    return transform_inverse(cp, grid)
+def fine_values(coeffs) -> np.ndarray:
+    """Values of N-mode cosine series on the 2N-node fine grid.
+
+    coeffs is one series or a stack of them, one per row, and so is the
+    result.  The coefficients from N on are zero, so the inverse
+    transform's z_k = c_k - i c_(2N-k) is just c_k, and the values are left
+    in the transform's order of the nodes (even index ascending, then odd
+    index descending).  Pointwise products do not see that order, and
+    fine_coeffs reads any such product back in it.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    N = coeffs.shape[-1]
+    return np.fft.irfft(_twiddles(2 * N)[1][:N] * coeffs, 2 * N, norm="forward")
+
+
+def fine_coeffs(values) -> np.ndarray:
+    """The N leading cosine coefficients of fine-grid values from fine_values.
+
+    values is one row of 2N values or a stack of them.  A product of two
+    N-mode series has at most 2N-1 modes, so the leading N coefficients of
+    a product of fine_values rows are exact.
+    """
+    values = np.asarray(values, dtype=float)
+    N = values.shape[-1] // 2
+    return (np.fft.rfft(values, norm="forward")[..., :N] * _twiddles(2 * N)[0][:N]).real
 
 
 def product_coeffs(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """Cosine coefficients of the pointwise product of two N-mode series.
 
-    Both factors are evaluated on a 2N-node grid, multiplied there and the
-    result truncated back to N modes.  A product of two N-mode series has
-    at most 2N-1 modes, so the retained coefficients are exact.
+    Both factors are evaluated on the 2N-node fine grid by fine_values,
+    multiplied there and taken back, exactly, to N modes by fine_coeffs.
     """
     N = cu.size
     if cv.size != N:
         raise ValueError(f"length mismatch: {N} vs {cv.size}")
-    fine = CosineGrid(2 * N)
-    prod = _padded_nodal(cu, fine) * _padded_nodal(cv, fine)
-    return transform_forward(prod, fine)[:N]
+    fu, fv = fine_values((cu, cv))
+    return fine_coeffs(fu * fv)
 
 
 def add_product_matrix(c: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -274,7 +332,8 @@ def series_peak(coeffs: np.ndarray) -> tuple[float, float]:
     """Location t* in [0, pi] and signed value w(t*) of the largest |w|.
 
     w(t) = sum_k c_k cos(kt) is sampled on the 4N + 1 points t_j = j*pi/(4N),
-    which include 0 and pi, by one zero-padded DCT-I.  Every sampled local
+    which include 0 and pi, as the real part of one real FFT of c
+    zero-padded to 8N points, a zero-padded DCT-I.  Every sampled local
     maximum of |w| within the sampling error dt^2/8 * max|w''| of the top
     one is then polished by Newton's method on w'(t) = 0, confined to the
     neighbouring samples; the largest value found is returned.
@@ -283,11 +342,8 @@ def series_peak(coeffs: np.ndarray) -> tuple[float, float]:
     k = np.arange(c.size)
     M = 4 * max(c.size, 2)
     dt = np.pi / M
-    a = np.zeros(M + 1)
-    a[0] = c[0]
-    a[1 : c.size] = 0.5 * c[1:]
-    # DCT-I: y_j = a_0 + (-1)^j a_M + 2 sum_{k=1}^{M-1} a_k cos(pi j k / M)
-    y = dct(a, type=1)
+    # y_j = Re sum_k c_k exp(-i pi j k / M) = w(t_j), j = 0..M
+    y = np.fft.rfft(c, 2 * M).real
     g = np.abs(y)
     slack = 0.125 * dt * dt * float(np.sum(k * k * np.abs(c)))
     # even reflection at both ends, so t = 0 and t = pi can be maxima

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import babenko
 from babenko.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY, main
 from babenko.solver import SolutionPoint
 
@@ -376,3 +381,41 @@ class TestVerify:
         doc = json.loads((tmp_path / "verify_report.json").read_text())
         assert doc["passed"] is True
         assert doc["warning"] == "empty input"
+
+
+class TestColdImports:
+    # one fresh interpreter per command; at exit it prints the scipy
+    # modules it loaded, as a JSON list on its last line of output
+    CODE = (
+        "import atexit, json, sys\n"
+        "atexit.register(lambda: print(json.dumps(sorted(\n"
+        "    m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))))\n"
+        "from babenko.cli import main\n"
+        "if sys.argv[1:]:\n"
+        "    main(sys.argv[1:])\n"
+    )
+
+    def run_cold(self, *args):
+        src = str(Path(babenko.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", self.CODE, *args],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            timeout=120,
+        )
+        return run.returncode, run.stderr, json.loads(run.stdout.splitlines()[-1])
+
+    def test_only_tracing_loads_scipy(self, tmp_path):
+        # the transforms run on numpy.fft and scipy.linalg is imported only
+        # where Newton factors, so the import and the read-side commands on
+        # a stored C1@64 branch load no scipy module
+        status, err, _ = self.run_cold("trace", "--branch", "C1", "--modes", "64",
+                                       "--out", str(tmp_path))
+        assert status == EXIT_OK, err
+        branch = str(tmp_path / "C1.csv")
+        for args in ([], ["profile", branch, "--point", "3", "--out", str(tmp_path / "p.csv")],
+                     ["rcurve", branch, "--out", str(tmp_path / "r.csv")],
+                     ["verify", branch, "--out", str(tmp_path / "rep.json")]):
+            status, err, loaded = self.run_cold(*args)
+            assert status == EXIT_OK, (args, err)
+            assert loaded == [], args

@@ -19,6 +19,7 @@ from babenko.spectral import (
     mu_symbol_total,
     product_block,
     product_coeffs,
+    series_peak,
     transform_forward,
     transform_inverse,
     transform_matrix,
@@ -41,7 +42,9 @@ def convolution(cu, cv):
 
 
 class TestTransforms:
-    @pytest.mark.parametrize("N", [1, 2, 3, 8, 16, 33, 128])
+    # every residue of N mod 4 for the rfft reordering's index arithmetic,
+    # and the sizes the solver runs at
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 16, 33, 128, 512, 1024])
     def test_matches_dense_matrices(self, N):
         grid = CosineGrid(N)
         y = RNG.standard_normal(N)
@@ -171,9 +174,9 @@ class TestOperators:
 
 
 class TestDealiasedProduct:
-    def test_matches_convolution_oracle(self):
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 33])
+    def test_matches_convolution_oracle(self, N):
         # cosine-series product via the linearization formula
-        N = 8
         cu = RNG.standard_normal(N)
         cv = RNG.standard_normal(N)
         assert np.max(np.abs(product_coeffs(cu, cv) - convolution(cu, cv))) < 1e-12
@@ -240,3 +243,40 @@ class TestDealiasedProduct:
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
             product_coeffs(np.zeros(4), np.zeros(8))
+
+
+def _peak_series(shape, N):
+    """Coefficients whose largest |w| lies at t = 0, at t = pi or inside."""
+    k = np.arange(N)
+    decay = np.exp(-0.5 * (0.05 * k) ** 2)
+    if shape == "zero":  # all positive: w(0) = sum c_k
+        return decay
+    if shape == "pi":  # alternating: w(pi) = sum |c_k|
+        return decay * (-1.0) ** k
+    bump = decay * np.cos(1.1 * k)  # a crest near t = 1.1
+    return bump if shape == "interior" else -bump
+
+
+class TestSeriesPeak:
+    @pytest.mark.parametrize("shape", ["zero", "interior", "pi", "negative"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 512])
+    def test_matches_dense_oracle(self, N, shape):
+        c = _peak_series(shape, N)
+        k = np.arange(N)
+        t = np.linspace(0.0, np.pi, 16 * N + 1)
+        w = np.cos(np.outer(t, k)) @ c
+        # the dense samples miss the true peak by at most dt^2/8 * max|w''|
+        dt = t[1] - t[0]
+        slack = 0.125 * dt * dt * float(np.sum(k * k * np.abs(c))) + 1e-13
+        t_star, value = series_peak(c)
+        assert 0.0 <= t_star <= np.pi
+        assert value == pytest.approx(float(np.cos(t_star * k) @ c), abs=1e-13)
+        assert np.max(np.abs(w)) - 1e-13 <= abs(value) <= np.max(np.abs(w)) + slack
+        i = int(np.argmax(np.abs(w)))
+        assert np.sign(value) == np.sign(w[i])
+        if N >= 2 and shape in ("zero", "pi"):
+            assert t_star == pytest.approx(0.0 if shape == "zero" else np.pi, abs=1e-12)
+            assert value == pytest.approx(float(np.sum(np.abs(c))), rel=1e-14)
+        if N >= 3 and shape in ("interior", "negative"):
+            assert 0.0 < t_star < np.pi
+            assert abs(t_star - t[i]) <= dt
