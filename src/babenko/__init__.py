@@ -35,7 +35,6 @@ from .solver import (
     residual_modified,
 )
 from .spectral import (
-    CosineGrid,
     DepthParams,
     DomainError,
     mu_symbol,
@@ -47,7 +46,6 @@ __all__ = [
     "Branch",
     "BranchEvent",
     "ContinuationConfig",
-    "CosineGrid",
     "DepthParams",
     "DomainError",
     "NewtonConfig",

@@ -680,7 +680,7 @@ def navigate_secondaries(
         if any(e.kind == "retrace" for e in sec.events):
             continue
         traced.append(sec)
-        h = np.array([y for _, y in geometry.crest_heights(sec.last.coeffs) if y > 0])
+        h = np.array([y for _, y in geometry.crest_heights(sec.last.coeffs)])
         if all(_distinct(h, h2, sec.last.sup_norm) for _, h2, _ in kept):
             kept.append((sec, h, _word(h)))
     kept.sort(key=lambda k: (k[2].count("1"), k[2], k[0].last.mu))

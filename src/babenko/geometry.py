@@ -9,7 +9,10 @@ interior angle at the crest of near-extreme waves.
 Every series is sampled on a uniform grid t_j = -pi + 2 pi j / M by one
 inverse FFT (`_eval_series`), O(M log M) rather than the O(M N) of a dense
 cos/sin basis; coefficients beyond M fold onto their aliases, so any
-M >= 1 gives the values of the dense sum.
+M >= 1 gives the values of the dense sum.  Crests are not read from these
+samples: crest_heights polishes the maxima of the series itself with the
+sampler and Newton polish of the amplitude (spectral.series_peak), so the
+crest census does not depend on M.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import DomainError, as_depth, hilbert_symbol
+from .spectral import DomainError, _maxima, as_depth, hilbert_symbol
 
 __all__ = [
     "WaveProfile",
@@ -34,9 +37,10 @@ __all__ = [
 
 # Crests within this relative height of the tallest count as equally high.
 # The top height group is separated from the next by tens of percent on
-# every computed branch, while near-degenerate "equal" crests (the triple
-# on three-crest secondary waves) split at the 1e-4 level numerically, so
-# 1e-3 classifies both unambiguously.
+# every computed branch (the lower crests of the C5 secondaries' endpoints
+# read 0.76-0.77 of the top), while the level crests of one endpoint split
+# by at most 3.7e-4 (C54) at N = 512 and 2.3e-4 (C54) at N = 1024, and by
+# less than 1e-15 on the C5 primary, so 1e-3 classifies both unambiguously.
 EQUAL_CREST_RTOL = 1e-3
 # crest_angle_estimate fits the flank samples whose drop below the crest
 # lies in this window, relative to the crest-to-trough height
@@ -101,27 +105,26 @@ def _eval_series(coeffs: np.ndarray, M: int) -> np.ndarray:
     return M * np.fft.ifft(np.bincount(k % M, weights=signed, minlength=M))
 
 
-def crest_heights(coeffs: np.ndarray, n_samples: int = 4096) -> list:
-    """Local maxima (t, height) of the even periodic extension over [-pi, pi).
+def crest_heights(coeffs: np.ndarray) -> list:
+    """Crests (t, w(t)), the local maxima of w above the mean level, w > 0.
 
-    Heights are refined by a quadratic through the three samples around
-    each discrete maximum; the list is independent of the phase convention
-    used to represent the wave.
+    They are polished as spectral.series_peak polishes the amplitude, so
+    the highest is the amplitude to the bit, and listed in t order over
+    [-pi, pi): at t = 0 or pi once, at t in (0, pi) also at -t.
     """
-    t = np.linspace(-np.pi, np.pi, n_samples, endpoint=False)
-    y = _eval_series(coeffs, n_samples).real
-    left = np.roll(y, 1)
-    right = np.roll(y, -1)
-    idx = np.flatnonzero((y > left) & (y >= right))
-    out = []
-    dt = t[1] - t[0]
-    for i in idx:
-        ym, y0, yp = left[i], y[i], right[i]
-        denom = ym - 2 * y0 + yp
-        off = 0.5 * (ym - yp) / denom if denom != 0 else 0.0
-        h = y0 - 0.25 * (ym - yp) * off
-        out.append((float(t[i] + off * dt), float(h)))
-    return out
+    c = np.asarray(coeffs, dtype=float)
+    y, j, t, w = _maxima(c, every=True)
+    # a stray polish never lowers a crest, and a plateau of equal samples
+    # gives one crest: the sample where it starts
+    t = np.where(w >= y[j], t, j * (np.pi / (y.size - 1)))
+    w = np.maximum(w, y[j])
+    keep = (w > 0) & (y[j] > y[np.abs(j - 1)])
+    t, w, j = t[keep], w[keep], j[keep]
+    inner = (j > 0) & (j < y.size - 1)
+    t = np.concatenate((np.where(j == y.size - 1, -t, t), -t[inner]))
+    w = np.concatenate((w, w[inner]))
+    order = np.argsort(t)
+    return list(zip(t[order].tolist(), w[order].tolist()))
 
 
 def surface_curve(c: np.ndarray, mu: float, depth, M: int | None = None) -> WaveProfile:
@@ -145,10 +148,9 @@ def surface_curve(c: np.ndarray, mu: float, depth, M: int | None = None) -> Wave
     xp = -1.0 - _eval_series(k * sin_coef, M).real
     mean_residual = float(np.sum(y * xp) * (2.0 * np.pi / M)) / (2.0 * np.pi)
 
-    census = [
-        (float(np.interp(tc, t, x, period=2 * np.pi)), h)
-        for tc, h in crest_heights(c, max(M, 4096))
-    ]
+    tc, hc = np.array(crest_heights(c)).reshape(-1, 2).T
+    xc = -tc - np.sin(np.outer(tc, k)) @ sin_coef
+    census = list(zip(xc.tolist(), hc.tolist()))
     monotone = bool(np.all(np.diff(x) < 0))
     return WaveProfile(
         r=r, b=b, t=t, x=x, y=y, depth=depth.h,

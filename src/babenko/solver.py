@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (
-    CosineGrid,
     DomainError,
     add_product_matrix,
     as_depth,
@@ -199,7 +198,6 @@ class DiscreteSystem:
         self.h = float(h)
         if self.h <= 0:
             raise ValueError("depth must be positive")
-        self.grid = CosineGrid(self.N)
 
     def _radius(self, mean: float) -> float:
         rho = np.exp(-self.h - mean)
@@ -475,7 +473,7 @@ def newton_solve(
             R = sys.stacked_residual(c, mu, row, target)
         except DomainError as exc:  # exp(-h - c_0) left (0, 1) or underflowed
             raise InadmissibleIterate(str(exc)) from exc
-        nodal = transform_inverse(R[:-1], sys.grid)
+        nodal = transform_inverse(R[:-1])
         return R, max(np.max(np.abs(nodal)), abs(R[-1]))
 
     def point(iters):

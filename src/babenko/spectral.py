@@ -32,7 +32,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DomainError",
-    "CosineGrid",
     "DepthParams",
     "R_MAX",
     "transform_forward",
@@ -63,27 +62,6 @@ class DomainError(ValueError):
     """An operator was evaluated outside its domain of definition."""
 
 
-class CosineGrid:
-    """Collocation grid with nodes x_n = pi*(2n-1)/(2N), n = 1..N."""
-
-    __slots__ = ("N", "nodes")
-
-    def __init__(self, N: int):
-        if N < 1:
-            raise ValueError(f"grid size must be positive, got {N}")
-        self.N = int(N)
-        self.nodes = np.pi * (2.0 * np.arange(1, self.N + 1) - 1.0) / (2.0 * self.N)
-
-    def __eq__(self, other):
-        return isinstance(other, CosineGrid) and other.N == self.N
-
-    def __hash__(self):
-        return hash(("CosineGrid", self.N))
-
-    def __repr__(self):
-        return f"CosineGrid(N={self.N})"
-
-
 @cache
 def _twiddles(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Twiddles of the N-point transforms at the rfft frequencies k = 0..N//2.
@@ -101,12 +79,12 @@ def _twiddles(N: int) -> tuple[np.ndarray, np.ndarray]:
     return fwd, inv
 
 
-def transform_forward(nodal: np.ndarray, grid: CosineGrid) -> np.ndarray:
-    """Nodal values -> cosine coefficients (exact interpolation in span{cos kt})."""
+def transform_forward(nodal: np.ndarray) -> np.ndarray:
+    """Values at the N nodes -> N cosine coefficients (exact interpolation)."""
     nodal = np.asarray(nodal, dtype=float)
-    N = grid.N
-    if nodal.shape != (N,):
-        raise ValueError(f"expected {N} nodal values, got shape {nodal.shape}")
+    if nodal.ndim != 1 or nodal.size < 1:
+        raise ValueError(f"expected a nonempty vector of nodal values, got shape {nodal.shape}")
+    N = nodal.size
     # z_k = c_k - i c_(N-k): the real parts give c_k up to k = N//2, the
     # imaginary parts the rest, read backwards
     v = np.concatenate((nodal[::2], nodal[1::2][::-1]))
@@ -117,12 +95,12 @@ def transform_forward(nodal: np.ndarray, grid: CosineGrid) -> np.ndarray:
     return c
 
 
-def transform_inverse(coeffs: np.ndarray, grid: CosineGrid) -> np.ndarray:
-    """Cosine coefficients -> nodal values, f_n = sum_k c_k cos(k x_n)."""
+def transform_inverse(coeffs: np.ndarray) -> np.ndarray:
+    """N cosine coefficients -> values at the N nodes, f_n = sum_k c_k cos(k x_n)."""
     coeffs = np.asarray(coeffs, dtype=float)
-    N = grid.N
-    if coeffs.shape != (N,):
-        raise ValueError(f"expected {N} coefficients, got shape {coeffs.shape}")
+    if coeffs.ndim != 1 or coeffs.size < 1:
+        raise ValueError(f"expected a nonempty vector of coefficients, got shape {coeffs.shape}")
+    N = coeffs.size
     inv = _twiddles(N)[1]
     z = np.empty(inv.size, dtype=complex)  # c_k - i c_(N-k), with c_N = 0
     z.real = coeffs[: z.size]
@@ -135,18 +113,20 @@ def transform_inverse(coeffs: np.ndarray, grid: CosineGrid) -> np.ndarray:
     return nodal
 
 
-def transform_matrix(grid: CosineGrid) -> np.ndarray:
-    """Dense nodal->coefficient matrix (row k is the analysis weight of mode k)."""
-    k = np.arange(grid.N)
-    T = (2.0 / grid.N) * np.cos(np.outer(k, grid.nodes))
+def _nodes(N: int) -> np.ndarray:
+    return np.pi * (2.0 * np.arange(1, N + 1) - 1.0) / (2.0 * N)
+
+
+def transform_matrix(N: int) -> np.ndarray:
+    """Dense N x N nodal->coefficient matrix (row k is the analysis weight of mode k)."""
+    T = (2.0 / N) * np.cos(np.outer(np.arange(N), _nodes(N)))
     T[0, :] *= 0.5
     return T
 
 
-def inverse_transform_matrix(grid: CosineGrid) -> np.ndarray:
-    """Dense coefficient->nodal matrix, S[n, k] = cos(k x_n)."""
-    k = np.arange(grid.N)
-    return np.cos(np.outer(grid.nodes, k))
+def inverse_transform_matrix(N: int) -> np.ndarray:
+    """Dense N x N coefficient->nodal matrix, S[n, k] = cos(k x_n)."""
+    return np.cos(np.outer(_nodes(N), np.arange(N)))
 
 
 @dataclass(frozen=True)
@@ -328,17 +308,20 @@ def product_block(c: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def series_peak(coeffs: np.ndarray) -> tuple[float, float]:
-    """Location t* in [0, pi] and signed value w(t*) of the largest |w|.
+def _maxima(c: np.ndarray, every: bool = False) -> tuple:
+    """Samples y, and indices j, polished points t and values w(t) of maxima of |w|.
 
     w(t) = sum_k c_k cos(kt) is sampled on the 4N + 1 points t_j = j*pi/(4N),
     which include 0 and pi, as the real part of one real FFT of c
-    zero-padded to 8N points, a zero-padded DCT-I.  Every sampled local
-    maximum of |w| within the sampling error dt^2/8 * max|w''| of the top
-    one is then polished by Newton's method on w'(t) = 0, confined to the
-    neighbouring samples; the largest value found is returned.
+    zero-padded to 8N points, a zero-padded DCT-I.  The sampled local maxima
+    of |w| within the sampling error dt^2/8 * max|w''| of the top one, then,
+    with every, the others are polished by Newton's method on w'(t) = 0,
+    each confined to its neighbouring samples.  The near-top ones are one
+    batch either way: a matrix-vector product rounds a row according to the
+    rows beside it, and so the highest crest is the amplitude to the bit.
+    A maximum closer than one sample to a minimum, a shoulder, can go
+    unsampled.
     """
-    c = np.asarray(coeffs, dtype=float)
     k = np.arange(c.size)
     M = 4 * max(c.size, 2)
     dt = np.pi / M
@@ -348,23 +331,38 @@ def series_peak(coeffs: np.ndarray) -> tuple[float, float]:
     slack = 0.125 * dt * dt * float(np.sum(k * k * np.abs(c)))
     # even reflection at both ends, so t = 0 and t = pi can be maxima
     ext = np.concatenate(([g[1]], g, [g[-2]]))
-    j = np.flatnonzero(
-        (g >= ext[:-2]) & (g >= ext[2:]) & (g >= g.max() - slack)
-    )
-    t = j * dt
-    lo, hi = np.maximum(t - dt, 0.0), np.minimum(t + dt, np.pi)
-    for _ in range(8):
-        kt = np.outer(t, k)
-        d1 = -(np.sin(kt) * k) @ c
-        d2 = -(np.cos(kt) * (k * k)) @ c
-        step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0)
-        t_new = np.clip(t - step, lo, hi)
-        done = np.max(np.abs(t_new - t)) <= 1e-15
-        t = t_new
-        if done:
-            break
-    # the samples stay candidates, so a stray polish can never lower the peak
-    t = np.concatenate([t, j * dt])
-    vals = np.concatenate([np.cos(np.outer(t[: j.size], k)) @ c, y[j]])
+    peak = (g >= ext[:-2]) & (g >= ext[2:])
+    top = peak & (g >= g.max() - slack)
+    batches = [np.flatnonzero(top), np.flatnonzero(peak & ~top)][: 1 + every]
+    ts, ws = [], []
+    for j in batches:
+        t = j * dt
+        lo, hi = np.maximum(t - dt, 0.0), np.minimum(t + dt, np.pi)
+        for _ in range(8):
+            kt = np.outer(t, k)
+            d1 = -(np.sin(kt) * k) @ c
+            d2 = -(np.cos(kt) * (k * k)) @ c
+            step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0)
+            t_new = np.clip(t - step, lo, hi)
+            done = np.all(np.abs(t_new - t) <= 1e-15)
+            t = t_new
+            if done:
+                break
+        ts.append(t)
+        ws.append(np.cos(np.outer(t, k)) @ c)
+    return y, np.concatenate(batches), np.concatenate(ts), np.concatenate(ws)
+
+
+def series_peak(coeffs: np.ndarray) -> tuple[float, float]:
+    """Location t* in [0, pi] and signed value w(t*) of the largest |w|.
+
+    The largest of the polished near-top maxima of |w| (_maxima) and the
+    samples they started from; the samples stay candidates, so a stray
+    polish can never lower the peak.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    y, j, t, w = _maxima(c)
+    t = np.concatenate([t, j * (np.pi / (y.size - 1))])
+    vals = np.concatenate([w, y[j]])
     i = int(np.argmax(np.abs(vals)))
     return float(t[i]), float(vals[i])

@@ -23,6 +23,11 @@ from babenko.spectral import product_coeffs, transform_forward
 H = math.pi / 5
 
 
+def nodes(N):
+    """The collocation nodes x_n = pi (2n - 1) / (2N), n = 1..N."""
+    return np.pi * (2.0 * np.arange(1, N + 1) - 1.0) / (2.0 * N)
+
+
 def node_row(N, j, sign):
     """Closing row of sign * w(x_j) at collocation node j of N.
 
@@ -40,11 +45,11 @@ def dense_product_matrix(c):
 def solve_small(N, n=1, s=0.01, depth=H):
     """One converged small-amplitude mode-n point."""
     sys = get_system(N, depth)
-    x = s * np.cos(n * sys.grid.nodes)
+    x = s * np.cos(n * nodes(N))
     mu = math.tanh(n * depth) / n
     j = int(np.argmax(np.abs(x)))
     row = node_row(N, j, 1 if x[j] >= 0 else -1)
-    c = transform_forward(x, sys.grid)
+    c = transform_forward(x)
     return newton_solve(c, mu, depth, row, s, NewtonConfig())
 
 

@@ -35,8 +35,8 @@ from conftest import H
 
 
 def crests(sec):
-    """Heights of the positive crests of sec's endpoint, in t order."""
-    return np.array([h for _, h in crest_heights(sec.last.coeffs) if h > 0])
+    """Crest heights of sec's endpoint, in t order."""
+    return np.array([h for _, h in crest_heights(sec.last.coeffs)])
 
 
 def crest_word(sec):

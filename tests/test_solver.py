@@ -28,7 +28,6 @@ from babenko.continuation import (
     switch_branch,
 )
 from babenko.spectral import (
-    CosineGrid,
     DomainError,
     dlambda_dr,
     dmu_dr,
@@ -38,14 +37,14 @@ from babenko.spectral import (
     transform_inverse,
 )
 
-from conftest import H, dense_product_matrix, node_row, solve_small
+from conftest import H, dense_product_matrix, node_row, nodes, solve_small
 
 RNG = np.random.default_rng(7)
 
 
 def nodal(pt):
     """The point's values at the collocation nodes."""
-    return transform_inverse(pt.coeffs, CosineGrid(pt.coeffs.size))
+    return transform_inverse(pt.coeffs)
 
 
 def central_difference_stacked_jacobian(sys, c, mu, row, target, step=1e-7):
@@ -102,7 +101,7 @@ def reference_newton_solve(sys, c, mu, row, target, tol, max_iter=50):
     c = c.copy()
     for it in range(max_iter + 1):
         R = sys.stacked_residual(c, mu, row, target)
-        norm = max(np.max(np.abs(transform_inverse(R[:-1], sys.grid))), abs(R[-1]))
+        norm = max(np.max(np.abs(transform_inverse(R[:-1]))), abs(R[-1]))
         if norm <= tol:
             return c, mu, it
         step = np.linalg.solve(sys.stacked_jacobian(c, mu, row), -R)
@@ -206,8 +205,7 @@ class TestJacobian:
         assert J.shape == (17, 17)
         # last row: derivative of sign * w(x_0) - a with respect to the
         # coefficients, cos(k x_0), and nothing in the mu column
-        sys = get_system(16, H)
-        expect = np.append(np.cos(np.arange(16) * sys.grid.nodes[0]), 0.0)
+        expect = np.append(np.cos(np.arange(16) * nodes(16)[0]), 0.0)
         assert np.allclose(J[16], expect)
         assert J[16, :16] @ pt.coeffs == pytest.approx(nodal(pt)[0], rel=1e-12)
 
@@ -351,12 +349,11 @@ class TestChordNewton:
     def test_singular_system_raises(self):
         # a zero closing row leaves the bordered Jacobian exactly singular;
         # lu_factor's LinAlgWarning must not escape
-        sys = get_system(16, H)
-        x = 0.01 * np.cos(sys.grid.nodes)
+        x = 0.01 * np.cos(nodes(16))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularJacobian, match="exactly singular"):
-                newton_solve(transform_forward(x, sys.grid), 0.55, H, np.zeros(16), 0.0,
+                newton_solve(transform_forward(x), 0.55, H, np.zeros(16), 0.0,
                              NewtonConfig())
 
     def test_paths_are_pinned(self, c1_full, c5_bundle):
@@ -585,10 +582,9 @@ class TestDivergenceGuard:
 
     def test_max_iter_failure_carries_its_cost(self):
         # the far predictor of solve_small(32, s=0.1) needs 7 steps
-        sys = get_system(32, H)
-        x = 0.1 * np.cos(sys.grid.nodes)
+        x = 0.1 * np.cos(nodes(32))
         with pytest.raises(NewtonMaxIter) as info:
-            newton_solve(transform_forward(x, sys.grid), math.tanh(H), H,
+            newton_solve(transform_forward(x), math.tanh(H), H,
                          node_row(32, 0, 1), 0.1, NewtonConfig(max_iter=2))
         exc = info.value
         assert exc.iterations == 2
@@ -634,10 +630,9 @@ class TestNewton:
         assert abs(row @ pt.coeffs - target) < 1e-9
 
     def test_divergence_raises(self):
-        sys = get_system(16, H)
-        x = 5.0 * np.cos(sys.grid.nodes)  # far outside the solution set
+        x = 5.0 * np.cos(nodes(16))  # far outside the solution set
         with pytest.raises(NewtonDiverged) as info:
-            newton_solve(transform_forward(x, sys.grid), 0.55, H, node_row(16, 0, 1), 5.0,
+            newton_solve(transform_forward(x), 0.55, H, node_row(16, 0, 1), 5.0,
                          NewtonConfig(max_iter=12))
         assert info.value.iterations < 12
 
@@ -648,7 +643,7 @@ class TestNewton:
             raise AssertionError("assembled a Jacobian for a non-finite seed")
 
         monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", no_assembly)
-        c = transform_forward(0.01 * np.cos(get_system(16, H).grid.nodes), CosineGrid(16))
+        c = transform_forward(0.01 * np.cos(nodes(16)))
         mu = math.tanh(H)
         if where == "mu":
             mu = bad
