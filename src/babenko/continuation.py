@@ -2,10 +2,11 @@
 
 Every branch is traced in one parameter, row . c on a fixed coefficient
 row that the branch carries, from the point it leaves from: every solve
-along it, fold refinement and detection's bisection included, goes through
-one corrector (_correct), the secant through two earlier points closed by
-that row.  A primary branch's row is its seed's crest row cos(k t_c), with
-t_c = 0 or pi/n; its crest never moves, so row . c is the amplitude
+along it, fold refinement, detection's bisection and the location of its
+extreme endpoint included, goes through one corrector (_correct), the
+secant through two earlier points closed by that row.  A primary
+branch's row is its seed's crest row cos(k t_c), with t_c = 0 or pi/n;
+its crest never moves, so row . c is the amplitude
 a = max_t |w(t)| of the cosine series, which is monotone along the
 families of interest, and turning points in mu are passed without
 arclength machinery.  Its first secant point is the trivial solution
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import geometry
 from .solver import (
+    Chord,
     NewtonConfig,
     SolutionPoint,
     SolveFailure,
@@ -170,38 +172,90 @@ def _correct(
     prev: SolutionPoint,
     prev2: SolutionPoint,
     row: np.ndarray,
+    chord: Chord | None = None,
 ) -> SolutionPoint:
     """One corrector solve at row . c = target.
 
     The predictor is the secant through prev2 and prev, whose parameters
     row . c must differ; with prev2 on the far side of target it
     interpolates between them.  The closing row is row . c = target.
+    With a chord, newton_solve starts from its factors where they fit.
     """
     s, s2 = float(row @ prev.coeffs), float(row @ prev2.coeffs)
     t = (target - s) / (s - s2)
     c = prev.coeffs + t * (prev.coeffs - prev2.coeffs)
     mu = prev.mu + t * (prev.mu - prev2.mu)
-    return newton_solve(c, mu, depth, row, target, cfg.newton)
+    return newton_solve(c, mu, depth, row, target, cfg.newton, chord)
 
 
 def _stop_ratio(pt: SolutionPoint) -> float:
     return (0.5 * pt.mu - pt.sup_norm) / (0.5 * pt.mu)
 
 
-def _terminate(branch: Branch, reason) -> None:
+def _terminate(branch: Branch, reason, **diagnostics) -> None:
     """End the trace at its last point, as extreme if it is near mu/2."""
     p = branch.last
     kind = "extreme_termination" if _stop_ratio(p) < 50 * EXTREME_STOP_RATIO else "hard_failure"
     branch.events.append(BranchEvent(
         kind, p.mu, p.sup_norm, p.sup_norm,
-        diagnostics={"stagnation": 0.5 * p.mu - p.sup_norm, "reason": reason},
+        diagnostics={"stagnation": 0.5 * p.mu - p.sup_norm, "reason": reason, **diagnostics},
     ))
 
 
+# the stop-ratio location ends once |rho - EXTREME_STOP_RATIO| is below
+# this, or after LOCATE_SOLVES corrector solves
+STOP_RATIO_TOL = 1e-11
+LOCATE_SOLVES = 8
+
+
+def _locate_stop(
+    lo: SolutionPoint, hi: SolutionPoint, row: np.ndarray, depth, cfg: ContinuationConfig,
+    chord: Chord,
+) -> tuple[SolutionPoint | None, int]:
+    """The point at rho = EXTREME_STOP_RATIO between lo and hi, and the solves made.
+
+    rho = (mu/2 - a)/(mu/2) is below the threshold at hi.  Each solve is a
+    _correct solve, from the secant through the bracketing points, at the
+    Illinois (safeguarded secant) root of rho in row . c (Dahlquist &
+    Bjorck, Numerical Methods, 1974, ch. 6).  None, after no solve, if rho
+    is not above the threshold at lo, and None if a solve fails or
+    LOCATE_SOLVES are made.
+    """
+    a, b = lo, hi
+    fa, fb = (_stop_ratio(p) - EXTREME_STOP_RATIO for p in (a, b))
+    if not fa > 0:
+        return None, 0
+    sa, sb = float(row @ a.coeffs), float(row @ b.coeffs)
+    side = 0
+    for solves in range(1, LOCATE_SOLVES + 1):
+        s = sb - fb * (sb - sa) / (fb - fa)
+        try:
+            p = _correct(depth, cfg, s, a, b, row, chord)
+        except SolveFailure:
+            return None, solves
+        fp = _stop_ratio(p) - EXTREME_STOP_RATIO
+        if abs(fp) <= STOP_RATIO_TOL:
+            return p, solves
+        if fp < 0:  # the root lies between a and p
+            b, fb, sb = p, fp, s
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        else:
+            a, fa, sa = p, fp, s
+            if side == 1:
+                fb *= 0.5
+            side = 1
+    return None, LOCATE_SOLVES
+
+
 # a corrector that needed at most this many Jacobian factorizations was
-# easy, and the next step grows.  3 gives the same points as growing after
-# at most 4 full Newton steps; 2, or a bound on chord steps, moves the
-# C5 secondary branches' points and endpoints.
+# easy, and the next step grows.  On a primary, whose correctors start from
+# fresh factors, 3 gives the same points as growing after at most 4 full
+# Newton steps.  On a secondary a corrector often runs on the previous
+# one's factors, with 0 or 1 of its own, so the step grows more often:
+# C53@512 takes 18 points instead of 20.  2, or a bound on chord steps,
+# moves the C5 secondary branches' points.
 EASY_FACTORIZATIONS = 3
 
 
@@ -219,9 +273,21 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     mu/2.  A step is cut where the secant slope puts amplitude_max, exactly
     on a primary; the trace stops after that solve, or at once if the last
     point is within cfg.step_min of it.  A trace ends in
-    extreme_termination once the gap falls below EXTREME_STOP_RATIO of
-    mu/2; turning points are then appended as events.  It ends in a
-    retrace event alone once a point retraces a branch.twins.
+    extreme_termination once the gap ratio rho = (mu/2 - a)/(mu/2) falls
+    below EXTREME_STOP_RATIO: _locate_stop then solves for the point at
+    rho = EXTREME_STOP_RATIO between the last two points, which replaces
+    the crossing point as the endpoint (the crossing point stays if a
+    location solve fails), and the event's diagnostics carry the
+    endpoint's rho (stop_ratio) and the solves made (location_solves).
+    Turning points are then appended as events.  It ends in a retrace
+    event alone once a point retraces a branch.twins.
+
+    Every corrector and location solve of the call shares one Chord, so a
+    solve can start from the previous one's factors.  On a primary the
+    factors are dropped before each corrector, so its recorded points,
+    which detection factors and bisects between, come from fresh factors
+    and only the location runs on them; fold refinement, detection and
+    branch switching solve fresh.
     """
     cfg = cfg or ContinuationConfig()
     if not branch.points:
@@ -230,13 +296,18 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     row = branch.row
     step = cfg.amplitude_step if branch.step is None else branch.step
     cap = cfg.amplitude_max
+    chord = Chord()
 
     while len(branch.points) < MAX_POINTS and not branch.terminated():
         prev = branch.last
         prev2 = branch.points[-2] if len(branch.points) > 1 else branch.origin
         gap = 0.5 * prev.mu - prev.sup_norm
         if _stop_ratio(prev) < EXTREME_STOP_RATIO:
-            _terminate(branch, "stop_ratio")
+            end, solves = _locate_stop(prev2, prev, row, depth, cfg, chord)
+            if end is not None:
+                branch.points[-1] = end
+            _terminate(branch, "stop_ratio", stop_ratio=_stop_ratio(branch.last),
+                       location_solves=solves)
             break
         if cap is not None and cap - prev.sup_norm < cfg.step_min:
             break
@@ -253,8 +324,12 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
         capped = s + eff >= to_cap
         target = to_cap if capped else s + eff
 
+        if branch.mode is not None:
+            # a primary's points are solved from fresh factors, as detection
+            # factors them and bisects between them
+            chord.factors = None
         try:
-            pt = _correct(depth, cfg, target, prev, prev2, row)
+            pt = _correct(depth, cfg, target, prev, prev2, row, chord)
             if 0.5 * pt.mu - pt.sup_norm <= 0:
                 raise SolveFailure("iterate beyond the limiting height mu/2")
             if branch.parent_mode is not None:
@@ -263,6 +338,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
                 if off_new < min(1e-8, 0.2 * off_prev):
                     raise SolveFailure("iterate collapsed onto the parent branch")
         except SolveFailure as exc:
+            chord.factors = None  # a rejected corrector's factors are not kept
             if eff <= cfg.step_min * (1 + 1e-9):
                 _terminate(branch, repr(exc))
                 break
@@ -277,6 +353,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
         if pt.factorizations <= EASY_FACTORIZATIONS and step < STEP_MAX:
             step = min(step * 1.3, STEP_MAX)
 
+    del chord  # the fold's solves are fresh: free the buffer before they run
     for ev in detect_turning_points(branch, depth, cfg):
         if not any(
             e.kind == "turning_point" and abs(e.amplitude - ev.amplitude) < 1e-9

@@ -25,13 +25,19 @@ within a solve.  The coefficients off 0, n, 2n, ... and those with k >= K
 are set to 0, which moves each by at most eps * max|c|, so the band's
 matrix is the K-mode system's own Jacobian, the leading rows and columns
 of the N-mode one (Boyd, Chebyshev and Fourier Spectral Methods, 2001,
-ch. 2, on the spectral tail).  Newton allocates
+ch. 2, on the spectral tail).  Newton uses
 one bordered buffer per band, (len(band)+1) square, assembles the
 Jacobian into it, factors it in place with scipy.linalg.lu_factor and
 takes further steps by back-substitution, reassembling, and choosing K
 again, only when the residual contracts by less than CONTRACTION per step
 (Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003,
-ch. 5).  The residual stays that of all N modes.  Newton judges
+ch. 5).  A Chord carries that buffer and its factors from one solve to
+the next: a solve whose predictor has the chord's n and K starts from
+its factors, under the same CONTRACTION rule, and a converged solve
+leaves its last factors there, so successive correctors along a branch
+often converge without a factorization of their own (Deuflhard, Newton
+Methods for Nonlinear Problems, Springer 2004, ch. 5).  The residual
+stays that of all N modes.  Newton judges
 convergence on the nodal values of the residual, and declares divergence
 as soon as that norm exceeds max(|R_0|, 1), its starting value floored at
 one (a residual monitor in the sense of Deuflhard, Newton Methods for
@@ -72,6 +78,7 @@ from .spectral import (
 __all__ = [
     "NewtonConfig",
     "SolutionPoint",
+    "Chord",
     "SolveFailure",
     "NewtonDiverged",
     "NewtonMaxIter",
@@ -143,8 +150,9 @@ class SolutionPoint:
     crests at t = 0 and t = pi included, not the maximum over the
     collocation nodes.
     iterations counts Newton steps and factorizations the Jacobians
-    assembled and factored for them; residual_history holds the residual
-    norm before each step and after the last.
+    assembled and factored for them, 0 when every step ran on factors
+    inherited from a Chord; residual_history holds the residual norm
+    before each step and after the last.
     """
 
     mu: float
@@ -422,6 +430,24 @@ def _band(c: np.ndarray) -> int:
     return min(K, c.size)
 
 
+@dataclass
+class Chord:
+    """Jacobian factors that successive newton_solve calls share.
+
+    buffer is the bordered Jacobian buffer, (len(band)+1) square, of the
+    band k = 0, n, 2n, ... < K, and factors, when not None, the
+    lu_factor_in_place factors stored in it.  A solve whose predictor
+    has this n and K starts from the factors; every solve assembles into
+    the buffer when its shape fits, and leaves its last factors here, or
+    None if it fails.
+    """
+
+    buffer: np.ndarray | None = field(default=None, repr=False)
+    n: int = 0
+    K: int = 0
+    factors: tuple | None = field(default=None, repr=False)
+
+
 def newton_solve(
     c0: np.ndarray,
     initial_mu: float,
@@ -429,6 +455,7 @@ def newton_solve(
     row: np.ndarray,
     target: float,
     cfg: NewtonConfig | None = None,
+    chord: Chord | None = None,
 ) -> SolutionPoint:
     """Chord Newton iteration on the stacked system from the given predictor.
 
@@ -444,12 +471,19 @@ def newton_solve(
     for k >= K; the residual, its convergence test and the divergence
     guard stay those of all N modes, and with K = N the band is the whole
     subspace.  One bordered
-    Jacobian buffer, (len(band)+1) square, is allocated per band; it is
+    Jacobian buffer, (len(band)+1) square, is used per band; it is
     assembled and factored in place, and each step is a back-substitution
     with those factors.  After a step that leaves more than CONTRACTION of
     the residual norm, the Jacobian is reassembled and refactored at the
     new iterate before the next step.
-    The point records the steps taken (iterations) and the factorizations.
+    With a chord, the solve starts from chord.factors, without assembling,
+    when the predictor's own n and K equal chord.n and chord.K; otherwise
+    it assembles into chord.buffer when that has the band's shape, and
+    into a new buffer, kept in the chord, when not.  A converged solve
+    leaves its last factors, n and K in the chord, and a failed one leaves
+    chord.factors None.  Without a chord the solve uses a buffer of its own.
+    The point records the steps taken (iterations) and the factorizations,
+    which are 0 when the inherited factors carried every step.
     Raises a SolveFailure subclass, carrying the same counts and the
     residual history, on divergence, iteration exhaustion, an exactly
     singular Jacobian, or an iterate leaving the operator domain.  The
@@ -466,6 +500,13 @@ def newton_solve(
     sys = get_system(c.size, as_depth(depth).h)
     n = max(int(np.gcd.reduce(_resolved(c))), 1)  # gcd(0, k) = k
     c[np.arange(c.size) % n != 0] = 0.0
+    if chord is None:
+        chord = Chord()
+    K, factors = 0, None  # the band, which never shrinks, and its factors
+    if chord.factors is not None and (chord.n, chord.K) == (n, _band(c)):
+        K, factors = chord.K, chord.factors
+        idx = np.arange(0, K, n)
+    chord.factors = None  # until the solve converges
 
     def res(c, mu):
         # coefficients for the step, nodal values for the convergence test
@@ -477,6 +518,7 @@ def newton_solve(
         return R, max(np.max(np.abs(nodal)), abs(R[-1]))
 
     def point(iters):
+        chord.n, chord.K, chord.factors = n, K, lu
         return SolutionPoint.from_solution(
             c.copy(), mu, sys.h, norm, iters, history, factorizations,
         )
@@ -484,8 +526,7 @@ def newton_solve(
     R, norm = res(c, mu)
     history = [norm]
     norm0 = max(norm, 1.0)  # the divergence guard
-    K = 0  # the band, which never shrinks
-    factors = None
+    lu = factors  # the last factors, which a converged solve leaves in the chord
     factorizations = 0
 
     try:
@@ -498,13 +539,16 @@ def newton_solve(
                     K = band
                     idx = np.arange(0, K, n)  # the coefficients 0, n, 2n, ... < K
                     L = idx.size
-                    J = np.empty((L + 1, L + 1))  # assembled into and factored in place
-                c[K:] = 0.0
-                get_system(K, sys.h).stacked_jacobian(c[:K], mu, row[:K], out=J, idx=idx)
-                factors = lu_factor_in_place(J)
+                    if chord.buffer is None or chord.buffer.shape != (L + 1, L + 1):
+                        chord.buffer = lu = None  # free the old buffer first
+                        chord.buffer = np.empty((L + 1, L + 1))
+                get_system(K, sys.h).stacked_jacobian(c[:K], mu, row[:K], out=chord.buffer,
+                                                      idx=idx)
+                factors = lu = lu_factor_in_place(chord.buffer)
                 factorizations += 1
                 if not np.all(np.diagonal(factors[0])):
                     raise SingularJacobian("exactly singular Jacobian")
+            c[K:] = 0.0
             step = lu_solve(factors, -np.append(R[:K:n], R[-1]), trans=1,
                             check_finite=False)
             if not np.all(np.isfinite(step)):

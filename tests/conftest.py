@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from babenko import continuation
 from babenko.continuation import (
     ContinuationConfig,
     continue_branch,
@@ -17,6 +18,7 @@ from babenko.continuation import (
     navigate_secondaries,
     start_branch,
 )
+from babenko.geometry import crest_heights
 from babenko.solver import NewtonConfig, get_system, newton_solve
 from babenko.spectral import product_coeffs, transform_forward
 
@@ -35,6 +37,11 @@ def node_row(N, j, sign):
     """
     x_j = np.pi * (2 * j + 1) / (2 * N)
     return sign * np.cos(np.arange(N) * x_j)
+
+
+def crest_word(branch):
+    """The crest word of the branch's endpoint (continuation._word)."""
+    return continuation._word(np.array([h for _, h in crest_heights(branch.last.coeffs)]))
 
 
 def dense_product_matrix(c):

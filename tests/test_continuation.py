@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.interpolate import interp1d
 
 from babenko import continuation
 from babenko.continuation import (
+    EXTREME_STOP_RATIO,
     RETRACE_TOL,
     STEP_MAX,
     Branch,
@@ -31,16 +33,12 @@ from babenko.continuation import (
 from babenko.geometry import crest_heights
 from babenko.solver import SolutionPoint, SolveFailure, get_system, lu_factor_in_place
 
-from conftest import H
+from conftest import H, crest_word
 
 
 def crests(sec):
     """Crest heights of sec's endpoint, in t order."""
     return np.array([h for _, h in crest_heights(sec.last.coeffs)])
-
-
-def crest_word(sec):
-    return continuation._word(crests(sec))
 
 
 class TestConfigAndSeeding:
@@ -120,8 +118,8 @@ class TestAmplitudeContinuation:
         assert below < cfg.amplitude_max
         solve = continuation.newton_solve
 
-        def short_of_cap(c, mu, depth, row, target, ncfg):
-            pt = solve(c, mu, depth, row, target, ncfg)
+        def short_of_cap(c, mu, depth, row, target, ncfg, chord=None):
+            pt = solve(c, mu, depth, row, target, ncfg, chord)
             if target == cfg.amplitude_max:
                 pt.sup_norm = below
             return pt
@@ -180,6 +178,59 @@ class TestEndpointAndTurning:
         assert "extreme_termination" in kinds
         p = c1_full.last
         assert (0.5 * p.mu - p.sup_norm) / (0.5 * p.mu) < 5e-2
+
+    def test_endpoints_sit_at_the_stop_ratio(self, c1_full, c5_bundle):
+        # the point located at rho = EXTREME_STOP_RATIO replaces the one
+        # that crossed it, and the event carries rho and the solves
+        branches = [c1_full, c5_bundle["parent"], *c5_bundle["secondaries"]]
+        stops = [(b, e) for b in branches for e in b.events
+                 if e.kind == "extreme_termination" and e.diagnostics["reason"] == "stop_ratio"]
+        assert len(stops) == len(branches)
+        for b, e in stops:
+            rho = continuation._stop_ratio(b.last)
+            assert abs(rho - EXTREME_STOP_RATIO) < 1e-8
+            assert e.diagnostics["stop_ratio"] == rho
+            assert 1 <= e.diagnostics["location_solves"] <= continuation.LOCATE_SOLVES
+            assert (e.mu, e.sup_norm) == (b.last.mu, b.last.sup_norm)
+            assert all(continuation._stop_ratio(p) > EXTREME_STOP_RATIO for p in b.points[:-1])
+
+    def test_failed_location_keeps_the_crossing_point(self, monkeypatch):
+        cfg = ContinuationConfig(N=64)
+        located = continue_branch(start_branch(1, 0.01, H, cfg), H, cfg)
+        correct = continuation._correct
+
+        def no_location(depth, cfg, target, prev, prev2, row, chord=None):
+            # location solves aim behind prev2, between their two points;
+            # so do the fold's, which then keep the quadratic fit
+            if target < row @ prev2.coeffs:
+                raise SolveFailure("location solve failed")
+            return correct(depth, cfg, target, prev, prev2, row, chord)
+
+        monkeypatch.setattr(continuation, "_correct", no_location)
+        b = continue_branch(start_branch(1, 0.01, H, cfg), H, cfg)
+        assert len(b.points) == len(located.points)
+        for p, q in zip(b.points[:-1], located.points[:-1]):
+            assert np.array_equal(p.coeffs, q.coeffs)
+        ev = next(e for e in b.events if e.kind == "extreme_termination")
+        assert ev.diagnostics["location_solves"] == 1
+        rho = continuation._stop_ratio(b.last)
+        assert ev.diagnostics["stop_ratio"] == rho < EXTREME_STOP_RATIO
+        assert b.last.sup_norm > located.last.sup_norm
+
+    def test_trace_holds_one_jacobian_buffer(self, c1_full):
+        # the chord's buffer, 513 x 513 or 2.1 MB at N=512, is freed before
+        # the fold's fresh solves make their own, and before a wider band's
+        # buffer is made; c1_full has loaded everything the trace imports
+        cfg = ContinuationConfig(N=512)
+        seed = start_branch(1, 0.01, H, cfg)
+        tracemalloc.start()
+        try:
+            b = continue_branch(seed, H, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert any(e.kind == "turning_point" for e in b.events)
+        assert peak < 1.5 * 513 ** 2 * 8
 
     def test_turning_point_recorded(self, c1_full):
         # the fold in mu only resolves once the crest is; N=512 suffices
@@ -750,3 +801,13 @@ class TestBranchIdentity:
                 np.min(np.max(np.abs(continuation._dihedral(crests(s)) - crests(k)), axis=1))
                 for k in kept)
             assert gaps[0] < 1e-12 * s.last.sup_norm and gaps[1] > 0.1 * s.last.sup_norm
+
+    def test_c6_kept_branches_are_pinned(self):
+        # six families, two of them (C62, C62b) with one word
+        cfg = ContinuationConfig(N=256)
+        b = continue_branch(start_branch(6, 0.01, H, cfg), H, cfg)
+        detect_secondary_bifurcations(b, H, cfg)
+        kept = navigate_secondaries(b, H, cfg)
+        assert [(s.label, len(s.points), crest_word(s)) for s in kept] == [
+            ("C61", 18, "000001"), ("C62", 18, "000101"), ("C62b", 21, "000101"),
+            ("C62c", 17, "001001"), ("C63", 18, "010101"), ("C64", 20, "011011")]

@@ -7,6 +7,7 @@ import pytest
 
 from babenko import continuation, solver
 from babenko.solver import (
+    Chord,
     DiscreteSystem,
     InadmissibleIterate,
     NewtonConfig,
@@ -22,10 +23,10 @@ from babenko.solver import (
 )
 from babenko.continuation import (
     ContinuationConfig,
+    _correct,
     _det_sign,
-    continue_branch,
+    navigate_secondaries,
     start_branch,
-    switch_branch,
 )
 from babenko.spectral import (
     DomainError,
@@ -37,7 +38,7 @@ from babenko.spectral import (
     transform_inverse,
 )
 
-from conftest import H, dense_product_matrix, node_row, nodes, solve_small
+from conftest import H, crest_word, dense_product_matrix, node_row, nodes, solve_small
 
 RNG = np.random.default_rng(7)
 
@@ -357,25 +358,96 @@ class TestChordNewton:
                              NewtonConfig())
 
     def test_paths_are_pinned(self, c1_full, c5_bundle):
-        # step growth keys on factorizations; these are the point counts
-        # of the full-Newton paths it reproduces
+        # step growth keys on factorizations, which the secondaries' chord
+        # makes fewer; these are the point counts of the paths it gives
         counts = {b.label: len(b.points) for b in c5_bundle["secondaries"]}
-        assert counts == {"C51": 14, "C52": 17, "C52b": 14, "C53": 20, "C53b": 16, "C54": 18}
+        assert counts == {"C51": 14, "C52": 17, "C52b": 14, "C53": 18, "C53b": 16, "C54": 18}
         assert len(c5_bundle["parent"].points) == 25
         assert len(c1_full.points) == 30
-        # endpoints (mu, sup_norm) of the secondaries, to rounding; the
-        # primary is solved on its mode-5 subspace, where the off-class
-        # coefficients stay exactly 0
+        # endpoints (mu, sup_norm) of the secondaries, located at the stop
+        # ratio, to rounding; the primary is solved on its mode-5
+        # subspace, where the off-class coefficients stay exactly 0
         endpoints = {
-            "C51": (0.22865517157092038, 0.11424554312973967),
-            "C52": (0.23149337343402512, 0.1156392787353089),
-            "C52b": (0.23149222610994466, 0.1156411514170888),
-            "C53": (0.23434205835506622, 0.11709032303856555),
-            "C53b": (0.23436419987132046, 0.1170902682530432),
-            "C54": (0.23725242158861048, 0.11852798759527802),
+            "C51": (0.22867410886564132, 0.11422271737838782),
+            "C52": (0.2314958132338673, 0.11563215871031665),
+            "C52b": (0.2314958106318792, 0.11563215741062366),
+            "C53": (0.23434416106035294, 0.11705490844964207),
+            "C53b": (0.23436564510873137, 0.11706563973181128),
+            "C54": (0.23724885795872755, 0.1185058045503843),
         }
         for b in c5_bundle["secondaries"]:
             assert (b.last.mu, b.last.sup_norm) == pytest.approx(endpoints[b.label], abs=1e-12)
+
+    def test_inherited_factors_repeat_the_fresh_solve(self, c1_full):
+        # a solve that factored once, at its predictor, leaves those
+        # factors in the chord; the same predictor then takes the same
+        # steps on them, bit for bit, and factors nothing
+        i = next(i for i in range(2, len(c1_full.points) - 1)
+                 if c1_full.points[i].factorizations == 1)
+        c, mu, con = secant_predictor(c1_full, i)
+        chord = Chord()
+        fresh = newton_solve(c, mu, H, *con, chord=chord)
+        assert fresh.factorizations == 1 and chord.factors is not None
+        again = newton_solve(c, mu, H, *con, chord=chord)
+        assert again.factorizations == 0
+        assert again.iterations == fresh.iterations
+        assert np.array_equal(again.coeffs, fresh.coeffs) and again.mu == fresh.mu
+
+    def test_chord_of_another_band_is_not_used(self, monkeypatch):
+        shapes = spy_shapes(monkeypatch)
+        chord = Chord()
+        first = solve_chord(32, 1, 0.01, chord)
+        buf = chord.buffer
+        assert (chord.n, chord.K, buf.shape) == (1, 32, (33, 33))
+        # a mode-2 predictor has another stride: assembled fresh, into a
+        # buffer of its own shape
+        second = solve_chord(32, 2, 0.01, chord)
+        assert second.factorizations >= 1
+        assert (chord.n, chord.K, chord.buffer.shape) == (2, 32, (17, 17))
+        assert shapes == [(33, 33)] * first.factorizations + [(17, 17)] * second.factorizations
+        # the same shape without factors is assembled into the same buffer
+        buf = chord.buffer
+        chord.factors = None
+        assert solve_chord(32, 2, 0.02, chord).factorizations >= 1
+        assert chord.buffer is buf
+
+    def test_failed_solve_leaves_no_factors(self):
+        chord = Chord()
+        solve_chord(16, 1, 0.01, chord)
+        assert chord.factors is not None
+        with pytest.raises(NewtonDiverged):
+            diverging_solve(chord)
+        assert chord.factors is None
+
+    def test_endpoints_do_not_depend_on_the_chord(self, c5_bundle, monkeypatch):
+        # the secondaries re-traced with every solve fresh: their points
+        # move with the steps, but the located endpoints do not
+        class NoFactors(Chord):
+            def __setattr__(self, name, value):
+                super().__setattr__(name, None if name == "factors" else value)
+
+        monkeypatch.setattr(continuation, "Chord", NoFactors)
+        fresh = navigate_secondaries(c5_bundle["parent"], H, c5_bundle["cfg"])
+        ref = c5_bundle["secondaries"]
+        assert [(b.label, crest_word(b)) for b in fresh] == \
+            [(b.label, crest_word(b)) for b in ref]
+        for b, r in zip(fresh, ref):
+            assert abs(b.last.mu - r.last.mu) < 1e-8
+            assert abs(b.last.sup_norm - r.last.sup_norm) < 1e-8
+
+
+def solve_chord(N, n, s, chord):
+    """newton_solve of the mode-n predictor s cos(nt) at N, at its crest, with chord."""
+    c = np.zeros(N)
+    c[n] = s
+    return newton_solve(c, math.tanh(n * H) / n, H, np.ones(N), s, chord=chord)
+
+
+def diverging_solve(chord=None):
+    """A solve whose residual grows past its guard, at N = 16."""
+    x = 5.0 * np.cos(nodes(16))  # far outside the solution set
+    return newton_solve(transform_forward(x), 0.55, H, node_row(16, 0, 1), 5.0,
+                        NewtonConfig(max_iter=12), chord)
 
 
 def off_class(c, n):
@@ -539,39 +611,30 @@ class TestBandSolve:
 class TestDivergenceGuard:
     """Newton stops once the residual norm exceeds max(|R_0|, 1)."""
 
-    def test_overstepped_correctors_stop_early(self, c5_bundle, monkeypatch):
-        # C53 is seeded along -phi at the first event; two of its correctors
-        # step too far, fail, and the step is halved.  Without the guard
-        # both ran all 50 iterations and failed as NewtonMaxIter.
-        failures = []
-        solve = continuation.newton_solve
-
-        def recording(*args, **kwargs):
-            try:
-                return solve(*args, **kwargs)
-            except SolveFailure as exc:
-                failures.append(exc)
-                raise
-
-        monkeypatch.setattr(continuation, "newton_solve", recording)
+    def test_overstepped_correctors_stop_early(self, c5_bundle):
+        # Traced from fresh factors, C53 (seeded along -phi at the first
+        # event) stepped too far twice: from the secant through its points
+        # 7 and 8 to row . c = 0.006804 and, after the halved step, through
+        # the next two points to 0.007933.  On the chord both correctors
+        # converge, so the guard is driven by fresh solves from those
+        # predictors.  Without the guard both ran all 50 iterations and
+        # failed as NewtonMaxIter.
         cfg = c5_bundle["cfg"]
-        sec = switch_branch(c5_bundle["parent"], c5_bundle["events"][0], -1.0, H, cfg)
-        continue_branch(sec, H, cfg)
-
-        assert len(failures) == 2
-        for exc in failures:
-            assert isinstance(exc, NewtonDiverged)
+        c53 = next(b for b in c5_bundle["secondaries"] if b.label == "C53")
+        row = c53.row
+        p7, p8 = c53.points[7:9]
+        assert row @ p8.coeffs == pytest.approx(0.0051918101, abs=1e-10)
+        p9 = _correct(H, cfg, 0.005998147185085595, p8, p7, row)
+        p10 = _correct(H, cfg, 0.007046385387918883, p9, p8, row)
+        for prev, prev2, target in ((p8, p7, 0.006804484264188125),
+                                    (p10, p9, 0.007932650531140931)):
+            with pytest.raises(NewtonDiverged) as info:
+                _correct(H, cfg, target, prev, prev2, row)
+            exc = info.value
             assert 1 <= exc.iterations <= 20
             assert 1 <= exc.factorizations <= exc.iterations
             assert len(exc.residual_history) == exc.iterations + 1
             assert exc.residual_history[-1] > max(exc.residual_history[0], 1.0)
-        # the failures change nothing downstream of the halved step
-        ref = next(b for b in c5_bundle["secondaries"] if b.label == "C53")
-        assert len(sec.points) == len(ref.points)
-        for p, q in zip(sec.points, ref.points):
-            assert p.mu == q.mu
-            assert np.array_equal(p.coeffs, q.coeffs)
-            assert (p.iterations, p.factorizations) == (q.iterations, q.factorizations)
 
     def test_converged_solves_peak_far_inside_the_guard(self, c1_full, c5_bundle):
         # the guard is at least 1; ten times that margin keeps every
@@ -630,10 +693,8 @@ class TestNewton:
         assert abs(row @ pt.coeffs - target) < 1e-9
 
     def test_divergence_raises(self):
-        x = 5.0 * np.cos(nodes(16))  # far outside the solution set
         with pytest.raises(NewtonDiverged) as info:
-            newton_solve(transform_forward(x), 0.55, H, node_row(16, 0, 1), 5.0,
-                         NewtonConfig(max_iter=12))
+            diverging_solve()
         assert info.value.iterations < 12
 
     @pytest.mark.parametrize("where", ["coefficient", "mu"])
