@@ -4,8 +4,11 @@ Every branch is traced in one parameter, row . c on a fixed coefficient
 row that the branch carries, from the point it leaves from: every solve
 along it, fold refinement, detection's bisection and the location of its
 extreme endpoint included, goes through one corrector (_correct), the
-secant through two earlier points closed by that row.  A primary
-branch's row is its seed's crest row cos(k t_c), with t_c = 0 or pi/n;
+secant through two earlier points closed by that row.  The correctors
+and location solves of one trace share the Jacobian factors of a
+solver.Chord, which newton_solve updates by Broyden steps within each
+solve; fold refinement, detection and branch switching solve fresh.  A
+primary branch's row is its seed's crest row cos(k t_c), with t_c = 0 or pi/n;
 its crest never moves, so row . c is the amplitude
 a = max_t |w(t)| of the cosine series, which is monotone along the
 families of interest, and turning points in mu are passed without
@@ -250,12 +253,11 @@ def _locate_stop(
 
 
 # a corrector that needed at most this many Jacobian factorizations was
-# easy, and the next step grows.  On a primary, whose correctors start from
-# fresh factors, 3 gives the same points as growing after at most 4 full
-# Newton steps.  On a secondary a corrector often runs on the previous
-# one's factors, with 0 or 1 of its own, so the step grows more often:
-# C53@512 takes 18 points instead of 20.  2, or a bound on chord steps,
-# moves the C5 secondary branches' points.
+# easy, and the next step grows.  3 is the count of a corrector from fresh
+# factors that converges within 4 full Newton steps; a corrector on the
+# previous one's factors and their Broyden updates makes 0 or 1, so nearly
+# every step grows until the gap cap or a failure stops it.  2, or a bound
+# on chord steps, moves the C5 secondary branches' points.
 EASY_FACTORIZATIONS = 3
 
 
@@ -282,12 +284,12 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     Turning points are then appended as events.  It ends in a retrace
     event alone once a point retraces a branch.twins.
 
-    Every corrector and location solve of the call shares one Chord, so a
-    solve can start from the previous one's factors.  On a primary the
-    factors are dropped before each corrector, so its recorded points,
-    which detection factors and bisects between, come from fresh factors
-    and only the location runs on them; fold refinement, detection and
-    branch switching solve fresh.
+    Every corrector and location solve of the call, on a primary or a
+    secondary, shares one Chord, so a solve starts from the previous one's
+    factors whenever its band matches, and newton_solve's Broyden updates
+    carry it on them; a rejected corrector's factors are dropped.  The
+    chord is freed before the turning points are refined, whose solves
+    start fresh.
     """
     cfg = cfg or ContinuationConfig()
     if not branch.points:
@@ -324,10 +326,6 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
         capped = s + eff >= to_cap
         target = to_cap if capped else s + eff
 
-        if branch.mode is not None:
-            # a primary's points are solved from fresh factors, as detection
-            # factors them and bisects between them
-            chord.factors = None
         try:
             pt = _correct(depth, cfg, target, prev, prev2, row, chord)
             if 0.5 * pt.mu - pt.sup_norm <= 0:
@@ -353,7 +351,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
         if pt.factorizations <= EASY_FACTORIZATIONS and step < STEP_MAX:
             step = min(step * 1.3, STEP_MAX)
 
-    del chord  # the fold's solves are fresh: free the buffer before they run
+    del chord  # free the buffer before the fold's fresh solves make their own
     for ev in detect_turning_points(branch, depth, cfg):
         if not any(
             e.kind == "turning_point" and abs(e.amplitude - ev.amplitude) < 1e-9
@@ -404,7 +402,11 @@ def _refine_turning_point(
     _correct solve, from the p0-p1 secant, is at the vertex of the parabola
     through the three highest mu so far, clamped to [p0, p1], until it is
     not concave, lies within 1e-7 of a solved parameter, or 8 solves are
-    made.  None if a solve fails.
+    made.  None if a solve fails.  Each solve starts from fresh factors:
+    the fold's mu is stationary in row . c, so what separates two fold
+    values is each solve's own error, 2e-11 to 3e-11 in mu on C1@512 at
+    residual_tol 1e-10, and solves on the factors of the first one would
+    move that error by 1.2e-11 against fresh ones.
     """
     pts = {float(row @ p.coeffs): p for p in (p0, mid, p1)}
     for _ in range(8):

@@ -28,15 +28,23 @@ of the N-mode one (Boyd, Chebyshev and Fourier Spectral Methods, 2001,
 ch. 2, on the spectral tail).  Newton uses
 one bordered buffer per band, (len(band)+1) square, assembles the
 Jacobian into it, factors it in place with scipy.linalg.lu_factor and
-takes further steps by back-substitution, reassembling, and choosing K
-again, only when the residual contracts by less than CONTRACTION per step
-(Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003,
-ch. 5).  A Chord carries that buffer and its factors from one solve to
-the next: a solve whose predictor has the chord's n and K starts from
-its factors, under the same CONTRACTION rule, and a converged solve
-leaves its last factors there, so successive correctors along a branch
-often converge without a factorization of their own (Deuflhard, Newton
-Methods for Nonlinear Problems, Springer 2004, ch. 5).  The residual
+takes further steps by back-substitution on those factors, the chord
+steps (Kelley, Solving Nonlinear Equations with Newton's Method, SIAM
+2003, ch. 5).  A chord step that leaves more than CONTRACTION of the
+residual begins good Broyden updates of the factors, in Kelley's product
+form (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+1995, sec. 7.3): the steps since that chord step are kept, and each next
+step is the back-substitution corrected by them, O(len(band)) work per
+kept step against a factorization's O(len(band)^3).  Only a Broyden step
+that leaves more than BROYDEN_CONTRACTION of the residual (Deuflhard's
+Theta < 1/2; Deuflhard, Newton Methods for Nonlinear Problems, Springer
+2004, sec. 2.1.4) or a damped step reassembles, chooses K again,
+refactors and drops the kept steps.  A Chord carries the buffer and its
+factors, not the Broyden steps, from one solve to the next: a solve whose
+predictor has the chord's n and K starts from its factors, under the
+same rules, and a converged solve leaves its last factors there, so
+successive correctors along a branch often converge without a
+factorization of their own (Deuflhard 2004, ch. 5).  The residual
 stays that of all N modes.  Newton judges
 convergence on the nodal values of the residual, and declares divergence
 as soon as that norm exceeds max(|R_0|, 1), its starting value floored at
@@ -403,8 +411,11 @@ def lu_factor_in_place(A: np.ndarray):
         return lu_factor(A.T, overwrite_a=True, check_finite=False)
 
 
-# refactor when a chord step leaves more than this fraction of the residual
+# a chord step that leaves more than CONTRACTION of the residual begins
+# good Broyden updates of the factors, and a Broyden step that leaves more
+# than BROYDEN_CONTRACTION of it ends them with a refactorization
 CONTRACTION = 0.2
+BROYDEN_CONTRACTION = 0.5
 # the smallest resolved band, in modes
 BAND_MIN = 64
 
@@ -439,7 +450,8 @@ class Chord:
     lu_factor_in_place factors stored in it.  A solve whose predictor
     has this n and K starts from the factors; every solve assembles into
     the buffer when its shape fits, and leaves its last factors here, or
-    None if it fails.
+    None if it fails.  The Broyden steps a solve takes on the factors are
+    its own and are not kept here.
     """
 
     buffer: np.ndarray | None = field(default=None, repr=False)
@@ -473,9 +485,15 @@ def newton_solve(
     subspace.  One bordered
     Jacobian buffer, (len(band)+1) square, is used per band; it is
     assembled and factored in place, and each step is a back-substitution
-    with those factors.  After a step that leaves more than CONTRACTION of
-    the residual norm, the Jacobian is reassembled and refactored at the
-    new iterate before the next step.
+    with those factors.  After a chord step that leaves more than
+    CONTRACTION of the residual norm, the steps are good Broyden steps on
+    the same factors: with s_0 that chord step and s_1 ... s_n the Broyden
+    steps since, the next step is z = B_0^-1 (-F), then z += s_(j+1)
+    (s_j . z) / |s_j|^2 for each j < n, and s_(n+1) = z / (1 - s_n . z /
+    |s_n|^2).  After a Broyden step that leaves more than
+    BROYDEN_CONTRACTION of the residual norm, or after any step that was
+    damped, the Jacobian is reassembled and refactored at the new iterate
+    before the next step, and the kept steps are dropped.
     With a chord, the solve starts from chord.factors, without assembling,
     when the predictor's own n and K equal chord.n and chord.K; otherwise
     it assembles into chord.buffer when that has the band's shape, and
@@ -483,7 +501,8 @@ def newton_solve(
     leaves its last factors, n and K in the chord, and a failed one leaves
     chord.factors None.  Without a chord the solve uses a buffer of its own.
     The point records the steps taken (iterations) and the factorizations,
-    which are 0 when the inherited factors carried every step.
+    which are 0 when the inherited factors, with their Broyden updates,
+    carried every step.
     Raises a SolveFailure subclass, carrying the same counts and the
     residual history, on divergence, iteration exhaustion, an exactly
     singular Jacobian, or an iterate leaving the operator domain.  The
@@ -528,6 +547,7 @@ def newton_solve(
     norm0 = max(norm, 1.0)  # the divergence guard
     lu = factors  # the last factors, which a converged solve leaves in the chord
     factorizations = 0
+    steps = []  # the steps s_0, s_1, ... since the chord step that began Broyden
 
     try:
         for it in range(cfg.max_iter):
@@ -546,11 +566,18 @@ def newton_solve(
                                                       idx=idx)
                 factors = lu = lu_factor_in_place(chord.buffer)
                 factorizations += 1
+                steps = []
                 if not np.all(np.diagonal(factors[0])):
                     raise SingularJacobian("exactly singular Jacobian")
             c[K:] = 0.0
             step = lu_solve(factors, -np.append(R[:K:n], R[-1]), trans=1,
                             check_finite=False)
+            # good Broyden in product form (Kelley 1995, alg. 7.3.1)
+            for s0, s1 in zip(steps, steps[1:]):
+                step += s1 * ((s0 @ step) / (s0 @ s0))
+            if steps:
+                sn = steps[-1]
+                step /= 1.0 - (sn @ step) / (sn @ sn)
             if not np.all(np.isfinite(step)):
                 raise SingularJacobian("non-finite Newton step")
 
@@ -573,8 +600,10 @@ def newton_solve(
             history.append(norm)
             if not np.isfinite(norm) or norm > norm0:
                 raise NewtonDiverged(f"residual norm {norm} after {it + 1} iterations")
-            if norm > CONTRACTION * history[-2]:
+            if scale < 1.0 or (steps and norm > BROYDEN_CONTRACTION * history[-2]):
                 factors = None
+            elif steps or norm > CONTRACTION * history[-2]:
+                steps.append(step)
 
         if norm <= cfg.residual_tol:
             return point(cfg.max_iter)

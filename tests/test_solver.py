@@ -358,8 +358,9 @@ class TestChordNewton:
                              NewtonConfig())
 
     def test_paths_are_pinned(self, c1_full, c5_bundle):
-        # step growth keys on factorizations, which the secondaries' chord
-        # makes fewer; these are the point counts of the paths it gives
+        # step growth keys on factorizations, which the chord and its
+        # Broyden updates make fewer; these are the point counts of the
+        # paths they give
         counts = {b.label: len(b.points) for b in c5_bundle["secondaries"]}
         assert counts == {"C51": 14, "C52": 17, "C52b": 14, "C53": 18, "C53b": 16, "C54": 18}
         assert len(c5_bundle["parent"].points) == 25
@@ -368,12 +369,12 @@ class TestChordNewton:
         # ratio, to rounding; the primary is solved on its mode-5
         # subspace, where the off-class coefficients stay exactly 0
         endpoints = {
-            "C51": (0.22867410886564132, 0.11422271737838782),
-            "C52": (0.2314958132338673, 0.11563215871031665),
-            "C52b": (0.2314958106318792, 0.11563215741062366),
-            "C53": (0.23434416106035294, 0.11705490844964207),
-            "C53b": (0.23436564510873137, 0.11706563973181128),
-            "C54": (0.23724885795872755, 0.1185058045503843),
+            "C51": (0.22867410905338212, 0.11422271747216436),
+            "C52": (0.23149581323400029, 0.11563215871038313),
+            "C52b": (0.23149581077570272, 0.1156321574824635),
+            "C53": (0.23434416106605674, 0.11705490845249081),
+            "C53b": (0.23436564510868094, 0.11706563973178603),
+            "C54": (0.23724885795843825, 0.11850580455023971),
         }
         for b in c5_bundle["secondaries"]:
             assert (b.last.mu, b.last.sup_norm) == pytest.approx(endpoints[b.label], abs=1e-12)
@@ -419,6 +420,37 @@ class TestChordNewton:
             diverging_solve(chord)
         assert chord.factors is None
 
+    def test_factors_three_points_back_need_no_factorization(self, c1_full):
+        # point 16's corrector on the factors point 13's left: its chord
+        # steps contract too slowly, and Broyden updates of those factors
+        # carry it to convergence instead of a refactorization
+        chord = Chord()
+        c, mu, con = secant_predictor(c1_full, 13)
+        newton_solve(c, mu, H, *con, chord=chord)
+        c, mu, con = secant_predictor(c1_full, 16)
+        assert (chord.n, chord.K) == (1, solver._band(c)) == (1, 512)
+        inherited = newton_solve(c, mu, H, *con, chord=chord)
+        fresh = newton_solve(c, mu, H, *con)
+        assert inherited.factorizations == 0 and fresh.factorizations == 1
+        assert inherited.residual_norm <= NewtonConfig().residual_tol
+        assert np.max(np.abs(inherited.coeffs - fresh.coeffs)) < 1e-9
+        assert abs(inherited.mu - fresh.mu) < 1e-9
+
+    def test_damped_step_refactors(self, monkeypatch):
+        # the first step of a small-amplitude solve, its mean pushed 0.8
+        # down and so below the operator domain's -h = -0.63, is damped to
+        # a half; the next step is taken on factors assembled at the damped
+        # iterate, not on the old ones or Broyden updates of them, and the
+        # solve converges
+        log = newton_log(monkeypatch, push=lambda step: step - 0.8 * (np.arange(step.size) == 0))
+        pt = solve_small(32, n=1, s=0.01)
+        assert pt.residual_norm <= NewtonConfig().residual_tol
+        kinds = "".join(kind for kind, _ in log)
+        assert kinds.startswith("rasras")
+        c0, step, c1 = log[0][1], log[2][1], log[3][1]
+        assert c1[0] - c0[0] == pytest.approx(step[0] / 2, rel=1e-12)
+        assert pt.factorizations == kinds.count("a") >= 2
+
     def test_endpoints_do_not_depend_on_the_chord(self, c5_bundle, monkeypatch):
         # the secondaries re-traced with every solve fresh: their points
         # move with the steps, but the located endpoints do not
@@ -448,6 +480,40 @@ def diverging_solve(chord=None):
     x = 5.0 * np.cos(nodes(16))  # far outside the solution set
     return newton_solve(transform_forward(x), 0.55, H, node_row(16, 0, 1), 5.0,
                         NewtonConfig(max_iter=12), chord)
+
+
+def newton_log(monkeypatch, push=None):
+    """Record, in order, Newton's residual iterates ("r", c), assemblies
+    ("a", None) and back-substitutions ("s", step) as (kind, data).
+
+    push, when given, replaces the first back-substitution's step by
+    push(step), and the log holds the pushed step.
+    """
+    import scipy.linalg
+
+    log = []
+    residual, jacobian = DiscreteSystem.stacked_residual, DiscreteSystem.stacked_jacobian
+    lu_solve = scipy.linalg.lu_solve
+
+    def spy_residual(self, c, *args):
+        log.append(("r", c.copy()))
+        return residual(self, c, *args)
+
+    def spy_jacobian(self, *args, **kwargs):
+        log.append(("a", None))
+        return jacobian(self, *args, **kwargs)
+
+    def spy_solve(*args, **kwargs):
+        step = lu_solve(*args, **kwargs)
+        if push is not None and not any(kind == "s" for kind, _ in log):
+            step = push(step)
+        log.append(("s", step.copy()))
+        return step
+
+    monkeypatch.setattr(DiscreteSystem, "stacked_residual", spy_residual)
+    monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", spy_jacobian)
+    monkeypatch.setattr(scipy.linalg, "lu_solve", spy_solve)
+    return log
 
 
 def off_class(c, n):
@@ -613,12 +679,15 @@ class TestDivergenceGuard:
 
     def test_overstepped_correctors_stop_early(self, c5_bundle):
         # Traced from fresh factors, C53 (seeded along -phi at the first
-        # event) stepped too far twice: from the secant through its points
-        # 7 and 8 to row . c = 0.006804 and, after the halved step, through
-        # the next two points to 0.007933.  On the chord both correctors
-        # converge, so the guard is driven by fresh solves from those
-        # predictors.  Without the guard both ran all 50 iterations and
-        # failed as NewtonMaxIter.
+        # event) once stepped too far twice: from the secant through its
+        # points 7 and 8 to row . c = 0.006804 and, after the halved step,
+        # through the next two points to 0.007933.  With Broyden updates
+        # both of those correctors converge, so the guard is driven by
+        # fresh solves from further oversteps along the same secants: 1.5
+        # and 2.5 times as far from the secant's last point (every factor
+        # from 1.3 to 3 diverges on the first secant, and 2 and 3 on the
+        # second).  Without the guard such correctors ran all 50
+        # iterations and failed as NewtonMaxIter.
         cfg = c5_bundle["cfg"]
         c53 = next(b for b in c5_bundle["secondaries"] if b.label == "C53")
         row = c53.row
@@ -626,8 +695,8 @@ class TestDivergenceGuard:
         assert row @ p8.coeffs == pytest.approx(0.0051918101, abs=1e-10)
         p9 = _correct(H, cfg, 0.005998147185085595, p8, p7, row)
         p10 = _correct(H, cfg, 0.007046385387918883, p9, p8, row)
-        for prev, prev2, target in ((p8, p7, 0.006804484264188125),
-                                    (p10, p9, 0.007932650531140931)):
+        for prev, prev2, target in ((p8, p7, 0.0076108213430455506),
+                                    (p10, p9, 0.009262048245974003)):
             with pytest.raises(NewtonDiverged) as info:
                 _correct(H, cfg, target, prev, prev2, row)
             exc = info.value
