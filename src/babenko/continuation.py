@@ -7,8 +7,9 @@ extreme endpoint included, goes through one corrector (_correct), the
 secant through two earlier points closed by that row.  The correctors
 and location solves of one trace share the Jacobian factors of a
 solver.Chord, which newton_solve updates by Broyden steps within each
-solve; fold refinement, detection and branch switching solve fresh.  A
-primary branch's row is its seed's crest row cos(k t_c), with t_c = 0 or pi/n;
+solve; fold refinement shares a chord of its own, whose first solve is
+fresh, and detection and branch switching solve fresh.  A primary
+branch's row is its seed's crest row cos(k t_c), with t_c = 0 or pi/n;
 its crest never moves, so row . c is the amplitude
 a = max_t |w(t)| of the cosine series, which is monotone along the
 families of interest, and turning points in mu are passed without
@@ -31,7 +32,7 @@ seed that retraces an earlier one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -288,8 +289,8 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     secondary, shares one Chord, so a solve starts from the previous one's
     factors whenever its band matches, and newton_solve's Broyden updates
     carry it on them; a rejected corrector's factors are dropped.  The
-    chord is freed before the turning points are refined, whose solves
-    start fresh.
+    chord is freed before the turning points are refined, on a chord of
+    their own.
     """
     cfg = cfg or ContinuationConfig()
     if not branch.points:
@@ -351,7 +352,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
         if pt.factorizations <= EASY_FACTORIZATIONS and step < STEP_MAX:
             step = min(step * 1.3, STEP_MAX)
 
-    del chord  # free the buffer before the fold's fresh solves make their own
+    del chord  # free the buffer before the fold's chord makes its own
     for ev in detect_turning_points(branch, depth, cfg):
         if not any(
             e.kind == "turning_point" and abs(e.amplitude - ev.amplitude) < 1e-9
@@ -369,7 +370,9 @@ def detect_turning_points(
     With only the recorded points the maximum comes from a quadratic in the
     amplitude through the three bracketing samples, with a bias of the
     order of the local step.  With depth and cfg, _refine_turning_point
-    starts from those samples and locates it to the solver tolerance.
+    starts from those samples and locates it to FOLD_RESIDUAL_TOL.  The
+    diagnostics say whether the located value stands (refined) and carry
+    the refinement's solves and factorizations.
     """
     mus = branch.mus()
     amps = branch.amplitudes()
@@ -379,36 +382,53 @@ def detect_turning_points(
             coef = np.polyfit(amps[i - 1 : i + 2], mus[i - 1 : i + 2], 2)
             a_star = float(-coef[1] / (2 * coef[0])) if coef[0] != 0 else float(amps[i])
             mu_star = float(np.polyval(coef, a_star))
+            located, solves, factorizations = None, 0, 0
             if depth is not None and cfg is not None:
-                refined = _refine_turning_point(*branch.points[i - 1 : i + 2], branch.row, depth, cfg)
-                if refined is not None:
-                    a_star, mu_star = refined
+                located, solves, factorizations = _refine_turning_point(
+                    *branch.points[i - 1 : i + 2], branch.row, depth, cfg)
+                if located is not None:
+                    a_star, mu_star = located
             events.append(
                 BranchEvent(
                     "turning_point", mu_star, a_star, a_star,
-                    diagnostics={"fit": coef.tolist(), "index": i},
+                    diagnostics={"fit": coef.tolist(), "index": i,
+                                 "refined": located is not None, "solves": solves,
+                                 "factorizations": factorizations},
                 )
             )
     return events
 
 
+# fold refinement solves to this residual, below cfg.newton.residual_tol: the
+# fold's mu is stationary in row . c, so what separates a located mu from the
+# fold is each solve's own error, which follows its residual (2e-11 to
+# 1.7e-10 in mu at 1e-10), and the residual floor is about 1e-16 even at
+# N=2048
+FOLD_RESIDUAL_TOL = 1e-13
+
+
 def _refine_turning_point(
     p0: SolutionPoint, mid: SolutionPoint, p1: SolutionPoint, row: np.ndarray, depth,
     cfg: ContinuationConfig,
-) -> tuple[float, float] | None:
-    """(amplitude, mu) of the largest mu among p0, mid, p1 and the solves.
+) -> tuple[tuple[float, float] | None, int, int]:
+    """(amplitude, mu) of the largest mu among p0, mid, p1 and the solves,
+    with the solves and factorizations made.
 
     Successive parabolic interpolation in row . c (Brent 1973, ch. 5): each
     _correct solve, from the p0-p1 secant, is at the vertex of the parabola
     through the three highest mu so far, clamped to [p0, p1], until it is
     not concave, lies within 1e-7 of a solved parameter, or 8 solves are
-    made.  None if a solve fails.  Each solve starts from fresh factors:
-    the fold's mu is stationary in row . c, so what separates two fold
-    values is each solve's own error, 2e-11 to 3e-11 in mu on C1@512 at
-    residual_tol 1e-10, and solves on the factors of the first one would
-    move that error by 1.2e-11 against fresh ones.
+    made.  The (amplitude, mu) is None if a solve fails.  Every solve is at
+    residual_tol min(cfg.newton.residual_tol, FOLD_RESIDUAL_TOL) and shares
+    one Chord of the refinement's own: the first solve starts fresh, so the
+    same samples give the same fold, and the later ones start from its
+    factors, usually with no factorization of their own.
     """
+    tol = min(cfg.newton.residual_tol, FOLD_RESIDUAL_TOL)
+    cfg = replace(cfg, newton=replace(cfg.newton, residual_tol=tol))
+    chord = Chord()
     pts = {float(row @ p.coeffs): p for p in (p0, mid, p1)}
+    solves = factorizations = 0
     for _ in range(8):
         (sa, a), (sb, b), (sc, c) = sorted(pts.items(), key=lambda kv: kv[1].mu)[-3:]
         d1 = (b.mu - a.mu) / (sb - sa)
@@ -416,12 +436,14 @@ def _refine_turning_point(
         s = float(np.clip(0.5 * (sa + sb - d1 / d2), min(pts), max(pts))) if d2 < 0 else None
         if s is None or min(abs(s - t) for t in pts) <= 1e-7:
             break
+        solves += 1
         try:
-            pts[s] = _correct(depth, cfg, s, p0, p1, row)
-        except SolveFailure:
-            return None
+            pts[s] = _correct(depth, cfg, s, p0, p1, row, chord)
+        except SolveFailure as exc:
+            return None, solves, factorizations + exc.factorizations
+        factorizations += pts[s].factorizations
     best = max(pts.values(), key=lambda p: p.mu)
-    return best.sup_norm, best.mu
+    return (best.sup_norm, best.mu), solves, factorizations
 
 
 # ---------------------------------------------------------------------------

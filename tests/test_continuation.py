@@ -219,8 +219,8 @@ class TestEndpointAndTurning:
 
     def test_trace_holds_one_jacobian_buffer(self, c1_full):
         # the chord's buffer, 513 x 513 or 2.1 MB at N=512, is freed before
-        # the fold's fresh solves make their own, and before a wider band's
-        # buffer is made; c1_full has loaded everything the trace imports
+        # the fold's chord makes its own, and before a wider band's buffer
+        # is made; c1_full has loaded everything the trace imports
         cfg = ContinuationConfig(N=512)
         seed = start_branch(1, 0.01, H, cfg)
         tracemalloc.start()
@@ -284,22 +284,22 @@ def located_fold(request):
     """A branch's folds located again, with the corrector solves they took.
 
     Returns the branch, its config, the turning_point events and the
-    number of newton_solve calls detect_turning_points made, all of them
-    under _refine_turning_point.
+    points of the newton_solve calls detect_turning_points made, all of
+    them under _refine_turning_point.
     """
     b = request.getfixturevalue(request.param)
     cfg = ContinuationConfig(N=b.last.coeffs.size)
-    calls = []
+    solves = []
     solve = continuation.newton_solve
 
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
+    def recorded(*args):
+        solves.append(solve(*args))
+        return solves[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(continuation, "newton_solve", counted)
+        mp.setattr(continuation, "newton_solve", recorded)
         events = detect_turning_points(b, H, cfg)
-    return b, cfg, events, len(calls)
+    return b, cfg, events, solves
 
 
 class TestFoldLocation:
@@ -308,15 +308,27 @@ class TestFoldLocation:
     def test_at_most_four_solves(self, located_fold):
         b, _, events, solves = located_fold
         assert len(events) == 1
-        assert 1 <= solves <= 4
+        assert 1 <= len(solves) <= 4
         # the same fold the trace recorded
         recorded = [e for e in b.events if e.kind == "turning_point"]
         assert [(e.mu, e.amplitude) for e in recorded] == [(e.mu, e.amplitude) for e in events]
 
+    def test_one_factorization_per_fold(self, located_fold):
+        # the first solve starts fresh, and the rest run on its factors and
+        # their Broyden updates, to FOLD_RESIDUAL_TOL
+        _, _, events, solves = located_fold
+        assert sum(p.factorizations for p in solves) == 1
+        assert all(p.residual_norm <= continuation.FOLD_RESIDUAL_TOL for p in solves)
+        d = events[0].diagnostics
+        assert (d["refined"], d["solves"], d["factorizations"]) == (True, len(solves), 1)
+
     def test_matches_the_bounded_search(self, located_fold):
+        # the reference solves fresh at residual_tol 1e-13, so its mu is the
+        # fold's to about 1e-13, not to the 1e-10 tolerance's 1e-11 to 1e-10
         b, cfg, events, _ = located_fold
         i = events[0].diagnostics["index"]
-        a_ref, mu_ref = reference_fold(b.points[i - 1], b.points[i + 1], b.row, H, cfg)
+        exact = dataclasses.replace(cfg, newton=dataclasses.replace(cfg.newton, residual_tol=1e-13))
+        a_ref, mu_ref = reference_fold(b.points[i - 1], b.points[i + 1], b.row, H, exact)
         assert abs(events[0].amplitude - a_ref) < 2e-7
         assert abs(events[0].mu - mu_ref) < 1e-12
 
@@ -325,13 +337,18 @@ class TestFoldLocation:
         assert events[0].mu >= max(b.mus())
 
     def test_refinement_is_repeatable(self, located_fold):
-        # its solves start fresh, so the same samples give the same fold
+        # its first solve starts fresh, so the same samples give the same fold
         b, cfg, events, _ = located_fold
         i = events[0].diagnostics["index"]
         args = (*b.points[i - 1:i + 2], b.row, H, cfg)
         first = continuation._refine_turning_point(*args)
         assert continuation._refine_turning_point(*args) == first
-        assert first == (events[0].amplitude, events[0].mu)
+        assert first[0] == (events[0].amplitude, events[0].mu)
+
+    def test_c1_fold_is_pinned(self, c1_full):
+        ev = next(e for e in c1_full.events if e.kind == "turning_point")
+        assert abs(ev.mu - 0.7160565368704847) < 1e-12
+        assert abs(ev.amplitude - 0.34568238997314465) < 1e-10
 
     def test_solve_failure_keeps_the_quadratic_fit(self, c1_full, monkeypatch):
         def fail(*args):
@@ -341,6 +358,7 @@ class TestFoldLocation:
         got = detect_turning_points(c1_full, H, ContinuationConfig(N=512))
         fit = detect_turning_points(c1_full)
         assert [(e.mu, e.amplitude) for e in got] == [(e.mu, e.amplitude) for e in fit]
+        assert [e.diagnostics["refined"] for e in got] == [False]
 
     def test_one_shot_trace_imports_no_scipy_optimize(self, tmp_path):
         # N=256 is the smallest N at which C1 records a fold; a fresh
