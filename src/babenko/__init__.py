@@ -15,7 +15,6 @@ from .continuation import (
     detect_turning_points,
     navigate_secondaries,
     start_branch,
-    switch_branch,
     trivial_bifurcation_mu,
 )
 from .geometry import (
@@ -23,7 +22,6 @@ from .geometry import (
     conformal_map_sample,
     crest_angle_estimate,
     modified_coefficients,
-    r_curve,
     surface_curve,
 )
 from .solver import (
@@ -34,11 +32,7 @@ from .solver import (
     residual_fixed_r,
     residual_modified,
 )
-from .spectral import (
-    DepthParams,
-    DomainError,
-    mu_symbol,
-)
+from .spectral import DomainError
 
 __version__ = "0.1.0"
 
@@ -46,7 +40,6 @@ __all__ = [
     "Branch",
     "BranchEvent",
     "ContinuationConfig",
-    "DepthParams",
     "DomainError",
     "NewtonConfig",
     "SolutionPoint",
@@ -58,15 +51,12 @@ __all__ = [
     "detect_secondary_bifurcations",
     "detect_turning_points",
     "modified_coefficients",
-    "mu_symbol",
     "navigate_secondaries",
     "newton_solve",
-    "r_curve",
     "residual_fixed_r",
     "residual_modified",
     "start_branch",
     "surface_curve",
-    "switch_branch",
     "trivial_bifurcation_mu",
     "__version__",
 ]

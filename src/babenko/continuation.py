@@ -39,10 +39,10 @@ import numpy as np
 from . import geometry
 from .solver import (
     Chord,
+    DiscreteSystem,
     NewtonConfig,
     SolutionPoint,
     SolveFailure,
-    get_system,
     lu_factor_in_place,
     newton_solve,
 )
@@ -134,8 +134,7 @@ def trivial_bifurcation_mu(n: int, depth) -> float:
     """mu at which the mode-n branch leaves the zero solution."""
     if n < 1:
         raise ValueError("mode index must be at least 1")
-    h = as_depth(depth).h
-    return math.tanh(n * h) / n
+    return math.tanh(n * as_depth(depth)) / n
 
 
 def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None) -> Branch:
@@ -151,17 +150,17 @@ def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None)
         raise ValueError(f"mode must satisfy 1 <= n < N = {cfg.N}, got {n}")
     if not 0 < abs(s) <= 0.05:
         raise ValueError(f"seed amplitude must satisfy 0 < |s| <= 0.05, got {s}")
-    depth = as_depth(depth)
-    mu_n = trivial_bifurcation_mu(n, depth)
+    h = as_depth(depth)
+    mu_n = trivial_bifurcation_mu(n, h)
     err: SolveFailure | None = None
     row = np.cos(np.arange(cfg.N) * (0.0 if s > 0 else np.pi / n))
     # built directly: series_peak would polish every sample of a zero series
-    origin = SolutionPoint(mu_n, np.zeros(cfg.N), depth.h, math.exp(-depth.h), 0.0, 0.0, 0.0)
+    origin = SolutionPoint(mu_n, np.zeros(cfg.N), h, math.exp(-h), 0.0, 0.0, 0.0)
     for attempt in range(5):
         c = np.zeros(cfg.N)
         c[n] = s
         try:
-            pt = newton_solve(c, mu_n, depth, row, abs(s), cfg.newton)
+            pt = newton_solve(c, mu_n, h, row, abs(s), cfg.newton)
             return Branch(label=f"C{n}", mode=n, points=[pt], row=row, origin=origin)
         except SolveFailure as exc:
             err = exc
@@ -253,15 +252,6 @@ def _locate_stop(
     return None, LOCATE_SOLVES
 
 
-# a corrector that needed at most this many Jacobian factorizations was
-# easy, and the next step grows.  3 is the count of a corrector from fresh
-# factors that converges within 4 full Newton steps; a corrector on the
-# previous one's factors and their Broyden updates makes 0 or 1, so nearly
-# every step grows until the gap cap or a failure stops it.  2, or a bound
-# on chord steps, moves the C5 secondary branches' points.
-EASY_FACTORIZATIONS = 3
-
-
 def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None) -> Branch:
     """Extend a branch until an endpoint event, amplitude_max or MAX_POINTS.
 
@@ -270,12 +260,12 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     points; on the first step the second of them is branch.origin, the
     point the branch leaves from.  The first step is cfg.amplitude_step, or
     branch.step when set.  Steps adapt between cfg.step_min and STEP_MAX:
-    halved on Newton failure, grown after easy solves, and capped so the
-    amplitude gain predicted by the secant slope d(amplitude)/d(row . c)
-    stays below a fraction of the remaining gap to the limiting height
-    mu/2.  A step is cut where the secant slope puts amplitude_max, exactly
-    on a primary; the trace stops after that solve, or at once if the last
-    point is within cfg.step_min of it.  A trace ends in
+    halved after a rejected corrector, grown by 1.3 after an accepted one,
+    and capped so the amplitude gain predicted by the secant slope
+    d(amplitude)/d(row . c) stays below a fraction of the remaining gap to
+    the limiting height mu/2.  A step is cut where the secant slope puts
+    amplitude_max, exactly on a primary; the trace stops after that solve,
+    or at once if the last point is within cfg.step_min of it.  A trace ends in
     extreme_termination once the gap ratio rho = (mu/2 - a)/(mu/2) falls
     below EXTREME_STOP_RATIO: _locate_stop then solves for the point at
     rho = EXTREME_STOP_RATIO between the last two points, which replaces
@@ -349,8 +339,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
         if any(_retraces(pt, twin) for twin in branch.twins):
             branch.events.append(BranchEvent("retrace", pt.mu, pt.sup_norm, pt.sup_norm))
             return branch
-        if pt.factorizations <= EASY_FACTORIZATIONS and step < STEP_MAX:
-            step = min(step * 1.3, STEP_MAX)
+        step = min(step * 1.3, STEP_MAX)
 
     del chord  # free the buffer before the fold's chord makes its own
     for ev in detect_turning_points(branch, depth, cfg):
@@ -523,9 +512,8 @@ def detect_secondary_bifurcations(
     cfg = cfg or ContinuationConfig()
     if len(branch.points) < 3:
         return []
-    depth = as_depth(depth)
     row = branch.row
-    sys = get_system(branch.last.coeffs.size, depth.h)
+    sys = DiscreteSystem(branch.last.coeffs.size, depth)
     classes = _symmetry_classes(sys.N, branch.mode)
     # class 0 carries the branch itself and its folds, the turning points
     scanned = range(1, len(classes))
@@ -632,7 +620,6 @@ def _switch_along(
     secant through the event.  Raises SolveFailure if every eps collapses
     back onto the parent.
     """
-    depth = as_depth(depth)
     c_ev = np.asarray(event.diagnostics["w_coeffs"], dtype=float)
     phi_c = np.asarray(phi_c, dtype=float)
     phi_c = phi_c / np.linalg.norm(phi_c)
@@ -651,7 +638,7 @@ def _switch_along(
             return Branch(
                 label=f"{branch.label}x", mode=None, points=[pt],
                 parent=branch.label, parent_mode=branch.mode, row=phi_c,
-                origin=SolutionPoint.from_solution(c_ev, mu_ev, depth.h), step=eps,
+                origin=SolutionPoint.from_solution(c_ev, mu_ev, depth), step=eps,
             )
         last_exc = SolveFailure("iterate collapsed back onto the parent branch")
     raise SolveFailure(f"branch switching failed: {last_exc}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import DomainError, _maxima, as_depth, hilbert_symbol
+from .spectral import _check_r, _maxima, as_depth, hilbert_symbol
 
 __all__ = [
     "WaveProfile",
@@ -83,8 +83,7 @@ def _top_crests(heights) -> np.ndarray:
 
 def modified_coefficients(c: np.ndarray, r: float) -> np.ndarray:
     """Coefficients b_k of the expansion v = b_0 + sum b_k (1 - r^2k) cos kt."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"conformal radius must lie in (0, 1), got {r}")
+    r = _check_r(r)
     k = np.arange(1, c.size)
     b = np.empty_like(c)
     b[0] = c[0]
@@ -129,10 +128,8 @@ def crest_heights(coeffs: np.ndarray) -> list:
 
 def surface_curve(c: np.ndarray, mu: float, depth, M: int | None = None) -> WaveProfile:
     """Parametric free surface {x(t), y(t)} of the wave with coefficients c."""
-    depth = as_depth(depth)
-    r = float(np.exp(-depth.h - c[0]))
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"solution has conformal radius {r} outside (0, 1)")
+    h = as_depth(depth)
+    r = _check_r(np.exp(-h - c[0]))
     N = c.size
     M = M or 4 * N
     b = modified_coefficients(c, r)
@@ -153,7 +150,7 @@ def surface_curve(c: np.ndarray, mu: float, depth, M: int | None = None) -> Wave
     census = list(zip(xc.tolist(), hc.tolist()))
     monotone = bool(np.all(np.diff(x) < 0))
     return WaveProfile(
-        r=r, b=b, t=t, x=x, y=y, depth=depth.h,
+        r=r, b=b, t=t, x=x, y=y, depth=h,
         crest_census=census, mean_residual=mean_residual, monotone_x=monotone,
     )
 
@@ -166,8 +163,7 @@ def conformal_map_sample(
     Returns an (n_radial, n_angular) complex array; the first row lies on
     |u| = 1 (the free surface), the last on |u| = r (the bottom).
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"conformal radius must lie in (0, 1), got {r}")
+    r = _check_r(r)
     radii = np.linspace(1.0, r, n_radial)
     theta = np.linspace(-np.pi, np.pi, n_angular, endpoint=False)
     k = np.arange(b.size)

@@ -299,7 +299,12 @@ def _read_sidecar(sidecar: Path) -> np.ndarray:
 
 
 def write_events(branches: list[Branch], outdir, depth: float) -> Path:
-    """One JSON file collecting the events of every traced branch."""
+    """One JSON file collecting the events of every traced branch.
+
+    Each event carries its scalar diagnostics, the numbers, bools and
+    strings, such as a fold's refined, solves and factorizations; its
+    arrays, such as a null vector, are left out.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "events.json"
@@ -314,6 +319,9 @@ def write_events(branches: list[Branch], outdir, depth: float) -> Path:
                 "mu": ev.mu,
                 "sup_norm": ev.sup_norm,
                 "amplitude": ev.amplitude,
+                "diagnostics": {
+                    k: v for k, v in ev.diagnostics.items() if isinstance(v, (str, int, float))
+                },
             }
             for b in branches
             for ev in b.events
@@ -323,13 +331,36 @@ def write_events(branches: list[Branch], outdir, depth: float) -> Path:
     return path
 
 
+def _write_samples(path, fmt: str, meta: dict, columns: dict) -> Path:
+    """Write meta, which holds "format" and "version", and named float columns.
+
+    CSV: `# <format> v<version>`, meta as one JSON comment line, the column
+    names, one row per sample.  JSON: meta plus the rows under "samples".
+    """
+    path = Path(path)
+    table = np.column_stack(list(columns.values()))
+    if fmt == "json":
+        samples = [dict(zip(columns, row)) for row in table.tolist()]
+        _write_json(path, {**meta, "samples": samples})
+    elif fmt == "csv":
+        header = [
+            f"# {meta['format']} v{meta['version']}\n",
+            "# " + json.dumps(meta, default=float) + "\n",
+            ",".join(columns) + "\n",
+        ]
+        row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+        _write_atomic(path, itertools.chain(header, _csv_rows(row_fmt, table)))
+    else:
+        raise ValueError(f"unknown output format {fmt!r}")
+    return path
+
+
 def write_profile(profile, point: SolutionPoint, path, fmt: str = "csv") -> Path:
     """Write surface samples (t, x, y) with crest census and metadata.
 
     The metadata's mu and sup_norm are the point's; sup_norm is the crest
     amplitude of its cosine series, whatever the sample count.
     """
-    path = Path(path)
     meta = {
         "format": "babenko-profile",
         "version": FORMAT_VERSION,
@@ -344,24 +375,7 @@ def write_profile(profile, point: SolutionPoint, path, fmt: str = "csv") -> Path
         ],
         "n_highest": profile.n_highest(),
     }
-    if fmt == "json":
-        meta["samples"] = [
-            {"t": float(t), "x": float(x), "y": float(y)}
-            for t, x, y in zip(profile.t, profile.x, profile.y)
-        ]
-        _write_json(path, meta)
-    elif fmt == "csv":
-        header = [
-            f"# babenko-profile v{FORMAT_VERSION}\n",
-            "# " + json.dumps(meta, default=float) + "\n",
-            "t,x,y\n",
-        ]
-        samples = np.column_stack((profile.t, profile.x, profile.y))
-        _write_atomic(path, itertools.chain(
-            header, _csv_rows("%.17g,%.17g,%.17g\n", samples)))
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
-    return path
+    return _write_samples(path, fmt, meta, {"t": profile.t, "x": profile.x, "y": profile.y})
 
 
 def _r_maximum(series: np.ndarray) -> tuple[float, float]:
@@ -390,31 +404,13 @@ def _r_maximum(series: np.ndarray) -> tuple[float, float]:
 
 def write_rcurve(series: np.ndarray, path, fmt: str = "csv") -> Path:
     """Write an (sup_norm, r) series; metadata records the interpolated maximum."""
-    path = Path(path)
     series = np.asarray(series, dtype=float)
+    series = series.reshape(len(series), 2)  # an empty series may come as shape (0,)
+    meta = {"format": "babenko-rcurve", "version": FORMAT_VERSION}
     if series.size:
         a_max, r_max = _r_maximum(series)
-        meta = {
-            "format": "babenko-rcurve",
-            "version": FORMAT_VERSION,
-            "r_max": r_max,
-            "sup_norm_at_max": a_max,
-        }
-    else:
-        meta = {"format": "babenko-rcurve", "version": FORMAT_VERSION}
-    if fmt == "json":
-        meta["samples"] = [{"sup_norm": a, "r": r} for a, r in series]
-        _write_json(path, meta)
-    elif fmt == "csv":
-        header = [
-            f"# babenko-rcurve v{FORMAT_VERSION}\n",
-            "# " + json.dumps(meta, default=float) + "\n",
-            "sup_norm,r\n",
-        ]
-        _write_atomic(path, itertools.chain(header, _csv_rows("%.17g,%.17g\n", series)))
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
-    return path
+        meta.update(r_max=r_max, sup_norm_at_max=a_max)
+    return _write_samples(path, fmt, meta, {"sup_norm": series[:, 0], "r": series[:, 1]})
 
 
 def write_report(report: dict, path) -> Path:

@@ -70,6 +70,7 @@ import numpy as np
 
 from .spectral import (
     DomainError,
+    _check_r,
     add_product_matrix,
     as_depth,
     dlambda_dr,
@@ -198,10 +199,10 @@ class SolutionPoint:
 class DiscreteSystem:
     """The collocation system at fixed N and depth h, on coefficient vectors.
 
-    Instances hold O(N) data only; get_system reuses one per (N, h).  The
-    Jacobian, of all N modes or of the rows and columns of a sorted index
-    set, is assembled by _assemble in place into a buffer the caller owns
-    (stacked_jacobian's out), so the cached systems hold no N x N arrays.
+    Instances hold N and h only, so callers build one where they need it.
+    The Jacobian, of all N modes or of the rows and columns of a sorted
+    index set, is assembled by _assemble in place into a buffer the caller
+    owns (stacked_jacobian's out).
     """
 
     # margin keeping exp(-h - mean) away from 1 during damped iterations
@@ -211,9 +212,7 @@ class DiscreteSystem:
 
     def __init__(self, N: int, h: float):
         self.N = int(N)
-        self.h = float(h)
-        if self.h <= 0:
-            raise ValueError("depth must be positive")
+        self.h = as_depth(h)
 
     def _radius(self, mean: float) -> float:
         rho = np.exp(-self.h - mean)
@@ -366,25 +365,18 @@ class DiscreteSystem:
             A[0, L] = 0.0
 
 
-_SYSTEM_CACHE: dict[tuple[int, float], DiscreteSystem] = {}
-
-
-def get_system(N: int, h: float) -> DiscreteSystem:
-    key = (int(N), float(h))
-    if key not in _SYSTEM_CACHE:
-        _SYSTEM_CACHE[key] = DiscreteSystem(*key)
-    return _SYSTEM_CACHE[key]
+# the benchmark harness (perfbench/) builds systems by this name
+get_system = DiscreteSystem
 
 
 def residual_modified(c: np.ndarray, mu: float, depth) -> np.ndarray:
     """Residual coefficients of the depth-parametrized equation at (c, mu)."""
-    return get_system(c.size, as_depth(depth).h).residual(c, mu)
+    return DiscreteSystem(c.size, depth).residual(c, mu)
 
 
 def residual_fixed_r(c: np.ndarray, mu: float, r: float) -> np.ndarray:
     """Residual coefficients of the fixed-radius equation; free of the depth."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"conformal radius must lie in (0, 1), got {r}")
+    r = _check_r(r)
     N = c.size
     lam = lambda_symbol(r, N)
     mur = mu_symbol_total(r, N)
@@ -472,7 +464,7 @@ def newton_solve(
     """Chord Newton iteration on the stacked system from the given predictor.
 
     c0 holds the predictor's N cosine coefficients and is copied; the
-    system is get_system(N, h) at the depth h.  A seed that is not finite
+    system is DiscreteSystem(N, h) at the depth h.  A seed that is not finite
     raises NewtonDiverged before anything is assembled.  With n the gcd
     of the indices of the seed's resolved coefficients, |c_k| > eps *
     max|c|, the seed's coefficients off k = 0, n, 2n, ... are set to 0 and
@@ -516,7 +508,7 @@ def newton_solve(
     mu = float(initial_mu)
     if not (np.all(np.isfinite(c)) and math.isfinite(mu)):
         raise NewtonDiverged("seed is not finite")
-    sys = get_system(c.size, as_depth(depth).h)
+    sys = DiscreteSystem(c.size, depth)
     n = max(int(np.gcd.reduce(_resolved(c))), 1)  # gcd(0, k) = k
     c[np.arange(c.size) % n != 0] = 0.0
     if chord is None:
@@ -562,8 +554,8 @@ def newton_solve(
                     if chord.buffer is None or chord.buffer.shape != (L + 1, L + 1):
                         chord.buffer = lu = None  # free the old buffer first
                         chord.buffer = np.empty((L + 1, L + 1))
-                get_system(K, sys.h).stacked_jacobian(c[:K], mu, row[:K], out=chord.buffer,
-                                                      idx=idx)
+                DiscreteSystem(K, sys.h).stacked_jacobian(
+                    c[:K], mu, row[:K], out=chord.buffer, idx=idx)
                 factors = lu = lu_factor_in_place(chord.buffer)
                 factorizations += 1
                 steps = []

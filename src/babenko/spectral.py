@@ -24,7 +24,6 @@ place into its Newton system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -32,12 +31,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DomainError",
-    "DepthParams",
     "R_MAX",
     "transform_forward",
     "transform_inverse",
-    "transform_matrix",
-    "inverse_transform_matrix",
     "lambda_symbol",
     "mu_symbol",
     "mu_symbol_total",
@@ -113,35 +109,12 @@ def transform_inverse(coeffs: np.ndarray) -> np.ndarray:
     return nodal
 
 
-def _nodes(N: int) -> np.ndarray:
-    return np.pi * (2.0 * np.arange(1, N + 1) - 1.0) / (2.0 * N)
-
-
-def transform_matrix(N: int) -> np.ndarray:
-    """Dense N x N nodal->coefficient matrix (row k is the analysis weight of mode k)."""
-    T = (2.0 / N) * np.cos(np.outer(np.arange(N), _nodes(N)))
-    T[0, :] *= 0.5
-    return T
-
-
-def inverse_transform_matrix(N: int) -> np.ndarray:
-    """Dense N x N coefficient->nodal matrix, S[n, k] = cos(k x_n)."""
-    return np.cos(np.outer(_nodes(N), np.arange(N)))
-
-
-@dataclass(frozen=True)
-class DepthParams:
-    """Mean water depth in nondimensional (wavelength-scaled) units."""
-
-    h: float
-
-    def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError(f"depth must be positive, got {self.h}")
-
-
-def as_depth(depth) -> DepthParams:
-    return depth if isinstance(depth, DepthParams) else DepthParams(float(depth))
+def as_depth(depth) -> float:
+    """The mean water depth (wavelength-scaled) as a float; ValueError unless positive."""
+    h = float(depth)
+    if not h > 0:
+        raise ValueError(f"depth must be positive, got {h}")
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from babenko.continuation import (
     start_branch,
 )
 from babenko.geometry import crest_heights
-from babenko.solver import NewtonConfig, get_system, newton_solve
+from babenko.solver import DiscreteSystem, NewtonConfig, newton_solve
 from babenko.spectral import product_coeffs, transform_forward
 
 H = math.pi / 5
@@ -28,6 +28,18 @@ H = math.pi / 5
 def nodes(N):
     """The collocation nodes x_n = pi (2n - 1) / (2N), n = 1..N."""
     return np.pi * (2.0 * np.arange(1, N + 1) - 1.0) / (2.0 * N)
+
+
+def transform_matrix(N):
+    """Dense N x N nodal->coefficient matrix (row k is the analysis weight of mode k)."""
+    T = (2.0 / N) * np.cos(np.outer(np.arange(N), nodes(N)))
+    T[0, :] *= 0.5
+    return T
+
+
+def inverse_transform_matrix(N):
+    """Dense N x N coefficient->nodal matrix, S[n, k] = cos(k x_n)."""
+    return np.cos(np.outer(nodes(N), np.arange(N)))
 
 
 def node_row(N, j, sign):
@@ -51,7 +63,7 @@ def dense_product_matrix(c):
 
 def solve_small(N, n=1, s=0.01, depth=H):
     """One converged small-amplitude mode-n point."""
-    sys = get_system(N, depth)
+    sys = DiscreteSystem(N, depth)
     x = s * np.cos(n * nodes(N))
     mu = math.tanh(n * depth) / n
     j = int(np.argmax(np.abs(x)))

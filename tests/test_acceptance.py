@@ -25,21 +25,15 @@ from babenko.geometry import (
     surface_curve,
 )
 from babenko.solver import (
+    DiscreteSystem,
     NewtonConfig,
-    get_system,
     newton_solve,
     residual_fixed_r,
     residual_modified,
 )
-from babenko.spectral import (
-    inverse_transform_matrix,
-    lambda_symbol,
-    product_coeffs,
-    transform_inverse,
-    transform_matrix,
-)
+from babenko.spectral import lambda_symbol, product_coeffs, transform_inverse
 
-from conftest import H
+from conftest import H, inverse_transform_matrix, transform_matrix
 
 
 def announce(capsys, num, name, ok, detail=""):
@@ -248,7 +242,7 @@ class TestCriterion09:
                 full[abs(m - n)] += 0.5 * cu[m] * cv[n]
         err_prod = float(np.max(np.abs(product_coeffs(cu, cv) - full[:8])))
 
-        sys32 = get_system(32, H)
+        sys32 = DiscreteSystem(32, H)
         c = 0.02 * rng.standard_normal(32)
         c[0] = -0.01  # activates the rank-one radius chain-rule term
         A, _ = sys32.jacobian(c, 0.5)
@@ -289,7 +283,7 @@ class TestCriterion10:
             worst_mu = max(worst_mu, abs(mu0 - math.tanh(n * H) / n))
 
             # residual of the leading profile s cos nt at mu_n is O(s^2)
-            sys = get_system(128, H)
+            sys = DiscreteSystem(128, H)
             mun = math.tanh(n * H) / n
             res = {}
             for s in (2e-3, 1e-3):

@@ -32,6 +32,14 @@ def traced_dir(tmp_path_factory):
     return outdir
 
 
+@pytest.fixture()
+def table_without_sidecar(traced_dir, tmp_path):
+    """A copy of the traced C1 table whose solution sidecar is gone."""
+    path = tmp_path / "C1.csv"
+    path.write_text((traced_dir / "C1.csv").read_text())
+    return path
+
+
 class TestBifpoints:
     def test_default_table(self, runner):
         res = runner.invoke(main, ["bifpoints"])
@@ -67,6 +75,18 @@ class TestTrace:
         assert (traced_dir / "C1.csv").exists()
         assert (traced_dir / "C1.solutions.csv").exists()
         assert (traced_dir / "events.json").exists()
+
+    def test_navigation_writes_each_secondary(self, runner, tmp_path):
+        res = runner.invoke(main, ["trace", "--branch", "C3+", "--modes", "64",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == EXIT_OK, res.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "C3.csv", "C3.solutions.csv", "C32.csv", "C32.solutions.csv",
+            "C33.csv", "C33.solutions.csv", "events.json"]
+        events = json.loads((tmp_path / "events.json").read_text())["events"]
+        found = [e for e in events if e["kind"] == "secondary_bifurcation"]
+        assert [e["branch"] for e in found] == ["C3"]
+        assert found[0]["diagnostics"]["class"] == 1
 
     def test_no_branches_is_noop(self, runner):
         res = runner.invoke(main, ["trace"])
@@ -216,6 +236,11 @@ class TestProfile:
                                    "--point", "9999"])
         assert res.exit_code == EXIT_CONFIG
 
+    def test_missing_sidecar_is_config_error(self, runner, table_without_sidecar):
+        res = runner.invoke(main, ["profile", str(table_without_sidecar)])
+        assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
+        assert "no solution sidecar" in res.output
+
     def test_nonpositive_samples(self, runner, traced_dir):
         res = runner.invoke(main, ["profile", str(traced_dir / "C1.csv"),
                                    "--samples", "-5"])
@@ -257,6 +282,14 @@ class TestRcurve:
         meta = json.loads(lines[1].lstrip("# "))
         # small amplitudes: r close to the trivial value exp(-h)
         assert meta["r_max"] == pytest.approx(math.exp(-H), abs=5e-3)
+
+    def test_default_out_beside_table(self, runner, table_without_sidecar):
+        # the series comes from the table alone, so no sidecar is needed
+        res = runner.invoke(main, ["rcurve", str(table_without_sidecar)])
+        assert res.exit_code == EXIT_OK, res.output
+        out = table_without_sidecar.with_name("C1.rcurve.csv")
+        assert res.output.strip() == str(out)
+        assert out.read_text().startswith("# babenko-rcurve v1\n")
 
 
 def _truncated_header(src, dst):
@@ -368,6 +401,16 @@ class TestVerify:
         doc = json.loads((tmp_path / "rep.json").read_text())
         failed = {c["check"] for c in doc["checks"] if not c["passed"]}
         assert failed == {"proposition1_roundtrip"}
+
+    def test_missing_sidecar_fails(self, runner, table_without_sidecar, tmp_path):
+        report = tmp_path / "rep.json"
+        res = runner.invoke(main, ["verify", str(table_without_sidecar),
+                                   "--out", str(report)])
+        assert res.exit_code == EXIT_VERIFY, (res.output, res.exception)
+        doc = json.loads(report.read_text())
+        assert doc["passed"] is False
+        assert [(c["check"], c["passed"]) for c in doc["checks"]] == [
+            ("sidecar_present", False)]
 
     def test_zero_sample_count(self, runner, traced_dir, tmp_path):
         res = runner.invoke(main, ["verify", str(traced_dir / "C1.csv"),

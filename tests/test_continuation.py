@@ -31,7 +31,7 @@ from babenko.continuation import (
     trivial_bifurcation_mu,
 )
 from babenko.geometry import crest_heights
-from babenko.solver import SolutionPoint, SolveFailure, get_system, lu_factor_in_place
+from babenko.solver import DiscreteSystem, SolutionPoint, SolveFailure, lu_factor_in_place
 
 from conftest import H, crest_word
 
@@ -179,6 +179,7 @@ class TestEndpointAndTurning:
         p = c1_full.last
         assert (0.5 * p.mu - p.sup_norm) / (0.5 * p.mu) < 5e-2
 
+    @pytest.mark.blas_threads
     def test_endpoints_sit_at_the_stop_ratio(self, c1_full, c5_bundle):
         # the point located at rho = EXTREME_STOP_RATIO replaces the one
         # that crossed it, and the event carries rho and the solves
@@ -194,6 +195,7 @@ class TestEndpointAndTurning:
             assert (e.mu, e.sup_norm) == (b.last.mu, b.last.sup_norm)
             assert all(continuation._stop_ratio(p) > EXTREME_STOP_RATIO for p in b.points[:-1])
 
+    @pytest.mark.blas_threads
     def test_failed_location_keeps_the_crossing_point(self, monkeypatch):
         cfg = ContinuationConfig(N=64)
         located = continue_branch(start_branch(1, 0.01, H, cfg), H, cfg)
@@ -302,6 +304,7 @@ def located_fold(request):
     return b, cfg, events, solves
 
 
+@pytest.mark.blas_threads
 class TestFoldLocation:
     """Folds from parabolic interpolation through the samples already solved."""
 
@@ -421,9 +424,10 @@ def c5_256():
 
 
 def class_block(pt, cfg, mode, ci):
-    return get_system(cfg.N, H).jacobian(pt.coeffs, pt.mu, _symmetry_classes(cfg.N, mode)[ci])[0]
+    return DiscreteSystem(cfg.N, H).jacobian(pt.coeffs, pt.mu, _symmetry_classes(cfg.N, mode)[ci])[0]
 
 
+@pytest.mark.blas_threads
 class TestSecondaryDetection:
     def test_c2_event_found_near_reference(self, c2_256):
         b, _ = c2_256
@@ -728,6 +732,7 @@ def c5_seeds(c5_bundle):
     return kept, [(sec, log) for sec, _, log in seeds]
 
 
+@pytest.mark.blas_threads
 class TestRetraceCheck:
     """The navigator abandons a seed that retraces one it traced before."""
 
@@ -787,6 +792,7 @@ class TestRetraceCheck:
                 [(e.kind, e.mu, e.amplitude) for e in r.events]
 
 
+@pytest.mark.blas_threads
 class TestBranchIdentity:
     """The navigator keeps one branch per wave, named by its crest word."""
 

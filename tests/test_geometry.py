@@ -183,6 +183,7 @@ class TestSurfaceCurve:
         prof = surface_curve(pt.coeffs, pt.mu, H)
         assert -prof.b[0] - math.log(prof.r) == pytest.approx(H, abs=1e-12)
 
+    @pytest.mark.blas_threads
     def test_census_does_not_depend_on_sample_count(self):
         # read from 4096 and 16384 samples, this sharp mode-1 wave had 9 and
         # 13 crests, Gibbs ripples in its trough among them
@@ -233,6 +234,7 @@ class TestConformalMap:
         assert prof.monotone_x
 
 
+@pytest.mark.blas_threads
 class TestCrests:
     """crest_heights against the dense oracle dense_crests."""
 

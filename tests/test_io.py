@@ -171,8 +171,27 @@ class TestEventsFile:
         assert doc["depth"] == pytest.approx(H)
         assert doc["events"] == [
             {"branch": "C1", "kind": "extreme_termination", "mu": 0.7,
-             "sup_norm": 0.35, "amplitude": 0.35}
+             "sup_norm": 0.35, "amplitude": 0.35, "diagnostics": {}}
         ]
+
+    def test_events_keep_scalar_diagnostics(self, c1_full, tmp_path):
+        # the fold of C1@512 (C1@64 has none: its mu rises to the end);
+        # its fit, and a bifurcation's null vector and coefficients, are
+        # arrays and stay out
+        branch = Branch(label="C1", mode=1, events=list(c1_full.events))
+        branch.events.append(BranchEvent("secondary_bifurcation", 0.7, 0.3, 0.3, diagnostics={
+            "class": 1, "sigma_min": 1e-9, "null_vector_coeffs": np.ones(4),
+            "w_coeffs": np.ones(4), "mu_at_event": 0.7}))
+        doc = json.loads(write_events([branch], tmp_path, H).read_text())
+        fold = next(e for e in c1_full.events if e.kind == "turning_point")
+        got = {e["kind"]: e["diagnostics"] for e in doc["events"]}
+        assert got["turning_point"] == {
+            k: fold.diagnostics[k] for k in ("index", "refined", "solves", "factorizations")}
+        assert got["turning_point"]["refined"] is True
+        assert set(got["extreme_termination"]) == {
+            "stagnation", "reason", "stop_ratio", "location_solves"}
+        assert got["secondary_bifurcation"] == {
+            "class": 1, "sigma_min": 1e-9, "mu_at_event": 0.7}
 
 
 class TestProfileAndCurves:

@@ -15,7 +15,6 @@ from babenko.solver import (
     NewtonMaxIter,
     SingularJacobian,
     SolveFailure,
-    get_system,
     lu_factor_in_place,
     newton_solve,
     residual_fixed_r,
@@ -134,13 +133,13 @@ def random_state(N, rng):
 
 class TestResiduals:
     def test_zero_solution_is_exact(self):
-        sys = get_system(16, H)
+        sys = DiscreteSystem(16, H)
         res = sys.residual(np.zeros(16), 0.5)
         assert np.max(np.abs(res)) < 1e-15
 
     def test_linearization_at_zero(self):
         # the residual of an infinitesimal pure mode is (mu_n - mu) times it
-        sys = get_system(32, H)
+        sys = DiscreteSystem(32, H)
         eps, n = 1e-9, 3
         c = np.zeros(32)
         c[n] = eps
@@ -171,7 +170,7 @@ class TestResiduals:
 class TestJacobian:
     @pytest.mark.parametrize("N", [16, 32])
     def test_matches_central_differences(self, N):
-        sys = get_system(N, H)
+        sys = DiscreteSystem(N, H)
         c = 0.02 * RNG.standard_normal(N)
         c[0] = -0.01  # keep the mean admissible and the chain rule active
         mu = 0.5
@@ -188,7 +187,7 @@ class TestJacobian:
 
     def test_rank_one_chain_rule_term_present(self):
         # freezing the radius must change the first Jacobian column
-        sys = get_system(16, H)
+        sys = DiscreteSystem(16, H)
         c = 0.02 * RNG.standard_normal(16)
         c[0] = -0.05
         A, _ = sys.jacobian(c, 0.5)
@@ -202,7 +201,7 @@ class TestJacobian:
 
     def test_stacked_shape_and_constraint_row(self):
         pt = solve_small(16)
-        J = get_system(16, H).stacked_jacobian(pt.coeffs, pt.mu, node_row(16, 0, 1))
+        J = DiscreteSystem(16, H).stacked_jacobian(pt.coeffs, pt.mu, node_row(16, 0, 1))
         assert J.shape == (17, 17)
         # last row: derivative of sign * w(x_0) - a with respect to the
         # coefficients, cos(k x_0), and nothing in the mu column
@@ -213,8 +212,8 @@ class TestJacobian:
     def test_finite_difference_mode_agrees(self):
         pt = solve_small(16)
         row = node_row(16, 0, 1)
-        J_an = get_system(16, H).stacked_jacobian(pt.coeffs, pt.mu, row)
-        J_fd = central_difference_stacked_jacobian(get_system(16, H), pt.coeffs,
+        J_an = DiscreteSystem(16, H).stacked_jacobian(pt.coeffs, pt.mu, row)
+        J_fd = central_difference_stacked_jacobian(DiscreteSystem(16, H), pt.coeffs,
                                                    pt.mu, row, pt.sup_norm)
         assert np.max(np.abs(J_an - J_fd)) < 1e-5
 
@@ -227,7 +226,7 @@ class TestInPlaceAssembly:
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
     def test_fills_supplied_buffer(self, N):
         rng = np.random.default_rng(N)
-        sys = get_system(N, H)
+        sys = DiscreteSystem(N, H)
         c = random_state(N, rng)
         for row in self.rows(N, rng):
             buf = np.full((N + 1, N + 1), np.nan)
@@ -245,7 +244,7 @@ class TestInPlaceAssembly:
     ])
     def test_matches_reference_assembly(self, N, index_set):
         rng = np.random.default_rng(100 + N)
-        sys = get_system(N, H)
+        sys = DiscreteSystem(N, H)
         c = random_state(N, rng)
         classes = continuation._symmetry_classes(N, 5)
         idx = {None: None, "stride5": np.arange(0, N, 5), "class0": classes[0],
@@ -267,7 +266,7 @@ class TestInPlaceAssembly:
     def test_no_matrix_sized_temporaries(self):
         # one 512 x 512 array is 2.1 MB
         N = 512
-        sys = get_system(N, H)
+        sys = DiscreteSystem(N, H)
         c = random_state(N, np.random.default_rng(5))
         row = node_row(N, 0, 1)
         buf = np.empty((N + 1, N + 1))
@@ -281,7 +280,7 @@ class TestInPlaceAssembly:
         assert peak < 1_000_000
 
     def test_wrong_buffer_shape_rejected(self):
-        sys = get_system(8, H)
+        sys = DiscreteSystem(8, H)
         with pytest.raises(ValueError):
             sys.stacked_jacobian(random_state(8, RNG), 0.6, node_row(8, 0, 1),
                                  out=np.empty((8, 8)))
@@ -301,6 +300,7 @@ class TestInPlaceAssembly:
         assert all(buf is seen[0] for buf in seen)
 
 
+@pytest.mark.blas_threads
 class TestChordNewton:
     @pytest.mark.parametrize("label, indices", [("C1", (6, 14, 22)),
                                                 ("C5", (2, 6, 10))])
@@ -308,7 +308,7 @@ class TestChordNewton:
         # both are driven below the default tolerance, so that they agree
         # on the solution rather than on where each one stopped
         branch = c1_full if label == "C1" else c5_bundle["parent"]
-        sys = get_system(branch.last.coeffs.size, H)
+        sys = DiscreteSystem(branch.last.coeffs.size, H)
         cfg = NewtonConfig(residual_tol=1e-12)
         for i in indices:
             c, mu, con = secant_predictor(branch, i)
@@ -358,9 +358,9 @@ class TestChordNewton:
                              NewtonConfig())
 
     def test_paths_are_pinned(self, c1_full, c5_bundle):
-        # step growth keys on factorizations, which the chord and its
-        # Broyden updates make fewer; these are the point counts of the
-        # paths they give
+        # the point counts of the paths that the step rule (grow by 1.3
+        # after an accepted corrector, halve after a rejected one, under
+        # the gap cap) and the chord's Broyden-updated solves give
         counts = {b.label: len(b.points) for b in c5_bundle["secondaries"]}
         assert counts == {"C51": 14, "C52": 17, "C52b": 14, "C53": 18, "C53b": 16, "C54": 18}
         assert len(c5_bundle["parent"].points) == 25
@@ -534,6 +534,7 @@ def spy_shapes(monkeypatch):
     return shapes
 
 
+@pytest.mark.blas_threads
 class TestSubspaceSolve:
     """A mode-n predictor is solved on the subspace c_k = 0, k not = 0 mod n."""
 
@@ -542,7 +543,7 @@ class TestSubspaceSolve:
     def test_class_blocks_match_full_jacobian(self, c2_full, c5_bundle, label, n,
                                               indices):
         branch = c2_full if label == "C2" else c5_bundle["parent"]
-        sys = get_system(branch.last.coeffs.size, H)
+        sys = DiscreteSystem(branch.last.coeffs.size, H)
         for i in indices:
             p = branch.points[i]
             A, dF_dmu = sys.jacobian(p.coeffs, p.mu)
@@ -593,6 +594,7 @@ class TestSubspaceSolve:
         assert not np.any(off_class(pt.coeffs, 5))
 
 
+@pytest.mark.blas_threads
 class TestBandSolve:
     """Newton solves each step on the modes 0, n, 2n, ... < K the iterate resolves."""
 
@@ -602,8 +604,8 @@ class TestBandSolve:
         p, K = c1_full.points[9], 128
         c = p.coeffs.copy()
         c[K:] = 0.0
-        full = get_system(c.size, H).stacked_jacobian(c, p.mu, c1_full.row)
-        band = get_system(K, H).stacked_jacobian(c[:K], p.mu, c1_full.row[:K])
+        full = DiscreteSystem(c.size, H).stacked_jacobian(c, p.mu, c1_full.row)
+        band = DiscreteSystem(K, H).stacked_jacobian(c[:K], p.mu, c1_full.row[:K])
         keep = np.append(np.arange(K), c.size)
         ref = full[np.ix_(keep, keep)]
         assert np.max(np.abs(band - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -674,6 +676,7 @@ class TestBandSolve:
         assert calls == []
 
 
+@pytest.mark.blas_threads
 class TestDivergenceGuard:
     """Newton stops once the residual norm exceeds max(|R_0|, 1)."""
 
@@ -798,16 +801,12 @@ class TestNewton:
     def test_overflow_guard_in_sigma(self):
         # wild iterates with admissible mean but huge nonlinear terms must
         # not produce NaNs or overflow warnings in the residual
-        sys = get_system(16, H)
+        sys = DiscreteSystem(16, H)
         c = 40.0 * np.ones(16)
         c[0] = -0.3
         with np.errstate(over="raise"):
             res = sys.residual(c, 0.5)
         assert np.all(np.isfinite(res))
-
-    def test_system_cache_reuse(self):
-        assert get_system(16, H) is get_system(16, H)
-        assert get_system(16, H) is not get_system(32, H)
 
 
 class TestConfigs:

@@ -1,18 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from babenko.solver import get_system
+from babenko.continuation import ContinuationConfig, start_branch, trivial_bifurcation_mu
+from babenko.geometry import surface_curve
+from babenko.solver import DiscreteSystem, newton_solve
 from babenko.spectral import (
     R_MAX,
     DomainError,
     add_product_matrix,
-    as_depth,
     dlambda_dr,
     dmu_dr,
     hilbert_symbol,
-    inverse_transform_matrix,
     lambda_symbol,
     mu_symbol,
     mu_symbol_total,
@@ -21,10 +23,9 @@ from babenko.spectral import (
     series_peak,
     transform_forward,
     transform_inverse,
-    transform_matrix,
 )
 
-from conftest import dense_product_matrix, nodes
+from conftest import dense_product_matrix, inverse_transform_matrix, nodes, transform_matrix
 
 RNG = np.random.default_rng(20260823)
 
@@ -152,13 +153,13 @@ class TestOperators:
         jw = convolution(c, lambda_symbol(r, N) * c)
         expect = mu_symbol_total(r, N) * c + mu_symbol_total(np.exp(-h + jw[0]), N) * jw
         expect[1:] += 0.5 * convolution(c, c)[1:] - mu * c[1:]
-        assert np.allclose(get_system(N, h).residual(c, mu), expect, rtol=0, atol=1e-14)
+        assert np.allclose(DiscreteSystem(N, h).residual(c, mu), expect, rtol=0, atol=1e-14)
 
     def test_residual_rejects_vanishing_depth(self):
         # mean(w) <= -h drives the radius to 1 and beyond
         c = np.concatenate(([-0.2], np.zeros(7)))
         with pytest.raises(DomainError):
-            get_system(8, 0.05).residual(c, 0.5)
+            DiscreteSystem(8, 0.05).residual(c, 0.5)
 
     def test_Lh_symbol_total_on_same_operand(self):
         # r > 1 is fine for the L-type symbol, not for the J-type one
@@ -169,8 +170,20 @@ class TestOperators:
             lambda_symbol(r, 8)
 
     def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            as_depth(-1.0)
+        # every public entry point that takes a depth rejects one that is
+        # not positive
+        c = np.zeros(16)
+        c[1] = 0.01
+        calls = [
+            lambda h: trivial_bifurcation_mu(1, h),
+            lambda h: newton_solve(c, 0.5, h, np.eye(16)[1], 0.01),
+            lambda h: start_branch(1, 0.01, h, ContinuationConfig(N=16)),
+            lambda h: surface_curve(c, 0.5, h),
+        ]
+        for h in (0.0, -1.0, math.nan):
+            for call in calls:
+                with pytest.raises(ValueError, match="depth must be positive"):
+                    call(h)
 
 
 class TestDealiasedProduct:
