@@ -57,7 +57,6 @@ __all__ = [
     "continue_branch",
     "detect_turning_points",
     "detect_secondary_bifurcations",
-    "switch_branch",
     "navigate_secondaries",
 ]
 
@@ -642,24 +641,6 @@ def _switch_along(
             )
         last_exc = SolveFailure("iterate collapsed back onto the parent branch")
     raise SolveFailure(f"branch switching failed: {last_exc}")
-
-
-def switch_branch(
-    branch: Branch, event: BranchEvent, direction: float, depth,
-    cfg: ContinuationConfig | None = None,
-) -> Branch:
-    """Seed a secondary branch from a bifurcation event along its null vector.
-
-    direction scales the null vector before it is normalized, so its sign
-    picks the side; it must be finite and nonzero.
-    """
-    if event.kind != "secondary_bifurcation":
-        raise ValueError("can only switch at a secondary_bifurcation event")
-    if not (math.isfinite(direction) and direction != 0):
-        raise ValueError(f"direction must be finite and nonzero, got {direction}")
-    cfg = cfg or ContinuationConfig()
-    phi_c = np.asarray(event.diagnostics["null_vector_coeffs"], dtype=float)
-    return _switch_along(branch, event, direction * phi_c, depth, cfg)
 
 
 def _retraces(pt: SolutionPoint, other: Branch) -> bool:

@@ -32,7 +32,6 @@ __all__ = [
     "conformal_map_sample",
     "crest_heights",
     "crest_angle_estimate",
-    "r_curve",
 ]
 
 # Crests within this relative height of the tallest count as equally high.
@@ -64,10 +63,6 @@ class WaveProfile:
     crest_census: list = field(default_factory=list)  # (x, height) per crest
     mean_residual: float = 0.0
     monotone_x: bool = True
-
-    @property
-    def n_crests(self) -> int:
-        return len(self.crest_census)
 
     def n_highest(self) -> int:
         """Number of crests within EQUAL_CREST_RTOL of the tallest one."""
@@ -223,8 +218,3 @@ def crest_angle_estimate(profile: WaveProfile) -> CrestAngleEstimate:
         angles.append(np.arctan(abs(slope)))
     degrees = float(np.degrees(np.pi - angles[0] - angles[1]))
     return CrestAngleEstimate(degrees, confident, float(xc), float(yc))
-
-
-def r_curve(branch) -> np.ndarray:
-    """Per-point (sup_norm, conformal radius) series along a traced branch."""
-    return np.array([(p.sup_norm, p.r) for p in branch.points])

@@ -208,10 +208,6 @@ class BranchData:
     def mus(self) -> np.ndarray:
         return np.array([row["mu"] for row in self.table])
 
-    @property
-    def sup_norms(self) -> np.ndarray:
-        return np.array([row["sup_norm"] for row in self.table])
-
 
 def _parse_header_meta(line: str) -> dict:
     out = {}

@@ -12,8 +12,8 @@ is derived once, by DiscreteSystem._assemble, over an index set: all N
 modes, the modes of a mode-n subspace, or one symmetry class.  Its terms
 are diagonal symbols, row and column scalings and rank-one terms on the
 structured product matrices, written in place with no change of basis and
-no N x N temporary; all N rows take those matrices from
-spectral.add_product_matrix, an index set from spectral.product_block.
+no temporary of the Jacobian's size; every index set takes those matrices
+from the one kernel spectral.add_product_matrix, by the same sequence.
 
 Newton is a chord (Shamanskii) iteration on the resolved band, the
 coefficients k = 0, n, 2n, ... < K and mu.  A coefficient is resolved
@@ -79,7 +79,6 @@ from .spectral import (
     fine_values,
     lambda_symbol,
     mu_symbol_total,
-    product_block,
     series_peak,
     transform_inverse,
 )
@@ -200,8 +199,8 @@ class DiscreteSystem:
     """The collocation system at fixed N and depth h, on coefficient vectors.
 
     Instances hold N and h only, so callers build one where they need it.
-    The Jacobian, of all N modes or of the rows and columns of a sorted
-    index set, is assembled by _assemble in place into a buffer the caller
+    The Jacobian, of all N modes or of the rows and columns of an index
+    set, is assembled by _assemble in place into a buffer the caller
     owns (stacked_jacobian's out).
     """
 
@@ -242,8 +241,8 @@ class DiscreteSystem:
     def jacobian(self, c: np.ndarray, mu: float, idx: np.ndarray | None = None):
         """Analytic d(residual)/dc and d(residual)/dmu in coefficient space.
 
-        Given a sorted index set idx, such as one symmetry class, only the
-        rows and columns idx; see _assemble.  Both are views into one
+        Given an index set idx, such as one symmetry class, only the rows
+        and columns idx; see _assemble.  Both are views into one
         buffer.
         """
         L = self.N if idx is None else idx.size
@@ -264,10 +263,10 @@ class DiscreteSystem:
         """(N+1) x (N+1) Jacobian of stacked_residual in (c, mu).
 
         Its last row is the closing row, row; the target does not enter
-        it.  Given a sorted index set idx of size L, only the rows and
-        columns idx, the mu column and the closing row.  It is written into out
-        when given (every entry is overwritten) and returned; the whole
-        Jacobian is assembled with no N x N temporary.
+        it.  Given an index set idx of size L (see _assemble), only the
+        rows and columns idx, the mu column and the closing row.  It is
+        written into out when given (every entry is overwritten) and
+        returned; the Jacobian is assembled with no temporary of its size.
         """
         if idx is not None:
             row = row[idx]
@@ -286,25 +285,22 @@ class DiscreteSystem:
     ) -> None:
         """Rows and columns idx of d(residual)/dc into A[:, :L], d/dmu into A[:, L].
 
-        idx is a sorted index set of size L, and None means all N; a set
-        of all N indices, such as the stride-1 band of a Newton step, is
-        assembled as None, so it forms no N x N temporary.  The residual is
+        idx is an index set of size L that add_product_matrix accepts: all
+        N modes (None), a mode-n band or a symmetry class.  The residual is
         mus(sigma) * P(w) J w + mu_h(rho) * w, plus w^2 / 2 and -mu * w
-        outside the mean mode, where P is product_matrix, J w = lam(rho) * c,
-        rho = exp(-h - c_0) and sigma = exp(-h - g_0) with g = -P(w) J w.
-        Its derivative is written once over the modes k of the rows and
-        columns, one pass per term; the chain-rule terms through rho fill
-        column 0, so they apply only when idx holds 0, and the rank-one
-        term of sigma needs row 0 of D at the columns k, which is lam * c
-        apart from its column 0.  The product matrices alone come from two
-        places: those of all N modes are added in place by
-        add_product_matrix over the whole rows of A, and those of an index
-        set are gathered once by product_block.  No N x N temporary is
-        made, and column L is written last.
+        outside the mean mode, where P is the product matrix,
+        J w = lam(rho) * c, rho = exp(-h - c_0) and sigma = exp(-h - g_0)
+        with g = -P(w) J w.  Its derivative is written once over the modes k
+        of the rows and columns, one pass per term, and the same sequence
+        runs for every index set: the product matrices are added in place
+        by add_product_matrix over the whole rows of A, whose column L
+        receives terms that are overwritten at the end.  The chain-rule
+        terms through rho fill column 0, so they apply only when idx holds
+        0, and the rank-one term of sigma needs row 0 of D at the columns
+        k, which is lam * c apart from its column 0.  No temporary of A's
+        size is made, and column L is written last.
         """
         N = self.N
-        if idx is not None and idx.size == N:
-            idx = None
         k = np.arange(N) if idx is None else idx
         L = k.size
         D = A[:, :L]
@@ -320,14 +316,10 @@ class DiscreteSystem:
         sigma = self._sigma(g[0])
 
         # dg/dc = -D with D = P(Jw) + P(w) diag(lam) - the column-0 term
-        if idx is None:
-            A.fill(0.0)
-            add_product_matrix(c, A)
-            A *= np.append(lam, 0.0)
-            add_product_matrix(lc, A)
-        else:
-            P = product_block(c, idx)
-            np.add(P * lam[idx], product_block(lc, idx), out=D)
+        A.fill(0.0)
+        add_product_matrix(c, A, k)
+        A *= np.append(lam[k], 0.0)
+        add_product_matrix(lc, A, k)
         d0 = np.append(lc[k], 0.0)  # row 0 of D at the columns k, and column L
         if mean:
             col0 = prods[1]
@@ -347,17 +339,15 @@ class DiscreteSystem:
             block -= t
 
         # w^2 / 2, which the mean mode's row does not carry
-        rows = np.flatnonzero(k)  # all but the mean mode's
-        if idx is None:
-            row0 = D[0].copy()
-            add_product_matrix(c, A)
+        row0 = D[0].copy()
+        add_product_matrix(c, A, k)
+        if mean:
             D[0] = row0
-        else:
-            D[rows] += P[rows]
         # the L-type term mu_h(rho) * w with its column-0 chain rule term,
         # and -mu * w outside the mean mode
         diag = np.arange(L)
         D[diag, diag] += mu_symbol_total(rho, N)[k]
+        rows = np.flatnonzero(k)  # all but the mean mode's
         D[rows, rows] -= mu
         A[:, L] = -c[k]
         if mean:

@@ -15,11 +15,12 @@ Fourier-multiplier symbols of the finite-depth wave problem and the
 exactly dealiased pointwise product: factors are evaluated on the 2N-node
 fine grid (fine_values), multiplied there and taken back to N modes
 (fine_coeffs), so a caller multiplying one factor with several others
-evaluates it once.  The product's structured matrix is given whole or on
-an index set.  The depth-parametrized operators are these symbols at the
-radius r = exp(-h - c_0), e.g. lambda_symbol(r, N) * c for the J-type
-one; the solver evaluates them so and accumulates the product matrices in
-place into its Newton system.
+evaluates it once.  The product's structured matrix is added in place,
+whole or on a band or symmetry class of modes, by one kernel.  The
+depth-parametrized operators are these symbols at the radius
+r = exp(-h - c_0), e.g. lambda_symbol(r, N) * c for the J-type one; the
+solver evaluates them so and accumulates the product matrices in place
+into its Newton system.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from functools import cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "DomainError",
@@ -35,16 +36,13 @@ __all__ = [
     "transform_forward",
     "transform_inverse",
     "lambda_symbol",
-    "mu_symbol",
     "mu_symbol_total",
     "hilbert_symbol",
     "dlambda_dr",
     "dmu_dr",
     "fine_values",
     "fine_coeffs",
-    "product_coeffs",
     "add_product_matrix",
-    "product_block",
     "series_peak",
     "as_depth",
 ]
@@ -143,14 +141,8 @@ def lambda_symbol(r: float, N: int) -> np.ndarray:
     return m
 
 
-def mu_symbol(r: float, N: int) -> np.ndarray:
-    """Eigenvalues of the L-type operator: 1, then (1-r^2n)/(n(1+r^2n))."""
-    r = _check_r(r)
-    return mu_symbol_total(r, N)
-
-
 def mu_symbol_total(r: float, N: int) -> np.ndarray:
-    """L-type symbol evaluated directly; finite for every r > 0."""
+    """L-type symbol 1, then (1-r^2n)/(n(1+r^2n)), evaluated directly; finite for every r > 0."""
     if not r > 0:
         raise DomainError(f"conformal radius must be positive, got {r}")
     n = np.arange(1, N)
@@ -219,65 +211,59 @@ def fine_coeffs(values) -> np.ndarray:
     return (np.fft.rfft(values, norm="forward")[..., :N] * _twiddles(2 * N)[0][:N]).real
 
 
-def product_coeffs(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    """Cosine coefficients of the pointwise product of two N-mode series.
+def add_product_matrix(c: np.ndarray, out: np.ndarray,
+                       idx: np.ndarray | None = None) -> np.ndarray:
+    """Add rows and columns idx of the product matrix of c to out, in place.
 
-    Both factors are evaluated on the 2N-node fine grid by fine_values,
-    multiplied there and taken back, exactly, to N modes by fine_coeffs.
-    """
-    N = cu.size
-    if cv.size != N:
-        raise ValueError(f"length mismatch: {N} vs {cv.size}")
-    fu, fv = fine_values((cu, cv))
-    return fine_coeffs(fu * fv)
-
-
-def add_product_matrix(c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add the matrix of u -> product_coeffs(c, u) to out, in place.
-
-    By cos(jt) cos(mt) = (cos((j-m)t) + cos((j+m)t)) / 2 its entries are
+    The matrix takes u to fine_coeffs(fine_values(c) * fine_values(u)).  By
+    cos(jt) cos(mt) = (cos((j-m)t) + cos((j+m)t)) / 2 its entries are
     (c_|k-m| + c_(k+m)) / 2, Toeplitz plus Hankel with c_j = 0 for j >= N,
     except that row 0 holds c_m / 2 for m >= 1 and the diagonal gains
-    c_0 / 2 for k >= 1 (column 0 equals c).  out has the N rows of the
-    product's modes and M >= N columns; a column m >= N follows the same
-    formula, as for a factor u with M modes, so that a caller can fill
-    whole rows of a wider matrix.  The two parts are added from strided
-    views of O(N) vectors; no N x M temporary is made.
+    c_0 / 2 for k >= 1 (column 0 equals c).  idx is all N modes (None), one
+    arithmetic progression, such as the mode-n band 0, n, 2n, ..., or two
+    interleaved ones of a common stride n, such as a symmetry class
+    {j, n-j} mod n; any other set raises ValueError.  out has L = idx.size
+    rows and M >= L columns; the columns from L on continue the
+    progressions (by steps of 1 after a single index), as for a factor u
+    with more modes, so that a caller can fill whole rows of a wider
+    matrix.  Each progression of rows is added as a Toeplitz and a Hankel
+    window over O(N) vectors; no index array or temporary of out's size is
+    made.
     """
     c = np.asarray(c, dtype=float)
-    N, M = out.shape
-    if c.size != N or M < N:
-        raise ValueError(f"out must be {c.size} x M with M >= {c.size}, got {out.shape}")
-    half = 0.5 * c
-    # v[N-1+j] = c_|j| / 2, so the Toeplitz row k, c_|m-k| / 2, is the window
-    # of v starting at N-1-k; u[k+m] = c_(k+m) / 2 gives the Hankel rows
-    pad = np.zeros(M - 1)
-    v = np.concatenate((half[::-1], half[1:], pad[: M - N]))
-    u = np.concatenate((half, pad))
-    out[1:] += sliding_window_view(v, M)[::-1][1:]
-    out[1:] += sliding_window_view(u, M)[1:]
-    out[0, 0] += c[0]
-    out[0, 1:N] += half[1:]
-    out.flat[M + 1 :: M + 1] += half[0]
-    return out
-
-
-def product_block(c: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows and columns idx of the matrix of u -> product_coeffs(c, u).
-
-    idx is a sorted index set, such as one symmetry class of a mode-n
-    wave; the entries follow add_product_matrix's formula, gathered from
-    c alone, so the N x N matrix is never formed.
-    """
-    c = np.asarray(c, dtype=float)
-    half = np.zeros(2 * c.size)  # c_j / 2, with c_j = 0 for j >= N
-    half[: c.size] = 0.5 * c
-    k, m = idx[:, None], idx[None, :]
-    out = half[np.abs(k - m)] + half[k + m]
-    out[np.flatnonzero(idx), np.flatnonzero(idx)] += half[0]
-    if idx[0] == 0:
-        out[0] = half[idx]
-        out[0, 0] = c[0]
+    N = c.size
+    idx = np.arange(N) if idx is None else np.asarray(idx)
+    L, M = out.shape
+    if idx.ndim != 1 or idx.size != L or not 0 < L <= M:
+        raise ValueError(f"out must be {idx.size} x M with M >= {idx.size}, got {out.shape}")
+    # position p, of a row or of a column, holds mode starts[p % q] + n * (p // q),
+    # and modes[ext + p] is that mode, also for the p < 0 and p >= M the windows reach
+    head = idx[:3].tolist()
+    q = 1 if L < 3 or head[2] - head[1] == head[1] - head[0] else 2
+    n, starts = (head[q] - head[0] if L > q else 1), head[:q]
+    e = (L - 1) // q
+    ext = q * e
+    modes = (np.arange(-n * e, n * ((M + ext - 1) // q + 1), n)[:, None] + starts).ravel()
+    increasing = all(x < y for x, y in zip(head, head[1 : q + 1]))
+    if not (increasing and 0 <= head[0] and idx[-1] < N and (modes[ext : ext + L] == idx).all()):
+        raise ValueError(f"idx must be one or two interleaved progressions of modes below {N}")
+    half = np.append(0.5 * c, 0.0)  # take(..., mode="clip") reads c_j = 0 for j >= N
+    s = half.itemsize
+    mean = int(starts[0] == 0)  # row 0, the mean mode's, follows its own formula
+    for a in range(q):
+        rows = out[a::q]
+        R, skip = rows.shape[0], (mean if a == 0 else 0)
+        span = q * (R - 1)
+        # row i takes c_|k-m| / 2 from toeplitz[span - q i:] and c_(k+m) / 2
+        # from hankel[q i:], in read-only windows of M entries
+        toeplitz = half.take(np.abs(starts[a] - modes[ext - span : ext + M]), mode="clip")
+        hankel = half.take(starts[a] + modes[ext : ext + M + span], mode="clip")
+        rows[skip:] += as_strided(toeplitz[span:], (R, M), (-q * s, s), writeable=False)[skip:]
+        rows[skip:] += as_strided(hankel, (R, M), (q * s, s), writeable=False)[skip:]
+    if mean:  # c_m / 2 in row 0, apart from c_0 at column 0
+        out[0, 0] += c[0]
+        out[0, 1:] += half.take(modes[ext + 1 : ext + M], mode="clip")
+    out.flat[(M + 1) * mean :: M + 1] += half[0]
     return out
 
 

@@ -20,7 +20,7 @@ from babenko.continuation import (
 )
 from babenko.geometry import crest_heights
 from babenko.solver import DiscreteSystem, NewtonConfig, newton_solve
-from babenko.spectral import product_coeffs, transform_forward
+from babenko.spectral import fine_coeffs, fine_values, transform_forward
 
 H = math.pi / 5
 
@@ -56,9 +56,18 @@ def crest_word(branch):
     return continuation._word(np.array([h for _, h in crest_heights(branch.last.coeffs)]))
 
 
+def fine_product(cu, cv):
+    """Cosine coefficients of the product of two N-mode series, as the residual forms it.
+
+    Both factors are evaluated on the 2N-node grid by fine_values,
+    multiplied there and taken back to N modes by fine_coeffs.
+    """
+    return fine_coeffs(fine_values(cu) * fine_values(cv))
+
+
 def dense_product_matrix(c):
-    """Matrix of u -> product_coeffs(c, u), column by column on unit vectors."""
-    return np.column_stack([product_coeffs(c, e) for e in np.eye(c.size)])
+    """Matrix of u -> fine_product(c, u), column by column on unit vectors."""
+    return np.column_stack([fine_product(c, e) for e in np.eye(c.size)])
 
 
 def solve_small(N, n=1, s=0.01, depth=H):

@@ -21,7 +21,6 @@ from babenko.geometry import (
     _top_crests,
     crest_angle_estimate,
     crest_heights,
-    r_curve,
     surface_curve,
 )
 from babenko.solver import (
@@ -31,9 +30,9 @@ from babenko.solver import (
     residual_fixed_r,
     residual_modified,
 )
-from babenko.spectral import lambda_symbol, product_coeffs, transform_inverse
+from babenko.spectral import lambda_symbol, transform_inverse
 
-from conftest import H, inverse_transform_matrix, transform_matrix
+from conftest import H, fine_product, inverse_transform_matrix, transform_matrix
 
 
 def announce(capsys, num, name, ok, detail=""):
@@ -99,7 +98,7 @@ class TestCriterion04:
 
 class TestCriterion05:
     def test_r_curve(self, capsys, c1_full):
-        series = r_curve(c1_full)
+        series = np.array([(p.sup_norm, p.r) for p in c1_full.points])
         a, r = series[:, 0], series[:, 1]
         imax = int(np.argmax(r))
         single_max = (
@@ -240,7 +239,7 @@ class TestCriterion09:
             for n in range(8):
                 full[m + n] += 0.5 * cu[m] * cv[n]
                 full[abs(m - n)] += 0.5 * cu[m] * cv[n]
-        err_prod = float(np.max(np.abs(product_coeffs(cu, cv) - full[:8])))
+        err_prod = float(np.max(np.abs(fine_product(cu, cv) - full[:8])))
 
         sys32 = DiscreteSystem(32, H)
         c = 0.02 * rng.standard_normal(32)

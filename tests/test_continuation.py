@@ -17,7 +17,6 @@ from babenko.continuation import (
     RETRACE_TOL,
     STEP_MAX,
     Branch,
-    BranchEvent,
     ContinuationConfig,
     _correct,
     _det_sign,
@@ -27,7 +26,6 @@ from babenko.continuation import (
     detect_turning_points,
     navigate_secondaries,
     start_branch,
-    switch_branch,
     trivial_bifurcation_mu,
 )
 from babenko.geometry import crest_heights
@@ -455,23 +453,11 @@ class TestSecondaryDetection:
     def test_switching_breaks_symmetry(self, c2_256):
         b, cfg = c2_256
         ev = next(e for e in b.events if e.kind == "secondary_bifurcation")
-        sec = switch_branch(b, ev, +1, H, cfg)
+        phi = np.asarray(ev.diagnostics["null_vector_coeffs"])
+        sec = continuation._switch_along(b, ev, phi, H, cfg)
         assert sec.parent == "C2"
         c = sec.last.coeffs
         assert np.max(np.abs(c[1::2])) > 1e-5  # odd modes now populated
-
-    def test_switch_requires_bifurcation_event(self, c2_256):
-        b, cfg = c2_256
-        fake = BranchEvent("turning_point", 0.5, 0.2, 0.2)
-        with pytest.raises(ValueError):
-            switch_branch(b, fake, +1, H, cfg)
-
-    @pytest.mark.parametrize("direction", [0, 0.0, math.nan, math.inf])
-    def test_switch_rejects_bad_direction(self, c2_256, direction):
-        b, cfg = c2_256
-        ev = next(e for e in b.events if e.kind == "secondary_bifurcation")
-        with pytest.raises(ValueError, match="direction"):
-            switch_branch(b, ev, direction, H, cfg)
 
     def test_secondaries_advance_along_their_row(self, c5_bundle):
         # a switched branch is parametrized by row . c on a unit row, and

@@ -8,7 +8,7 @@ import pytest
 
 from babenko import io
 from babenko.continuation import Branch, BranchEvent
-from babenko.geometry import r_curve, surface_curve
+from babenko.geometry import surface_curve
 from babenko.io import (
     BranchData,
     BranchFormatError,
@@ -32,7 +32,7 @@ class TestBranchRoundTrip:
         assert data.label == "C1"
         assert data.depth == H  # 17 significant digits round-trip exactly
         assert np.array_equal(data.mus, c1_coarse.mus())
-        assert np.array_equal(data.sup_norms, c1_coarse.amplitudes())
+        assert np.array_equal([row["sup_norm"] for row in data.table], c1_coarse.amplitudes())
 
     def test_sidecar_restores_solution_points(self, c1_coarse, tmp_path):
         paths = write_branch(c1_coarse, tmp_path, H)
@@ -225,7 +225,7 @@ class TestProfileAndCurves:
         assert doc["crest_census"][0]["height"] == pytest.approx(prof.crest_census[0][1])
 
     def test_rcurve_metadata_records_maximum(self, c1_coarse, tmp_path):
-        series = r_curve(c1_coarse)
+        series = np.array([(p.sup_norm, p.r) for p in c1_coarse.points])
         path = write_rcurve(series, tmp_path / "r.csv")
         lines = path.read_text().splitlines()
         meta = json.loads(lines[1].lstrip("# "))
@@ -238,14 +238,14 @@ class TestProfileAndCurves:
         # the recorded point of largest r sits up to 4e-3 from the reference
         # maximum at a = 0.33433; the parabola through it and its neighbours
         # does not depend on where the continuation steps fell
-        series = r_curve(c1_full)
+        series = np.array([(p.sup_norm, p.r) for p in c1_full.points])
         lines = write_rcurve(series, tmp_path / "r.csv").read_text().splitlines()
         meta = json.loads(lines[1].lstrip("# "))
         assert meta["sup_norm_at_max"] == pytest.approx(0.33433, abs=1e-3)
         assert meta["r_max"] >= series[:, 1].max()
 
     def test_rcurve_json(self, c1_coarse, tmp_path):
-        series = r_curve(c1_coarse)
+        series = np.array([(p.sup_norm, p.r) for p in c1_coarse.points])
         doc = json.loads(
             write_rcurve(series, tmp_path / "r.json", fmt="json").read_text()
         )
@@ -270,7 +270,8 @@ def _write_one_kind(kind, branch, outdir, k):
     if kind == "profile":
         return [write_profile(surface_curve(pt.coeffs, pt.mu, H), pt, outdir / "p.csv")]
     if kind == "rcurve":
-        return [write_rcurve(r_curve(branch)[k:], outdir / "r.csv")]
+        series = np.array([(p.sup_norm, p.r) for p in branch.points])
+        return [write_rcurve(series[k:], outdir / "r.csv")]
     return [write_report({"passed": bool(k)}, outdir / "v.json")]
 
 

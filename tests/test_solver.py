@@ -69,7 +69,7 @@ def reference_stacked_jacobian(sys, c, mu, row):
 
     The assembly in DiscreteSystem fills one buffer in place, term by term;
     this is the same derivative written out with N x N temporaries, on
-    product matrices built column by column from product_coeffs.
+    product matrices built column by column from fine_product.
     """
     N = sys.N
     rho = float(np.exp(-sys.h - c[0]))
@@ -264,20 +264,24 @@ class TestInPlaceAssembly:
         assert np.array_equal(dF_dmu, got[:L, L])
 
     def test_no_matrix_sized_temporaries(self):
-        # one 512 x 512 array is 2.1 MB
+        # one 512 x 512 array is 2.1 MB; the mode-5 class-1 block is 205
+        # square and the stride-5 band 103, and gathering either by an
+        # index array per entry peaked at 1.7 MB for the class
         N = 512
         sys = DiscreteSystem(N, H)
         c = random_state(N, np.random.default_rng(5))
         row = node_row(N, 0, 1)
-        buf = np.empty((N + 1, N + 1))
-        sys.stacked_jacobian(c, 0.6, row, out=buf)
-        tracemalloc.start()
-        try:
-            sys.stacked_jacobian(c, 0.6, row, out=buf)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        for idx in (None, continuation._symmetry_classes(N, 5)[1], np.arange(0, N, 5)):
+            L = N if idx is None else idx.size
+            buf = np.empty((L + 1, L + 1))
+            sys.stacked_jacobian(c, 0.6, row, out=buf, idx=idx)
+            tracemalloc.start()
+            try:
+                sys.stacked_jacobian(c, 0.6, row, out=buf, idx=idx)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, L
 
     def test_wrong_buffer_shape_rejected(self):
         sys = DiscreteSystem(8, H)
@@ -660,20 +664,6 @@ class TestBandSolve:
         assert shapes == sorted(shapes)
         assert np.max(np.abs(pt.coeffs - ref.coeffs)) < 1e-12
         assert abs(pt.mu - ref.mu) < 1e-12
-
-    def test_mode_one_band_gathers_no_product_block(self, c1_full, monkeypatch):
-        # the K-mode system fills whole rows with add_product_matrix;
-        # gathering the band with product_block would allocate two more
-        # band-sized matrices per assembly
-        calls = []
-        monkeypatch.setattr(solver, "product_block",
-                            lambda *args: calls.append(args) or None)
-        shapes = spy_shapes(monkeypatch)
-        c, mu, con = secant_predictor(c1_full, 9)
-        pt = newton_solve(c, mu, H, *con, NewtonConfig())
-        assert pt.residual_norm <= NewtonConfig().residual_tol
-        assert shapes and set(shapes) == {(129, 129)}
-        assert calls == []
 
 
 @pytest.mark.blas_threads

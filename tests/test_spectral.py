@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from babenko.continuation import ContinuationConfig, start_branch, trivial_bifurcation_mu
+from babenko.continuation import (
+    ContinuationConfig,
+    _symmetry_classes,
+    start_branch,
+    trivial_bifurcation_mu,
+)
 from babenko.geometry import surface_curve
 from babenko.solver import DiscreteSystem, newton_solve
 from babenko.spectral import (
@@ -16,16 +21,19 @@ from babenko.spectral import (
     dmu_dr,
     hilbert_symbol,
     lambda_symbol,
-    mu_symbol,
     mu_symbol_total,
-    product_block,
-    product_coeffs,
     series_peak,
     transform_forward,
     transform_inverse,
 )
 
-from conftest import dense_product_matrix, inverse_transform_matrix, nodes, transform_matrix
+from conftest import (
+    dense_product_matrix,
+    fine_product,
+    inverse_transform_matrix,
+    nodes,
+    transform_matrix,
+)
 
 RNG = np.random.default_rng(20260823)
 
@@ -91,7 +99,7 @@ class TestSymbols:
     def test_mu_is_reciprocal_of_lambda(self):
         r, N = 0.61, 64
         lam = lambda_symbol(r, N)
-        mu = mu_symbol(r, N)
+        mu = mu_symbol_total(r, N)
         assert mu[0] == 1.0
         assert np.allclose(mu[1:] * lam[1:], 1.0, rtol=1e-13)
 
@@ -119,7 +127,7 @@ class TestSymbols:
 
     def test_large_n_no_overflow(self):
         # tanh forms saturate instead of overflowing at N ~ 1024
-        for vals in (lambda_symbol(0.1, 1024), mu_symbol(0.1, 1024),
+        for vals in (lambda_symbol(0.1, 1024), mu_symbol_total(0.1, 1024),
                      dlambda_dr(0.1, 1024), dmu_dr(0.1, 1024)):
             assert np.all(np.isfinite(vals))
 
@@ -189,10 +197,10 @@ class TestOperators:
 class TestDealiasedProduct:
     @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 33])
     def test_matches_convolution_oracle(self, N):
-        # cosine-series product via the linearization formula
+        # the fine-grid product against the linearization formula
         cu = RNG.standard_normal(N)
         cv = RNG.standard_normal(N)
-        assert np.max(np.abs(product_coeffs(cu, cv) - convolution(cu, cv))) < 1e-12
+        assert np.max(np.abs(fine_product(cu, cv) - convolution(cu, cv))) < 1e-12
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -200,13 +208,13 @@ class TestDealiasedProduct:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(12)
         v = rng.standard_normal(12)
-        uv = product_coeffs(u, v)
-        vu = product_coeffs(v, u)
+        uv = fine_product(u, v)
+        vu = fine_product(v, u)
         assert np.max(np.abs(uv - vu)) < 1e-12
 
     def test_constant_identity(self):
         u = RNG.standard_normal(6)
-        assert np.allclose(product_coeffs(np.eye(6)[0], u), u, atol=1e-13)
+        assert np.allclose(fine_product(np.eye(6)[0], u), u, atol=1e-13)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
     def test_product_matrix_matches_dense_formula(self, N):
@@ -217,23 +225,33 @@ class TestDealiasedProduct:
         u = RNG.standard_normal(N)
         dense = T2 @ np.diag(S2 @ c) @ S2
         assert np.max(np.abs(add_product_matrix(c, np.zeros((N, N))) - dense)) < 1e-12
-        assert np.max(np.abs(product_coeffs(c, u) - dense @ u)) < 1e-12
+        assert np.max(np.abs(fine_product(c, u) - dense @ u)) < 1e-12
         assert np.max(np.abs(dense_product_matrix(c) - dense)) < 1e-12
 
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
     def test_product_block_matches_dense_oracle(self, N):
-        # every index set: whole, a mode-n subspace and its classes
-        # {j, n - j} mod n, and random subsets with and without index 0
+        # every kind of index set the solver builds: all modes, the mode-n
+        # band 0, n, 2n, ... and each class {j, n - j} mod n, the one with
+        # mode 0 and those without it, for n = 2..6; added to a random
+        # base through whole rows of L + 1 columns, as the assembly does
         c = RNG.standard_normal(N)
         dense = dense_product_matrix(c)
-        k = np.arange(N)
-        sets = [k, k[::3], k[k % 5 != 0], k[(k % 5 == 1) | (k % 5 == 4)]]
-        sets += [np.sort(RNG.choice(N, size=max(N // 2, 1), replace=False))
-                 for _ in range(4)]
+        sets = [None]
+        for n in range(2, 7):
+            sets += [np.arange(0, N, n), *_symmetry_classes(N, n)]
         for idx in sets:
-            if idx.size:
-                block = product_block(c, idx)
-                assert np.max(np.abs(block - dense[np.ix_(idx, idx)])) < 1e-12
+            rows = np.arange(N) if idx is None else idx
+            if not rows.size:
+                continue
+            base = RNG.standard_normal((rows.size, rows.size + 1))
+            out = add_product_matrix(c, base.copy(), idx)
+            got = (out - base)[:, : rows.size]
+            assert np.max(np.abs(got - dense[np.ix_(rows, rows)])) < 1e-12
+        # anything else is refused
+        for bad in ([0, 1, 3, 5], [1, 2, 4, 7], [0, 1, 2, 4], [2, 1], [0, 0, 1], [0, N]):
+            idx = np.array(bad)
+            with pytest.raises(ValueError):
+                add_product_matrix(c, np.zeros((idx.size, idx.size + 1)), idx)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
     def test_add_product_matrix_accumulates_wide_rows(self, N):
@@ -250,10 +268,26 @@ class TestDealiasedProduct:
         assert np.max(np.abs(out - base - dense)) < 1e-12
         with pytest.raises(ValueError):
             add_product_matrix(c, np.zeros((N, N - 1)))
+        # on the class {1, 4} mod 5, from its third mode on, the columns
+        # from L on continue the class, 1, 4, 6, 9, ..., as modes of the
+        # wider factor
+        k = np.arange(N + 16)
+        pattern = k[(k % 5 == 1) | (k % 5 == 4)]
+        idx = pattern[pattern < N]
+        if idx.size >= 3:
+            cols = pattern[: idx.size + 3]
+            G = N + cols[-1] + 1
+            S = inverse_transform_matrix(G)
+            dense = transform_matrix(G)[idx] @ np.diag(S[:, :N] @ c) @ S[:, cols]
+            out = add_product_matrix(c, base[: idx.size, : cols.size].copy(), idx)
+            assert np.max(np.abs(out - base[: idx.size, : cols.size] - dense)) < 1e-12
 
     def test_grid_mismatch(self):
+        # out's rows must be the factor's N modes, or those of idx
         with pytest.raises(ValueError):
-            product_coeffs(np.zeros(4), np.zeros(8))
+            add_product_matrix(np.zeros(4), np.zeros((8, 8)))
+        with pytest.raises(ValueError):
+            add_product_matrix(np.zeros(8), np.zeros((3, 4)), np.arange(0, 8, 2))
 
 
 def _peak_series(shape, N):
