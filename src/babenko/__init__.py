@@ -25,7 +25,6 @@ from .geometry import (
     surface_curve,
 )
 from .solver import (
-    NewtonConfig,
     SolutionPoint,
     SolveFailure,
     newton_solve,
@@ -41,7 +40,6 @@ __all__ = [
     "BranchEvent",
     "ContinuationConfig",
     "DomainError",
-    "NewtonConfig",
     "SolutionPoint",
     "SolveFailure",
     "WaveProfile",

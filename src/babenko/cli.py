@@ -31,7 +31,7 @@ from .continuation import (
     trivial_bifurcation_mu,
 )
 from .geometry import surface_curve
-from .solver import NewtonConfig, SolveFailure, residual_fixed_r, residual_modified
+from .solver import RESIDUAL_TOL, SolveFailure, residual_fixed_r, residual_modified
 from .spectral import DomainError
 
 EXIT_OK = 0
@@ -52,7 +52,7 @@ class RunConfig:
     N: int = 256
     branches: list = field(default_factory=list)  # {"mode": n, "amplitude_max": a|None, "navigate": bool}
     amplitude_step: float = 5e-3
-    residual_tol: float = 1e-10
+    residual_tol: float = RESIDUAL_TOL
     outdir: Path = Path(".")
     fmt: str = "csv"
 
@@ -63,6 +63,8 @@ class RunConfig:
             raise ConfigError(
                 f"modes must be a power of two between 16 and 4096, got {self.N}"
             )
+        if self.outdir.is_file():
+            raise ConfigError(f"output directory {str(self.outdir)!r} is a file")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         for spec in self.branches:
@@ -83,9 +85,7 @@ class RunConfig:
 
     def continuation(self) -> ContinuationConfig:
         return ContinuationConfig(
-            amplitude_step=self.amplitude_step,
-            N=self.N,
-            newton=NewtonConfig(residual_tol=self.residual_tol),
+            amplitude_step=self.amplitude_step, N=self.N, residual_tol=self.residual_tol,
         )
 
 
@@ -170,7 +170,8 @@ def _common_options(fn):
     fn = click.option("--amplitude-max", type=float, default=None)(fn)
     fn = click.option("--step", type=float, default=None, help="Initial amplitude step.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)(fn)
-    fn = click.option("--out", type=click.Path(), default=None, help="Output directory.")(fn)
+    fn = click.option("--out", type=click.Path(file_okay=False), default=None,
+                      help="Output directory.")(fn)
     return fn
 
 
@@ -278,7 +279,7 @@ def _select_point(data: bio.BranchData, selector: str):
 @click.option("--samples", "M", type=click.IntRange(min=1), default=None,
               help="Surface sample count (default 4N).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def profile(branch_file, selector, M, fmt, out):
     """Reconstruct the free-surface profile of one stored solution."""
     data = _read_branch(branch_file)
@@ -298,7 +299,7 @@ def profile(branch_file, selector, M, fmt, out):
 @main.command()
 @click.argument("branch_file", type=click.Path(exists=True))
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def rcurve(branch_file, fmt, out):
     """Emit the conformal-radius series r(sup norm) along a stored branch."""
     data = _read_branch(branch_file)
@@ -311,7 +312,7 @@ def rcurve(branch_file, fmt, out):
 
 @main.command()
 @click.argument("branch_files", type=click.Path(exists=True), nargs=-1)
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Report path (default verify_report.json next to first input).")
 @click.option("--sample", type=click.IntRange(min=1), default=20, show_default=True,
               help="Points sampled per branch for the round-trip checks; "

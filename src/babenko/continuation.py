@@ -38,9 +38,9 @@ import numpy as np
 
 from . import geometry
 from .solver import (
+    RESIDUAL_TOL,
     Chord,
     DiscreteSystem,
-    NewtonConfig,
     SolutionPoint,
     SolveFailure,
     lu_factor_in_place,
@@ -60,7 +60,8 @@ __all__ = [
     "navigate_secondaries",
 ]
 
-# largest continuation step, in the branch's parameter
+# smallest and largest continuation step, in the branch's parameter
+STEP_MIN = 1e-5
 STEP_MAX = 2e-2
 # a trace ends in extreme_termination once (mu/2 - a) / (mu/2) drops below this
 EXTREME_STOP_RATIO = 1e-3
@@ -75,15 +76,18 @@ REFINE_SCAN = 6
 
 @dataclass
 class ContinuationConfig:
+    """One trace's first step, amplitude cap, modes N and solve tolerance."""
+
     amplitude_step: float = 5e-3
-    step_min: float = 1e-5
     amplitude_max: float | None = None
     N: int = 256
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
+    residual_tol: float = RESIDUAL_TOL
 
     def __post_init__(self):
-        if not (0 < self.step_min <= self.amplitude_step <= STEP_MAX):
-            raise ValueError(f"need 0 < step_min <= amplitude_step <= {STEP_MAX}")
+        if not STEP_MIN <= self.amplitude_step <= STEP_MAX:
+            raise ValueError(f"need {STEP_MIN} <= amplitude_step <= {STEP_MAX}")
+        if not self.residual_tol > 0:
+            raise ValueError("residual_tol must be positive")
 
 
 @dataclass
@@ -159,7 +163,7 @@ def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None)
         c = np.zeros(cfg.N)
         c[n] = s
         try:
-            pt = newton_solve(c, mu_n, h, row, abs(s), cfg.newton)
+            pt = newton_solve(c, mu_n, h, row, abs(s), cfg.residual_tol)
             return Branch(label=f"C{n}", mode=n, points=[pt], row=row, origin=origin)
         except SolveFailure as exc:
             err = exc
@@ -187,7 +191,7 @@ def _correct(
     t = (target - s) / (s - s2)
     c = prev.coeffs + t * (prev.coeffs - prev2.coeffs)
     mu = prev.mu + t * (prev.mu - prev2.mu)
-    return newton_solve(c, mu, depth, row, target, cfg.newton, chord)
+    return newton_solve(c, mu, depth, row, target, cfg.residual_tol, chord)
 
 
 def _stop_ratio(pt: SolutionPoint) -> float:
@@ -258,13 +262,13 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     the amplitude on primary branches, from the secant through the last two
     points; on the first step the second of them is branch.origin, the
     point the branch leaves from.  The first step is cfg.amplitude_step, or
-    branch.step when set.  Steps adapt between cfg.step_min and STEP_MAX:
+    branch.step when set.  Steps adapt between STEP_MIN and STEP_MAX:
     halved after a rejected corrector, grown by 1.3 after an accepted one,
     and capped so the amplitude gain predicted by the secant slope
     d(amplitude)/d(row . c) stays below a fraction of the remaining gap to
     the limiting height mu/2.  A step is cut where the secant slope puts
     amplitude_max, exactly on a primary; the trace stops after that solve,
-    or at once if the last point is within cfg.step_min of it.  A trace ends in
+    or at once if the last point is within STEP_MIN of it.  A trace ends in
     extreme_termination once the gap ratio rho = (mu/2 - a)/(mu/2) falls
     below EXTREME_STOP_RATIO: _locate_stop then solves for the point at
     rho = EXTREME_STOP_RATIO between the last two points, which replaces
@@ -301,7 +305,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
             _terminate(branch, "stop_ratio", stop_ratio=_stop_ratio(branch.last),
                        location_solves=solves)
             break
-        if cap is not None and cap - prev.sup_norm < cfg.step_min:
+        if cap is not None and cap - prev.sup_norm < STEP_MIN:
             break
 
         # the gap cap in the parameter, through the secant slope
@@ -327,10 +331,10 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
                     raise SolveFailure("iterate collapsed onto the parent branch")
         except SolveFailure as exc:
             chord.factors = None  # a rejected corrector's factors are not kept
-            if eff <= cfg.step_min * (1 + 1e-9):
+            if eff <= STEP_MIN * (1 + 1e-9):
                 _terminate(branch, repr(exc))
                 break
-            step = max(eff * 0.5, cfg.step_min)
+            step = max(eff * 0.5, STEP_MIN)
             continue
         branch.points.append(pt)
         if capped:
@@ -350,15 +354,14 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     return branch
 
 
-def detect_turning_points(
-    branch: Branch, depth=None, cfg: ContinuationConfig | None = None
-) -> list[BranchEvent]:
+def detect_turning_points(branch: Branch, depth, cfg: ContinuationConfig) -> list[BranchEvent]:
     """Interior local maxima of mu along the branch.
 
-    With only the recorded points the maximum comes from a quadratic in the
-    amplitude through the three bracketing samples, with a bias of the
-    order of the local step.  With depth and cfg, _refine_turning_point
-    starts from those samples and locates it to FOLD_RESIDUAL_TOL.  The
+    _refine_turning_point starts from the three recorded samples around
+    each maximum and locates it to FOLD_RESIDUAL_TOL.  Should a solve
+    fail, the maximum of a quadratic in the amplitude through those
+    samples stands instead, with a bias of the order of the local step;
+    that quadratic's coefficients are kept as diagnostics["fit"].  The
     diagnostics say whether the located value stands (refined) and carry
     the refinement's solves and factorizations.
     """
@@ -370,12 +373,10 @@ def detect_turning_points(
             coef = np.polyfit(amps[i - 1 : i + 2], mus[i - 1 : i + 2], 2)
             a_star = float(-coef[1] / (2 * coef[0])) if coef[0] != 0 else float(amps[i])
             mu_star = float(np.polyval(coef, a_star))
-            located, solves, factorizations = None, 0, 0
-            if depth is not None and cfg is not None:
-                located, solves, factorizations = _refine_turning_point(
-                    *branch.points[i - 1 : i + 2], branch.row, depth, cfg)
-                if located is not None:
-                    a_star, mu_star = located
+            located, solves, factorizations = _refine_turning_point(
+                *branch.points[i - 1 : i + 2], branch.row, depth, cfg)
+            if located is not None:
+                a_star, mu_star = located
             events.append(
                 BranchEvent(
                     "turning_point", mu_star, a_star, a_star,
@@ -387,7 +388,7 @@ def detect_turning_points(
     return events
 
 
-# fold refinement solves to this residual, below cfg.newton.residual_tol: the
+# fold refinement solves to this residual, below cfg.residual_tol: the
 # fold's mu is stationary in row . c, so what separates a located mu from the
 # fold is each solve's own error, which follows its residual (2e-11 to
 # 1.7e-10 in mu at 1e-10), and the residual floor is about 1e-16 even at
@@ -407,13 +408,12 @@ def _refine_turning_point(
     through the three highest mu so far, clamped to [p0, p1], until it is
     not concave, lies within 1e-7 of a solved parameter, or 8 solves are
     made.  The (amplitude, mu) is None if a solve fails.  Every solve is at
-    residual_tol min(cfg.newton.residual_tol, FOLD_RESIDUAL_TOL) and shares
+    residual_tol min(cfg.residual_tol, FOLD_RESIDUAL_TOL) and shares
     one Chord of the refinement's own: the first solve starts fresh, so the
     same samples give the same fold, and the later ones start from its
     factors, usually with no factorization of their own.
     """
-    tol = min(cfg.newton.residual_tol, FOLD_RESIDUAL_TOL)
-    cfg = replace(cfg, newton=replace(cfg.newton, residual_tol=tol))
+    cfg = replace(cfg, residual_tol=min(cfg.residual_tol, FOLD_RESIDUAL_TOL))
     chord = Chord()
     pts = {float(row @ p.coeffs): p for p in (p0, mid, p1)}
     solves = factorizations = 0
@@ -493,12 +493,14 @@ def detect_secondary_bifurcations(
     class 0 carries the branch and its folds, which are the turning
     points, and a mode-1 or secondary branch has no other class, so it
     yields no event and costs no solve.  The system's N is the branch's
-    own, and cfg supplies the Newton settings only.  The determinant sign
+    own, and cfg supplies the residual tolerance only.  The determinant sign
     of each scanned symmetry-class block of the mu-frozen Jacobian,
     assembled over the class' index set alone, is monitored across the
     recorded points; every sign change is bracketed by bisection in
     branch.row . c down to BIFURCATION_MONITOR_TOL, each midpoint a
-    _correct solve between the bracketing points.  A block's one LU gives
+    _correct solve between the bracketing points.  A block is the (L, L)
+    view DiscreteSystem.jacobian returns of an (L, L+1) buffer, so its LU
+    is made on a copy, not in place.  A block's one LU gives
     its sign, and one _inverse_step per point, carried along the branch, an
     estimate of its smallest singular value; three more steps at the
     bracket's lower end give the null vector, its largest entry positive.
@@ -629,7 +631,7 @@ def _switch_along(
         eps = eps_rel * event.amplitude
         try:
             pt = newton_solve(c_ev + eps * phi_c, mu_ev, depth, phi_c,
-                              float(phi_c @ c_ev) + eps, cfg.newton)
+                              float(phi_c @ c_ev) + eps, cfg.residual_tol)
         except SolveFailure as exc:
             last_exc = exc
             continue

@@ -53,7 +53,7 @@ Nonlinear Problems, Springer 2004).  The converged solves of the tests
 and of the C5 benchmark peak below 0.1, at least ten times inside that
 guard, so it never ends one of them; the correctors stepped too far along
 a C5 secondary branch cross it after 4 to 18 iterations instead of
-running to max_iter.  A SolveFailure from newton_solve carries the steps,
+running to MAX_ITER.  A SolveFailure from newton_solve carries the steps,
 factorizations and residual history of the failed solve.  scipy.linalg is
 imported inside the functions that factor, and it is the only scipy module
 the package uses (the spectral transforms run on numpy.fft), so importing
@@ -84,7 +84,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "NewtonConfig",
     "SolutionPoint",
     "Chord",
     "SolveFailure",
@@ -137,16 +136,10 @@ class InadmissibleIterate(SolveFailure):
     """
 
 
-@dataclass
-class NewtonConfig:
-    residual_tol: float = 1e-10
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if not self.residual_tol > 0:
-            raise ValueError("residual_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+# the residual tolerance of a solve, unless its caller sets another
+RESIDUAL_TOL = 1e-10
+# newton_solve raises NewtonMaxIter after this many steps
+MAX_ITER = 50
 
 
 @dataclass
@@ -378,10 +371,13 @@ def residual_fixed_r(c: np.ndarray, mu: float, r: float) -> np.ndarray:
 
 
 def lu_factor_in_place(A: np.ndarray):
-    """LU factors of the square matrix A, computed in A's own memory.
+    """LU factors of the square matrix A, in A's own memory when it is contiguous.
 
     The factors are those of A.T, the Fortran-ordered view of a C-ordered
-    A, so LAPACK works in place with no copy; solve A x = b with
+    A, so LAPACK works in place with no copy, as on newton_solve's
+    bordered buffer.  A non-contiguous A, such as the (L, L) view
+    DiscreteSystem.jacobian returns of its (L, L+1) buffer, is copied
+    first and left as it was.  Solve A x = b with
     scipy.linalg.lu_solve(factors, b, trans=1).  det A = det A.T.  An exact
     zero pivot shows as a zero on the diagonal of the factors, which
     callers check; lu_factor's LinAlgWarning about it is suppressed.
@@ -448,7 +444,7 @@ def newton_solve(
     depth,
     row: np.ndarray,
     target: float,
-    cfg: NewtonConfig | None = None,
+    residual_tol: float = RESIDUAL_TOL,
     chord: Chord | None = None,
 ) -> SolutionPoint:
     """Chord Newton iteration on the stacked system from the given predictor.
@@ -485,15 +481,18 @@ def newton_solve(
     The point records the steps taken (iterations) and the factorizations,
     which are 0 when the inherited factors, with their Broyden updates,
     carried every step.
-    Raises a SolveFailure subclass, carrying the same counts and the
-    residual history, on divergence, iteration exhaustion, an exactly
+    The solve converges once the residual norm is at most residual_tol,
+    which must be positive (ValueError otherwise).  Raises a SolveFailure
+    subclass, carrying the same counts and the residual history, on
+    divergence, MAX_ITER steps without convergence, an exactly
     singular Jacobian, or an iterate leaving the operator domain.  The
     iteration has diverged once the residual norm exceeds
     max(|R_0|, 1); converged solves peak more than ten times below that.
     """
     from scipy.linalg import lu_solve
 
-    cfg = cfg or NewtonConfig()
+    if not residual_tol > 0:
+        raise ValueError("residual_tol must be positive")
     c = np.array(c0, dtype=float)
     mu = float(initial_mu)
     if not (np.all(np.isfinite(c)) and math.isfinite(mu)):
@@ -532,8 +531,8 @@ def newton_solve(
     steps = []  # the steps s_0, s_1, ... since the chord step that began Broyden
 
     try:
-        for it in range(cfg.max_iter):
-            if norm <= cfg.residual_tol:
+        for it in range(MAX_ITER):
+            if norm <= residual_tol:
                 return point(it)
             if factors is None:
                 band = _band(c)
@@ -587,11 +586,9 @@ def newton_solve(
             elif steps or norm > CONTRACTION * history[-2]:
                 steps.append(step)
 
-        if norm <= cfg.residual_tol:
-            return point(cfg.max_iter)
-        raise NewtonMaxIter(
-            f"no convergence in {cfg.max_iter} iterations (residual {norm:.3e})"
-        )
+        if norm <= residual_tol:
+            return point(MAX_ITER)
+        raise NewtonMaxIter(f"no convergence in {MAX_ITER} iterations (residual {norm:.3e})")
     except SolveFailure as exc:
         exc.iterations = len(history) - 1
         exc.factorizations = factorizations

@@ -19,7 +19,7 @@ from babenko.continuation import (
     start_branch,
 )
 from babenko.geometry import crest_heights
-from babenko.solver import DiscreteSystem, NewtonConfig, newton_solve
+from babenko.solver import DiscreteSystem, newton_solve
 from babenko.spectral import fine_coeffs, fine_values, transform_forward
 
 H = math.pi / 5
@@ -78,7 +78,7 @@ def solve_small(N, n=1, s=0.01, depth=H):
     j = int(np.argmax(np.abs(x)))
     row = node_row(N, j, 1 if x[j] >= 0 else -1)
     c = transform_forward(x)
-    return newton_solve(c, mu, depth, row, s, NewtonConfig())
+    return newton_solve(c, mu, depth, row, s)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from babenko.geometry import (
 )
 from babenko.solver import (
     DiscreteSystem,
-    NewtonConfig,
     newton_solve,
     residual_fixed_r,
     residual_modified,
@@ -109,8 +108,7 @@ class TestCriterion05:
         dr = abs(r[imax] - 0.54543)
         da = abs(a[imax] - 0.33433)
         # trivial limit from a dedicated small-amplitude trace, linear in a^2
-        cfg = ContinuationConfig(N=64, amplitude_step=1e-3, step_min=1e-6,
-                                 amplitude_max=2e-3)
+        cfg = ContinuationConfig(N=64, amplitude_step=1e-3, amplitude_max=2e-3)
         tiny = continue_branch(start_branch(1, 1e-3, H, cfg), H, cfg)
         ta = tiny.amplitudes()
         tr = np.array([p.r for p in tiny.points])
@@ -205,8 +203,7 @@ class TestCriterion08:
         fine = 4 * p.coeffs.size
         c4 = np.zeros(fine)
         c4[: p.coeffs.size] = p.coeffs
-        q = newton_solve(c4, p.mu, H, np.ones(fine), float(np.sum(p.coeffs)),
-                         NewtonConfig())
+        q = newton_solve(c4, p.mu, H, np.ones(fine), float(np.sum(p.coeffs)))
         dmu = abs(q.mu - p.mu)
         gap = 0.5 * q.mu - q.sup_norm
 
@@ -273,8 +270,7 @@ class TestCriterion10:
         worst_mu = 0.0
         worst_ratio = 0.0
         for n in (1, 2, 5):
-            cfg = ContinuationConfig(N=128, amplitude_step=1e-3, step_min=1e-6,
-                                     amplitude_max=2e-3)
+            cfg = ContinuationConfig(N=128, amplitude_step=1e-3, amplitude_max=2e-3)
             b = continue_branch(start_branch(n, 1e-3, H, cfg), H, cfg)
             a = b.amplitudes()
             mu = b.mus()

@@ -356,6 +356,32 @@ def test_malformed_branch_file_is_config_error(runner, traced_dir, tmp_path, dam
         assert res.exit_code == EXIT_CONFIG, (args[0], res.output, res.exception)
 
 
+@pytest.mark.parametrize("case", ["profile", "rcurve", "verify",
+                                  "trace-flag", "trace-config", "trace-env"])
+def test_unwritable_output_path_is_config_error(runner, traced_dir, tmp_path, case):
+    # a directory where profile, rcurve or verify writes a file, and a file
+    # where trace makes its output directory, from --out, the config's
+    # outdir or BABENKO_OUTDIR
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfgfile = tmp_path / "run.json"
+    doc, env = {"modes": 32, "branches": [{"mode": 1, "amplitude_max": 0.03}]}, {}
+    if case.startswith("trace"):
+        args = ["trace", "--config", str(cfgfile)]
+        if case == "trace-flag":
+            args += ["--out", str(taken)]
+        elif case == "trace-config":
+            doc["outdir"] = str(taken)
+        else:
+            env["BABENKO_OUTDIR"] = str(taken)
+    else:
+        args = [case, str(traced_dir / "C1.csv"), "--out", str(tmp_path)]
+    cfgfile.write_text(json.dumps(doc))
+    res = runner.invoke(main, args, env=env)
+    assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
+    assert taken.read_text() == ""
+
+
 class TestVerify:
     def test_clean_branch_passes(self, runner, traced_dir, tmp_path):
         report = tmp_path / "rep.json"

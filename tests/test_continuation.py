@@ -16,6 +16,7 @@ from babenko.continuation import (
     EXTREME_STOP_RATIO,
     RETRACE_TOL,
     STEP_MAX,
+    STEP_MIN,
     Branch,
     ContinuationConfig,
     _correct,
@@ -48,7 +49,7 @@ class TestConfigAndSeeding:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ContinuationConfig(step_min=1e-2, amplitude_step=1e-3)
+            ContinuationConfig(amplitude_step=0.5 * STEP_MIN)
         with pytest.raises(ValueError):
             ContinuationConfig(amplitude_step=2 * STEP_MAX)
 
@@ -116,8 +117,8 @@ class TestAmplitudeContinuation:
         assert below < cfg.amplitude_max
         solve = continuation.newton_solve
 
-        def short_of_cap(c, mu, depth, row, target, ncfg, chord=None):
-            pt = solve(c, mu, depth, row, target, ncfg, chord)
+        def short_of_cap(c, mu, depth, row, target, tol, chord=None):
+            pt = solve(c, mu, depth, row, target, tol, chord)
             if target == cfg.amplitude_max:
                 pt.sup_norm = below
             return pt
@@ -128,7 +129,7 @@ class TestAmplitudeContinuation:
         assert amps[-1] == below
         assert np.sum(amps > cfg.amplitude_max - 1e-9) == 1
         assert np.all(np.diff(amps) > 0)
-        # further calls stop before stepping: less than step_min is left
+        # further calls stop before stepping: less than STEP_MIN is left
         for _ in range(2):
             continue_branch(b, H, cfg)
             assert len(b.points) == len(amps)
@@ -161,8 +162,7 @@ class TestAmplitudeContinuation:
         # mu(a) -> mu_n linearly in a^2; extrapolate from two tiny amplitudes
         cfg = ContinuationConfig(N=64)
         b = start_branch(3, 1e-3, H, cfg)
-        cfg2 = ContinuationConfig(N=64, amplitude_step=1e-3, step_min=1e-6,
-                                  amplitude_max=2e-3)
+        cfg2 = ContinuationConfig(N=64, amplitude_step=1e-3, amplitude_max=2e-3)
         continue_branch(b, H, cfg2)
         a = b.amplitudes()
         mu = b.mus()
@@ -239,22 +239,30 @@ class TestEndpointAndTurning:
         assert tps[0].mu == pytest.approx(0.71604, abs=5e-3)
         assert tps[0].amplitude == pytest.approx(0.34553, abs=5e-3)
 
-    def test_detect_turning_points_on_synthetic_parabola(self):
-        # mu(a) = 0.7 - (a - 0.3)^2 peaks at a = 0.3
+    def test_detect_turning_points_on_synthetic_parabola(self, monkeypatch):
+        # mu(a) = 0.7 - (a - 0.3)^2 peaks at a = 0.3, between two samples;
+        # with every solve failing, the quadratic fit through the samples
+        # locates it
+        monkeypatch.setattr(continuation, "newton_solve", fail_every_solve)
         pts = []
-        for a in np.linspace(0.25, 0.35, 11):
+        for a in np.linspace(0.253, 0.353, 11):
             mu = 0.7 - (a - 0.3) ** 2
-            p = SolutionPoint.from_solution(np.zeros(8), mu, H)
+            p = SolutionPoint.from_solution(a * np.eye(8)[1], mu, H)
             object.__setattr__(p, "sup_norm", float(a))
             pts.append(p)
-        b = Branch(label="synthetic", mode=1, points=pts)
-        events = detect_turning_points(b)
+        b = Branch(label="synthetic", mode=1, points=pts, row=np.eye(8)[1])
+        events = detect_turning_points(b, H, ContinuationConfig(N=8))
         assert len(events) == 1
         assert events[0].amplitude == pytest.approx(0.3, abs=1e-10)
         assert events[0].mu == pytest.approx(0.7, abs=1e-10)
+        assert events[0].diagnostics["refined"] is False
 
     def test_monotone_branch_has_no_turning_point(self, c1_coarse):
-        assert detect_turning_points(c1_coarse) == []
+        assert detect_turning_points(c1_coarse, H, ContinuationConfig(N=64)) == []
+
+
+def fail_every_solve(*args):
+    raise SolveFailure("no solve")
 
 
 def reference_fold(p0, p1, row, depth, cfg):
@@ -328,7 +336,7 @@ class TestFoldLocation:
         # fold's to about 1e-13, not to the 1e-10 tolerance's 1e-11 to 1e-10
         b, cfg, events, _ = located_fold
         i = events[0].diagnostics["index"]
-        exact = dataclasses.replace(cfg, newton=dataclasses.replace(cfg.newton, residual_tol=1e-13))
+        exact = dataclasses.replace(cfg, residual_tol=1e-13)
         a_ref, mu_ref = reference_fold(b.points[i - 1], b.points[i + 1], b.row, H, exact)
         assert abs(events[0].amplitude - a_ref) < 2e-7
         assert abs(events[0].mu - mu_ref) < 1e-12
@@ -352,14 +360,16 @@ class TestFoldLocation:
         assert abs(ev.amplitude - 0.34568238997314465) < 1e-10
 
     def test_solve_failure_keeps_the_quadratic_fit(self, c1_full, monkeypatch):
-        def fail(*args):
-            raise SolveFailure("no solve")
-
-        monkeypatch.setattr(continuation, "newton_solve", fail)
+        # the vertex of the parabola in the amplitude through the three
+        # samples around the recorded maximum of mu
+        monkeypatch.setattr(continuation, "newton_solve", fail_every_solve)
         got = detect_turning_points(c1_full, H, ContinuationConfig(N=512))
-        fit = detect_turning_points(c1_full)
-        assert [(e.mu, e.amplitude) for e in got] == [(e.mu, e.amplitude) for e in fit]
         assert [e.diagnostics["refined"] for e in got] == [False]
+        i = got[0].diagnostics["index"]
+        coef = np.polyfit(c1_full.amplitudes()[i - 1:i + 2], c1_full.mus()[i - 1:i + 2], 2)
+        a = float(-coef[1] / (2 * coef[0]))
+        assert (got[0].mu, got[0].amplitude) == (float(np.polyval(coef, a)), a)
+        assert got[0].diagnostics["fit"] == coef.tolist()
 
     def test_one_shot_trace_imports_no_scipy_optimize(self, tmp_path):
         # N=256 is the smallest N at which C1 records a fold; a fresh

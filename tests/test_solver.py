@@ -10,7 +10,6 @@ from babenko.solver import (
     Chord,
     DiscreteSystem,
     InadmissibleIterate,
-    NewtonConfig,
     NewtonDiverged,
     NewtonMaxIter,
     SingularJacobian,
@@ -313,11 +312,11 @@ class TestChordNewton:
         # on the solution rather than on where each one stopped
         branch = c1_full if label == "C1" else c5_bundle["parent"]
         sys = DiscreteSystem(branch.last.coeffs.size, H)
-        cfg = NewtonConfig(residual_tol=1e-12)
+        tol = 1e-12
         for i in indices:
             c, mu, con = secant_predictor(branch, i)
-            pt = newton_solve(c, mu, H, *con, cfg)
-            ref_c, ref_mu, _ = reference_newton_solve(sys, c, mu, *con, cfg.residual_tol)
+            pt = newton_solve(c, mu, H, *con, tol)
+            ref_c, ref_mu, _ = reference_newton_solve(sys, c, mu, *con, tol)
             assert np.max(np.abs(pt.coeffs - ref_c)) < 1e-9
             assert abs(pt.mu - ref_mu) < 1e-9
             assert 1 <= pt.factorizations < pt.iterations
@@ -358,8 +357,7 @@ class TestChordNewton:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularJacobian, match="exactly singular"):
-                newton_solve(transform_forward(x), 0.55, H, np.zeros(16), 0.0,
-                             NewtonConfig())
+                newton_solve(transform_forward(x), 0.55, H, np.zeros(16), 0.0)
 
     def test_paths_are_pinned(self, c1_full, c5_bundle):
         # the point counts of the paths that the step rule (grow by 1.3
@@ -436,7 +434,7 @@ class TestChordNewton:
         inherited = newton_solve(c, mu, H, *con, chord=chord)
         fresh = newton_solve(c, mu, H, *con)
         assert inherited.factorizations == 0 and fresh.factorizations == 1
-        assert inherited.residual_norm <= NewtonConfig().residual_tol
+        assert inherited.residual_norm <= solver.RESIDUAL_TOL
         assert np.max(np.abs(inherited.coeffs - fresh.coeffs)) < 1e-9
         assert abs(inherited.mu - fresh.mu) < 1e-9
 
@@ -448,7 +446,7 @@ class TestChordNewton:
         # solve converges
         log = newton_log(monkeypatch, push=lambda step: step - 0.8 * (np.arange(step.size) == 0))
         pt = solve_small(32, n=1, s=0.01)
-        assert pt.residual_norm <= NewtonConfig().residual_tol
+        assert pt.residual_norm <= solver.RESIDUAL_TOL
         kinds = "".join(kind for kind, _ in log)
         assert kinds.startswith("rasras")
         c0, step, c1 = log[0][1], log[2][1], log[3][1]
@@ -483,7 +481,7 @@ def diverging_solve(chord=None):
     """A solve whose residual grows past its guard, at N = 16."""
     x = 5.0 * np.cos(nodes(16))  # far outside the solution set
     return newton_solve(transform_forward(x), 0.55, H, node_row(16, 0, 1), 5.0,
-                        NewtonConfig(max_iter=12), chord)
+                        chord=chord)
 
 
 def newton_log(monkeypatch, push=None):
@@ -564,12 +562,11 @@ class TestSubspaceSolve:
         # one resolved off-class coefficient, 1e-14 against eps * max|c| of
         # about 1e-17, sends the same predictor through the stride-1 solve
         branch = c2_full if label == "C2" else c5_bundle["parent"]
-        cfg = NewtonConfig(residual_tol=1e-12)
         for i in indices:
             c, mu, con = secant_predictor(branch, i)
-            sub = newton_solve(c, mu, H, *con, cfg)
+            sub = newton_solve(c, mu, H, *con, 1e-12)
             c[1] = 1e-14
-            full = newton_solve(c, mu, H, *con, cfg)
+            full = newton_solve(c, mu, H, *con, 1e-12)
             assert not np.any(off_class(sub.coeffs, n))
             assert np.max(np.abs(sub.coeffs - full.coeffs)) < 1e-12
             assert abs(sub.mu - full.mu) < 1e-12
@@ -588,10 +585,10 @@ class TestSubspaceSolve:
         # modes, its products would be subnormal and slow every factorization
         shapes = spy_shapes(monkeypatch)
         c, mu, con = secant_predictor(c5_bundle["parent"], 6)
-        clean = newton_solve(c, mu, H, *con, NewtonConfig())
+        clean = newton_solve(c, mu, H, *con)
         c[7] = 1e-300
         shapes.clear()
-        pt = newton_solve(c, mu, H, *con, NewtonConfig())
+        pt = newton_solve(c, mu, H, *con)
         assert shapes and set(shapes) == {(104, 104)}  # ceil(512 / 5) + 1
         assert np.array_equal(pt.coeffs, clean.coeffs)
         assert pt.mu == clean.mu
@@ -628,7 +625,7 @@ class TestBandSolve:
         c, mu, con = secant_predictor(c1_full, 9)
         c[300] = 1e-20
         assert solver._band(c) == 128
-        pt = newton_solve(c, mu, H, *con, NewtonConfig())
+        pt = newton_solve(c, mu, H, *con)
         assert not np.any(pt.coeffs[128:])
 
     def test_matches_the_full_band(self, c1_full, monkeypatch):
@@ -637,11 +634,11 @@ class TestBandSolve:
         for i in indices:
             c, mu, con = secant_predictor(c1_full, i)
             assert solver._band(c) < c.size
-            band.append(newton_solve(c, mu, H, *con, NewtonConfig()))
+            band.append(newton_solve(c, mu, H, *con))
         monkeypatch.setattr(solver, "_band", lambda c: c.size)
         for i, pt in zip(indices, band):
             c, mu, con = secant_predictor(c1_full, i)
-            ref = newton_solve(c, mu, H, *con, NewtonConfig())
+            ref = newton_solve(c, mu, H, *con)
             assert np.max(np.abs(pt.coeffs - ref.coeffs)) < 1e-14
             assert abs(pt.mu - ref.mu) < 1e-14
             assert (pt.iterations, pt.factorizations) == (ref.iterations, ref.factorizations)
@@ -652,14 +649,14 @@ class TestBandSolve:
         # top half.  Both solves are driven below the default tolerance,
         # so that they agree on the solution rather than on where each
         # one stopped.
-        cfg = NewtonConfig(residual_tol=1e-12)
+        tol = 1e-12
         c, mu, con = secant_predictor(c1_full, 12)
         assert c1_full.points[12].sup_norm == pytest.approx(0.19, abs=5e-3)
-        ref = newton_solve(c, mu, H, *con, cfg)
+        ref = newton_solve(c, mu, H, *con, tol)
         c[32:] = 0.0
         shapes = spy_shapes(monkeypatch)
-        pt = newton_solve(c, mu, H, *con, cfg)
-        assert pt.residual_norm <= cfg.residual_tol
+        pt = newton_solve(c, mu, H, *con, tol)
+        assert pt.residual_norm <= tol
         assert shapes[0] == (65, 65) and shapes[-1] > shapes[0]
         assert shapes == sorted(shapes)
         assert np.max(np.abs(pt.coeffs - ref.coeffs)) < 1e-12
@@ -705,12 +702,12 @@ class TestDivergenceGuard:
         peak = max(max(p.residual_history) for b in branches for p in b.points)
         assert peak < 0.1
 
-    def test_max_iter_failure_carries_its_cost(self):
+    def test_max_iter_failure_carries_its_cost(self, monkeypatch):
         # the far predictor of solve_small(32, s=0.1) needs 7 steps
+        monkeypatch.setattr(solver, "MAX_ITER", 2)
         x = 0.1 * np.cos(nodes(32))
         with pytest.raises(NewtonMaxIter) as info:
-            newton_solve(transform_forward(x), math.tanh(H), H,
-                         node_row(32, 0, 1), 0.1, NewtonConfig(max_iter=2))
+            newton_solve(transform_forward(x), math.tanh(H), H, node_row(32, 0, 1), 0.1)
         exc = info.value
         assert exc.iterations == 2
         assert len(exc.residual_history) == 3
@@ -751,7 +748,7 @@ class TestNewton:
         base = solve_small(32, n=1, s=0.02)
         row = RNG.standard_normal(32)
         target = float(row @ base.coeffs)
-        pt = newton_solve(base.coeffs, base.mu, H, row, target, NewtonConfig())
+        pt = newton_solve(base.coeffs, base.mu, H, row, target)
         assert abs(row @ pt.coeffs - target) < 1e-9
 
     def test_divergence_raises(self):
@@ -773,7 +770,7 @@ class TestNewton:
         else:
             c[3] = bad
         with pytest.raises(NewtonDiverged, match="not finite") as info:
-            newton_solve(c, mu, H, node_row(16, 0, 1), 0.01, NewtonConfig())
+            newton_solve(c, mu, H, node_row(16, 0, 1), 0.01)
         assert (info.value.iterations, info.value.factorizations) == (0, 0)
 
     @pytest.mark.parametrize("mean", [800.0, -2 * H], ids=["underflow", "below_bottom"])
@@ -783,7 +780,7 @@ class TestNewton:
         c = np.zeros(16)
         c[0] = mean
         with pytest.raises(InadmissibleIterate) as info:
-            newton_solve(c, 0.5, H, node_row(16, 0, 1), 0.01, NewtonConfig())
+            newton_solve(c, 0.5, H, node_row(16, 0, 1), 0.01)
         # it fails at the seed, before any step
         exc = info.value
         assert (exc.iterations, exc.factorizations, exc.residual_history) == (0, 0, ())
@@ -800,11 +797,12 @@ class TestNewton:
 
 
 class TestConfigs:
-    def test_newton_config_validation(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(residual_tol=-1.0)
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iter=0)
+    def test_residual_tol_must_be_positive(self):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="residual_tol must be positive"):
+                newton_solve(np.eye(16)[1], 0.5, H, np.eye(16)[1], 0.01, residual_tol=tol)
+            with pytest.raises(ValueError, match="residual_tol must be positive"):
+                ContinuationConfig(residual_tol=tol)
 
     def test_discrete_system_validation(self):
         with pytest.raises(ValueError):
