@@ -63,8 +63,6 @@ class RunConfig:
             raise ConfigError(
                 f"modes must be a power of two between 16 and 4096, got {self.N}"
             )
-        if self.outdir.is_file():
-            raise ConfigError(f"output directory {str(self.outdir)!r} is a file")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         for spec in self.branches:
@@ -111,7 +109,8 @@ def _typed(doc: dict, key: str, kinds: tuple, default=None):
     return value
 
 
-def _build_config(config_path, depth, modes, branch, amplitude_max, step, fmt, out) -> RunConfig:
+def _build_config(config_path, depth, fmt, modes=None, branch=(), amplitude_max=None,
+                  step=None, out=None) -> RunConfig:
     cfg = RunConfig()
     if config_path:
         try:
@@ -153,7 +152,7 @@ def _build_config(config_path, depth, modes, branch, amplitude_max, step, fmt, o
         cfg.outdir = Path(out)
     elif "BABENKO_OUTDIR" in os.environ:
         cfg.outdir = Path(os.environ["BABENKO_OUTDIR"])
-    for text in branch or ():
+    for text in branch:
         cfg.branches.append(_parse_branch_spec(text))
     if amplitude_max is not None:
         for spec in cfg.branches:
@@ -161,18 +160,19 @@ def _build_config(config_path, depth, modes, branch, amplitude_max, step, fmt, o
     return cfg.validate()
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None,
-                      help="JSON config file with the run configuration.")(fn)
-    fn = click.option("--depth", type=float, default=None, help="Mean depth h.")(fn)
-    fn = click.option("--modes", type=int, default=None, help="Cosine modes N.")(fn)
-    fn = click.option("--branch", multiple=True, help="Branch spec, e.g. C1 or C5+.")(fn)
-    fn = click.option("--amplitude-max", type=float, default=None)(fn)
-    fn = click.option("--step", type=float, default=None, help="Initial amplitude step.")(fn)
+def _config_options(fn):
+    """--config, --depth and --format, which bifpoints and trace read."""
     fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)(fn)
-    fn = click.option("--out", type=click.Path(file_okay=False), default=None,
-                      help="Output directory.")(fn)
-    return fn
+    fn = click.option("--depth", type=float, default=None, help="Mean depth h.")(fn)
+    return click.option("--config", "config_path", type=click.Path(), default=None,
+                        help="JSON config file with the run configuration.")(fn)
+
+
+def _in_existing_dir(ctx, param, value):
+    """An output file path whose directory exists, checked before any work."""
+    if value is not None and not Path(value).parent.is_dir():
+        raise ConfigError(f"cannot write '{value}': '{Path(value).parent}' is not a directory")
+    return value
 
 
 @click.group()
@@ -181,7 +181,7 @@ def main():
 
 
 @main.command()
-@_common_options
+@_config_options
 @click.option("--n-max", type=int, default=5, show_default=True,
               help="Largest mode for which to report the bifurcation point.")
 def bifpoints(n_max, **kw):
@@ -214,14 +214,23 @@ def _trace_one(spec, depth, ccfg):
 
 
 @main.command()
-@_common_options
+@_config_options
+@click.option("--modes", type=int, default=None, help="Cosine modes N.")
+@click.option("--branch", multiple=True, help="Branch spec, e.g. C1 or C5+.")
+@click.option("--amplitude-max", type=float, default=None)
+@click.option("--step", type=float, default=None, help="Initial amplitude step.")
+@click.option("--out", type=click.Path(file_okay=False), default=None,
+              help="Output directory.")
 def trace(**kw):
     """Trace branches and write per-branch tables plus an events file."""
     cfg = _build_config(**kw)
+    # write_branch makes the missing directories; the nearest existing one must not be a file
+    made = next(p for p in (cfg.outdir, *cfg.outdir.parents) if p.exists())
+    if not made.is_dir():
+        raise ConfigError(f"output directory '{cfg.outdir}': '{made}' is a file")
     if not cfg.branches:
         click.echo("no branches requested", err=True)
         sys.exit(EXIT_OK)
-    hard_failure = False
     traced: list[Branch] = []
     try:
         for spec in cfg.branches:
@@ -232,9 +241,8 @@ def trace(**kw):
     for branch in traced:
         for path in bio.write_branch(branch, cfg.outdir, cfg.depth, cfg.fmt):
             click.echo(str(path))
-        if any(e.kind == "hard_failure" for e in branch.events):
-            hard_failure = True
     click.echo(str(bio.write_events(traced, cfg.outdir, cfg.depth)))
+    hard_failure = any(e.kind == "hard_failure" for b in traced for e in b.events)
     sys.exit(EXIT_NUMERICAL if hard_failure else EXIT_OK)
 
 
@@ -279,7 +287,8 @@ def _select_point(data: bio.BranchData, selector: str):
 @click.option("--samples", "M", type=click.IntRange(min=1), default=None,
               help="Surface sample count (default 4N).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--out", type=click.Path(dir_okay=False), default=None,
+              callback=_in_existing_dir)
 def profile(branch_file, selector, M, fmt, out):
     """Reconstruct the free-surface profile of one stored solution."""
     data = _read_branch(branch_file)
@@ -299,7 +308,8 @@ def profile(branch_file, selector, M, fmt, out):
 @main.command()
 @click.argument("branch_file", type=click.Path(exists=True))
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--out", type=click.Path(dir_okay=False), default=None,
+              callback=_in_existing_dir)
 def rcurve(branch_file, fmt, out):
     """Emit the conformal-radius series r(sup norm) along a stored branch."""
     data = _read_branch(branch_file)
@@ -313,6 +323,7 @@ def rcurve(branch_file, fmt, out):
 @main.command()
 @click.argument("branch_files", type=click.Path(exists=True), nargs=-1)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
+              callback=_in_existing_dir,
               help="Report path (default verify_report.json next to first input).")
 @click.option("--sample", type=click.IntRange(min=1), default=20, show_default=True,
               help="Points sampled per branch for the round-trip checks; "

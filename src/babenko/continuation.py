@@ -94,7 +94,6 @@ class ContinuationConfig:
 class BranchEvent:
     kind: str  # turning_point, secondary_bifurcation, extreme_termination, hard_failure, retrace
     mu: float
-    sup_norm: float
     amplitude: float
     diagnostics: dict = field(default_factory=dict, repr=False)
 
@@ -158,7 +157,7 @@ def start_branch(n: int, s: float, depth, cfg: ContinuationConfig | None = None)
     err: SolveFailure | None = None
     row = np.cos(np.arange(cfg.N) * (0.0 if s > 0 else np.pi / n))
     # built directly: series_peak would polish every sample of a zero series
-    origin = SolutionPoint(mu_n, np.zeros(cfg.N), h, math.exp(-h), 0.0, 0.0, 0.0)
+    origin = SolutionPoint(mu_n, np.zeros(cfg.N), math.exp(-h), 0.0, 0.0, 0.0)
     for attempt in range(5):
         c = np.zeros(cfg.N)
         c[n] = s
@@ -203,7 +202,7 @@ def _terminate(branch: Branch, reason, **diagnostics) -> None:
     p = branch.last
     kind = "extreme_termination" if _stop_ratio(p) < 50 * EXTREME_STOP_RATIO else "hard_failure"
     branch.events.append(BranchEvent(
-        kind, p.mu, p.sup_norm, p.sup_norm,
+        kind, p.mu, p.sup_norm,
         diagnostics={"stagnation": 0.5 * p.mu - p.sup_norm, "reason": reason, **diagnostics},
     ))
 
@@ -340,7 +339,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
         if capped:
             break
         if any(_retraces(pt, twin) for twin in branch.twins):
-            branch.events.append(BranchEvent("retrace", pt.mu, pt.sup_norm, pt.sup_norm))
+            branch.events.append(BranchEvent("retrace", pt.mu, pt.sup_norm))
             return branch
         step = min(step * 1.3, STEP_MAX)
 
@@ -379,7 +378,7 @@ def detect_turning_points(branch: Branch, depth, cfg: ContinuationConfig) -> lis
                 a_star, mu_star = located
             events.append(
                 BranchEvent(
-                    "turning_point", mu_star, a_star, a_star,
+                    "turning_point", mu_star, a_star,
                     diagnostics={"fit": coef.tolist(), "index": i,
                                  "refined": located is not None, "solves": solves,
                                  "factorizations": factorizations},
@@ -557,7 +556,7 @@ def detect_secondary_bifurcations(
         a_ev = 0.5 * (lo.sup_norm + hi.sup_norm)
         mu_ev = 0.5 * (lo.mu + hi.mu)
         events.append(BranchEvent(
-            "secondary_bifurcation", mu_ev, a_ev, a_ev,
+            "secondary_bifurcation", mu_ev, a_ev,
             diagnostics={
                 "class": ci,
                 "sigma_min": sigma,

@@ -179,8 +179,6 @@ def conformal_map_sample(
 class CrestAngleEstimate:
     degrees: float
     confident: bool
-    crest_x: float
-    crest_y: float
 
 
 def crest_angle_estimate(profile: WaveProfile) -> CrestAngleEstimate:
@@ -217,4 +215,4 @@ def crest_angle_estimate(profile: WaveProfile) -> CrestAngleEstimate:
         slope = np.polyfit(dx[sel], profile.y[sel], 1)[0]
         angles.append(np.arctan(abs(slope)))
     degrees = float(np.degrees(np.pi - angles[0] - angles[1]))
-    return CrestAngleEstimate(degrees, confident, float(xc), float(yc))
+    return CrestAngleEstimate(degrees, confident)

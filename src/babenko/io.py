@@ -297,6 +297,7 @@ def _read_sidecar(sidecar: Path) -> np.ndarray:
 def write_events(branches: list[Branch], outdir, depth: float) -> Path:
     """One JSON file collecting the events of every traced branch.
 
+    An event's amplitude is written under both sup_norm and amplitude.
     Each event carries its scalar diagnostics, the numbers, bools and
     strings, such as a fold's refined, solves and factorizations; its
     arrays, such as a null vector, are left out.
@@ -313,7 +314,7 @@ def write_events(branches: list[Branch], outdir, depth: float) -> Path:
                 "branch": b.label,
                 "kind": ev.kind,
                 "mu": ev.mu,
-                "sup_norm": ev.sup_norm,
+                "sup_norm": ev.amplitude,
                 "amplitude": ev.amplitude,
                 "diagnostics": {
                     k: v for k, v in ev.diagnostics.items() if isinstance(v, (str, int, float))

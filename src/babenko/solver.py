@@ -158,7 +158,6 @@ class SolutionPoint:
 
     mu: float
     coeffs: np.ndarray = field(repr=False)
-    h: float
     r: float
     sup_norm: float
     mean: float
@@ -180,7 +179,7 @@ class SolutionPoint:
         """Build a point from (mu, coeffs) data, computing its diagnostics."""
         h, mean = float(h), float(coeffs[0])
         return cls(
-            mu=float(mu), coeffs=coeffs, h=h, r=float(np.exp(-h - mean)),
+            mu=float(mu), coeffs=coeffs, r=float(np.exp(-h - mean)),
             sup_norm=abs(series_peak(coeffs)[1]), mean=mean,
             residual_norm=float(residual_norm), iterations=iterations,
             residual_history=list(residual_history or []),
@@ -221,15 +220,7 @@ class DiscreteSystem:
 
     def residual(self, c: np.ndarray, mu: float) -> np.ndarray:
         """Depth-parametrized residual in coefficient space."""
-        rho = self._radius(c[0])
-        # w on the fine grid once, for w^2 and w * (J w) = -g
-        f = fine_values((c, lambda_symbol(rho, self.N) * c))
-        w2, wjw = fine_coeffs(f[0] * f)
-        mus = mu_symbol_total(self._sigma(-wjw[0]), self.N)
-        out = mu_symbol_total(rho, self.N) * c + mus * wjw
-        # the mean mode carries neither mu * w nor w^2 / 2
-        out[1:] += 0.5 * w2[1:] - mu * c[1:]
-        return out
+        return _residual(c, mu, self._radius(c[0]), self._sigma)
 
     def jacobian(self, c: np.ndarray, mu: float, idx: np.ndarray | None = None):
         """Analytic d(residual)/dc and d(residual)/dmu in coefficient space.
@@ -360,12 +351,21 @@ def residual_modified(c: np.ndarray, mu: float, depth) -> np.ndarray:
 def residual_fixed_r(c: np.ndarray, mu: float, r: float) -> np.ndarray:
     """Residual coefficients of the fixed-radius equation; free of the depth."""
     r = _check_r(r)
+    return _residual(c, mu, r, lambda g0: r)
+
+
+def _residual(c: np.ndarray, mu: float, rho: float, sigma) -> np.ndarray:
+    """mus(sigma(g_0)) * P(w) J w + mu_h(rho) * w, plus w^2 / 2 - mu * w off the mean mode.
+
+    J w = lam(rho) * c and g = -P(w) J w.  residual takes rho = exp(-h - c_0)
+    and sigma(g_0) = exp(-h - g_0), residual_fixed_r its r for both radii.
+    """
     N = c.size
-    lam = lambda_symbol(r, N)
-    mur = mu_symbol_total(r, N)
-    f = fine_values((c, lam * c))
+    # w on the fine grid once, for w^2 and w * (J w) = -g
+    f = fine_values((c, lambda_symbol(rho, N) * c))
     w2, wjw = fine_coeffs(f[0] * f)
-    out = mur * c + mur * wjw
+    out = mu_symbol_total(rho, N) * c + mu_symbol_total(sigma(-wjw[0]), N) * wjw
+    # the mean mode carries neither mu * w nor w^2 / 2
     out[1:] += 0.5 * w2[1:] - mu * c[1:]
     return out
 

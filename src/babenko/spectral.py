@@ -3,12 +3,12 @@
 An even 2*pi-periodic function is a plain float vector c of the
 coefficients of cos(k*t), k = 0..N-1, with N = c.size.  Its values at the
 shifted collocation nodes x_n = pi*(2n-1)/(2N) follow by a type-III
-discrete cosine transform and go back by a type-II one.  Both are one real
-FFT of N points plus an O(N) twiddle, after Makhoul's reordering of the
-nodes (those of even index ascending, then those of odd index descending;
-Makhoul, A fast cosine transform in one and two dimensions, IEEE TASSP 28,
-1980), on numpy.fft, so importing this module loads no scipy.  The only state is
-one twiddle pair per transform size.
+discrete cosine transform (transform_inverse), one real FFT of N points
+plus an O(N) twiddle, after Makhoul's reordering of the nodes (those of
+even index ascending, then those of odd index descending; Makhoul, A fast
+cosine transform in one and two dimensions, IEEE TASSP 28, 1980), on
+numpy.fft, so importing this module loads no scipy.  The only state is one
+twiddle pair per transform size.
 
 On top of the transforms this module provides the diagonal
 Fourier-multiplier symbols of the finite-depth wave problem and the
@@ -33,7 +33,6 @@ from numpy.lib.stride_tricks import as_strided
 __all__ = [
     "DomainError",
     "R_MAX",
-    "transform_forward",
     "transform_inverse",
     "lambda_symbol",
     "mu_symbol_total",
@@ -71,22 +70,6 @@ def _twiddles(N: int) -> tuple[np.ndarray, np.ndarray]:
     fwd[0] = inv[0] = 1.0
     fwd.flags.writeable = inv.flags.writeable = False
     return fwd, inv
-
-
-def transform_forward(nodal: np.ndarray) -> np.ndarray:
-    """Values at the N nodes -> N cosine coefficients (exact interpolation)."""
-    nodal = np.asarray(nodal, dtype=float)
-    if nodal.ndim != 1 or nodal.size < 1:
-        raise ValueError(f"expected a nonempty vector of nodal values, got shape {nodal.shape}")
-    N = nodal.size
-    # z_k = c_k - i c_(N-k): the real parts give c_k up to k = N//2, the
-    # imaginary parts the rest, read backwards
-    v = np.concatenate((nodal[::2], nodal[1::2][::-1]))
-    z = np.fft.rfft(v, norm="forward") * _twiddles(N)[0]
-    c = np.empty(N)
-    c[: z.size] = z.real
-    c[z.size :] = -z.imag[(N - 1) // 2 : 0 : -1]
-    return c
 
 
 def transform_inverse(coeffs: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ from babenko.continuation import (
     start_branch,
 )
 from babenko.geometry import crest_heights
-from babenko.solver import DiscreteSystem, newton_solve
-from babenko.spectral import fine_coeffs, fine_values, transform_forward
+from babenko.solver import newton_solve
+from babenko.spectral import fine_coeffs, fine_values
 
 H = math.pi / 5
 
@@ -71,13 +71,13 @@ def dense_product_matrix(c):
 
 
 def solve_small(N, n=1, s=0.01, depth=H):
-    """One converged small-amplitude mode-n point."""
-    sys = DiscreteSystem(N, depth)
+    """One converged small-amplitude mode-n point, from the seed s cos(nt)."""
     x = s * np.cos(n * nodes(N))
     mu = math.tanh(n * depth) / n
     j = int(np.argmax(np.abs(x)))
     row = node_row(N, j, 1 if x[j] >= 0 else -1)
-    c = transform_forward(x)
+    c = np.zeros(N)
+    c[n] = s
     return newton_solve(c, mu, depth, row, s)
 
 

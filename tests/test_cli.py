@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import babenko
+from babenko import cli
 from babenko.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY, main
 from babenko.solver import SolutionPoint
 
@@ -60,9 +61,13 @@ class TestBifpoints:
         assert doc["depth"] == 1.0
         assert doc["points"][0]["mu"] == pytest.approx(math.tanh(1.0))
 
-    def test_bad_modes_is_config_error(self, runner):
-        res = runner.invoke(main, ["bifpoints", "--modes", "100"])
-        assert res.exit_code == EXIT_CONFIG
+    def test_trace_options_are_usage_errors(self, runner):
+        # bifpoints reads only --config, --depth, --format and --n-max
+        for args in (["--modes", "64"], ["--branch", "C1"], ["--amplitude-max", "0.1"],
+                     ["--step", "0.01"], ["--out", "runs"]):
+            res = runner.invoke(main, ["bifpoints", *args])
+            assert res.exit_code == 2, args
+            assert "No such option" in res.output
 
     def test_bad_depth_is_config_error(self, runner):
         for depth in ("-1", "inf"):
@@ -95,6 +100,11 @@ class TestTrace:
     def test_bad_branch_spec(self, runner):
         res = runner.invoke(main, ["trace", "--branch", "Cfoo"])
         assert res.exit_code == EXIT_CONFIG
+
+    def test_bad_modes_is_config_error(self, runner):
+        res = runner.invoke(main, ["trace", "--modes", "100"])
+        assert res.exit_code == EXIT_CONFIG
+        assert "modes must be a power of two" in res.output
 
     def test_config_file_drives_run(self, runner, tmp_path):
         cfgfile = tmp_path / "run.json"
@@ -356,29 +366,51 @@ def test_malformed_branch_file_is_config_error(runner, traced_dir, tmp_path, dam
         assert res.exit_code == EXIT_CONFIG, (args[0], res.output, res.exception)
 
 
-@pytest.mark.parametrize("case", ["profile", "rcurve", "verify",
-                                  "trace-flag", "trace-config", "trace-env"])
-def test_unwritable_output_path_is_config_error(runner, traced_dir, tmp_path, case):
-    # a directory where profile, rcurve or verify writes a file, and a file
-    # where trace makes its output directory, from --out, the config's
-    # outdir or BABENKO_OUTDIR
+@pytest.mark.parametrize("case", [
+    "profile", "rcurve", "verify", "trace-flag", "trace-config", "trace-env",
+    "profile-missing-dir", "rcurve-missing-dir", "verify-missing-dir",
+    "profile-below-file", "rcurve-below-file", "verify-below-file",
+    "trace-flag-below-file", "trace-config-below-file", "trace-env-below-file",
+])
+def test_unwritable_output_path_is_config_error(runner, traced_dir, tmp_path, case,
+                                                 monkeypatch):
+    # a directory where profile, rcurve or verify writes a file, a file
+    # where trace makes its output directory (from --out, the config's
+    # outdir or BABENKO_OUTDIR), and a path whose parent is missing or is
+    # a file: each exits 2 before any branch is read or traced, and
+    # writes nothing
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the output path was checked")
+
+    monkeypatch.setattr(cli, "_read_branch", no_work)
+    monkeypatch.setattr(cli, "start_branch", no_work)
     taken = tmp_path / "taken"
     taken.write_text("")
     cfgfile = tmp_path / "run.json"
     doc, env = {"modes": 32, "branches": [{"mode": 1, "amplitude_max": 0.03}]}, {}
-    if case.startswith("trace"):
-        args = ["trace", "--config", str(cfgfile)]
-        if case == "trace-flag":
-            args += ["--out", str(taken)]
-        elif case == "trace-config":
-            doc["outdir"] = str(taken)
-        else:
-            env["BABENKO_OUTDIR"] = str(taken)
+    command, _, where = case.partition("-")
+    if where.endswith("missing-dir"):
+        out = tmp_path / "missing" / "out.csv"
+    elif where.endswith("below-file"):
+        out = taken / "out"
     else:
-        args = [case, str(traced_dir / "C1.csv"), "--out", str(tmp_path)]
+        out = taken if command == "trace" else tmp_path
+    if command == "trace":
+        args = ["trace", "--config", str(cfgfile)]
+        if where.startswith("flag"):
+            args += ["--out", str(out)]
+        elif where.startswith("config"):
+            doc["outdir"] = str(out)
+        else:
+            env["BABENKO_OUTDIR"] = str(out)
+    else:
+        args = [command, str(traced_dir / "C1.csv"), "--out", str(out)]
     cfgfile.write_text(json.dumps(doc))
     res = runner.invoke(main, args, env=env)
     assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
+    if where.endswith(("missing-dir", "below-file")):
+        assert len(res.output.strip().splitlines()) == 1, res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "taken"]
     assert taken.read_text() == ""
 
 

@@ -190,7 +190,7 @@ class TestEndpointAndTurning:
             assert abs(rho - EXTREME_STOP_RATIO) < 1e-8
             assert e.diagnostics["stop_ratio"] == rho
             assert 1 <= e.diagnostics["location_solves"] <= continuation.LOCATE_SOLVES
-            assert (e.mu, e.sup_norm) == (b.last.mu, b.last.sup_norm)
+            assert (e.mu, e.amplitude) == (b.last.mu, b.last.sup_norm)
             assert all(continuation._stop_ratio(p) > EXTREME_STOP_RATIO for p in b.points[:-1])
 
     @pytest.mark.blas_threads

@@ -73,7 +73,7 @@ class TestBranchRoundTrip:
         branch = Branch(label="C1", mode=1, points=list(c1_coarse.points))
         target = branch.points[3]
         branch.events.append(
-            BranchEvent("turning_point", target.mu, target.sup_norm, target.sup_norm)
+            BranchEvent("turning_point", target.mu, target.sup_norm)
         )
         table, sidecar = write_branch(branch, tmp_path, H)
         assert body(table) == "".join(
@@ -97,7 +97,7 @@ class TestBranchRoundTrip:
         branch = Branch(label="flagged", mode=1, points=list(c1_coarse.points))
         target = branch.points[3]
         branch.events.append(
-            BranchEvent("turning_point", target.mu, target.sup_norm, target.sup_norm)
+            BranchEvent("turning_point", target.mu, target.sup_norm)
         )
         path = write_branch(branch, tmp_path, H)[0]
         data = read_branch(path)
@@ -164,7 +164,7 @@ class TestBranchReadErrors:
 class TestEventsFile:
     def test_events_json(self, c1_coarse, tmp_path):
         branch = Branch(label="C1", mode=1, points=list(c1_coarse.points))
-        branch.events.append(BranchEvent("extreme_termination", 0.7, 0.35, 0.35))
+        branch.events.append(BranchEvent("extreme_termination", 0.7, 0.35))
         path = write_events([branch], tmp_path, H)
         doc = json.loads(path.read_text())
         assert doc["format"] == "babenko-events"
@@ -179,7 +179,7 @@ class TestEventsFile:
         # its fit, and a bifurcation's null vector and coefficients, are
         # arrays and stay out
         branch = Branch(label="C1", mode=1, events=list(c1_full.events))
-        branch.events.append(BranchEvent("secondary_bifurcation", 0.7, 0.3, 0.3, diagnostics={
+        branch.events.append(BranchEvent("secondary_bifurcation", 0.7, 0.3, diagnostics={
             "class": 1, "sigma_min": 1e-9, "null_vector_coeffs": np.ones(4),
             "w_coeffs": np.ones(4), "mu_at_event": 0.7}))
         doc = json.loads(write_events([branch], tmp_path, H).read_text())

@@ -32,11 +32,18 @@ from babenko.spectral import (
     dmu_dr,
     lambda_symbol,
     mu_symbol_total,
-    transform_forward,
     transform_inverse,
 )
 
-from conftest import H, crest_word, dense_product_matrix, node_row, nodes, solve_small
+from conftest import (
+    H,
+    crest_word,
+    dense_product_matrix,
+    node_row,
+    nodes,
+    solve_small,
+    transform_matrix,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -357,7 +364,7 @@ class TestChordNewton:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularJacobian, match="exactly singular"):
-                newton_solve(transform_forward(x), 0.55, H, np.zeros(16), 0.0)
+                newton_solve(transform_matrix(16) @ x, 0.55, H, np.zeros(16), 0.0)
 
     def test_paths_are_pinned(self, c1_full, c5_bundle):
         # the point counts of the paths that the step rule (grow by 1.3
@@ -480,7 +487,7 @@ def solve_chord(N, n, s, chord):
 def diverging_solve(chord=None):
     """A solve whose residual grows past its guard, at N = 16."""
     x = 5.0 * np.cos(nodes(16))  # far outside the solution set
-    return newton_solve(transform_forward(x), 0.55, H, node_row(16, 0, 1), 5.0,
+    return newton_solve(transform_matrix(16) @ x, 0.55, H, node_row(16, 0, 1), 5.0,
                         chord=chord)
 
 
@@ -707,7 +714,7 @@ class TestDivergenceGuard:
         monkeypatch.setattr(solver, "MAX_ITER", 2)
         x = 0.1 * np.cos(nodes(32))
         with pytest.raises(NewtonMaxIter) as info:
-            newton_solve(transform_forward(x), math.tanh(H), H, node_row(32, 0, 1), 0.1)
+            newton_solve(transform_matrix(32) @ x, math.tanh(H), H, node_row(32, 0, 1), 0.1)
         exc = info.value
         assert exc.iterations == 2
         assert len(exc.residual_history) == 3
@@ -763,7 +770,7 @@ class TestNewton:
             raise AssertionError("assembled a Jacobian for a non-finite seed")
 
         monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", no_assembly)
-        c = transform_forward(0.01 * np.cos(nodes(16)))
+        c = transform_matrix(16) @ (0.01 * np.cos(nodes(16)))
         mu = math.tanh(H)
         if where == "mu":
             mu = bad
