@@ -110,7 +110,7 @@ def _typed(doc: dict, key: str, kinds: tuple, default=None):
 
 
 def _build_config(config_path, depth, fmt, modes=None, branch=(), amplitude_max=None,
-                  step=None, out=None) -> RunConfig:
+                  step=None, out=None, trace=True) -> RunConfig:
     cfg = RunConfig()
     if config_path:
         try:
@@ -119,6 +119,8 @@ def _build_config(config_path, depth, fmt, modes=None, branch=(), amplitude_max=
             raise ConfigError(f"cannot read config {config_path}: {exc}")
         if not isinstance(doc, dict):
             raise ConfigError(f"config {config_path} must be a JSON object")
+        if not trace:  # bifpoints reads the depth and the format alone
+            doc = {k: doc[k] for k in ("depth", "format") if k in doc}
         number = (int, float)
         try:
             cfg.depth = float(_typed(doc, "depth", number, cfg.depth))
@@ -186,7 +188,7 @@ def main():
               help="Largest mode for which to report the bifurcation point.")
 def bifpoints(n_max, **kw):
     """Bifurcation points mu_n of the trivial solution at depth h."""
-    cfg = _build_config(**kw)
+    cfg = _build_config(**kw, trace=False)
     if n_max < 0:
         raise ConfigError(f"n-max must be nonnegative, got {n_max}")
     rows = [(n, trivial_bifurcation_mu(n, cfg.depth)) for n in range(1, n_max + 1)]

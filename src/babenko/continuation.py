@@ -44,6 +44,7 @@ from .solver import (
     SolutionPoint,
     SolveFailure,
     lu_factor_in_place,
+    lu_solve,
     newton_solve,
 )
 from .spectral import as_depth
@@ -471,14 +472,12 @@ def _det_sign(factors) -> float:
 def _inverse_step(factors, x: np.ndarray) -> tuple[float, np.ndarray]:
     """One inverse-iteration step on J^T J from the unit vector x.
 
-    factors are lu_factor_in_place's of J, so those of J.T: y = J^-T x and
-    z = J^-1 y.  Returns ||y|| / ||z||, never below J's smallest singular
-    value, and z / ||z||, the next estimate of its null vector.
+    factors are lu_factor_in_place's of J: lu_solve gives y = J^-T x and,
+    with trans=1, z = J^-1 y.  Returns ||y|| / ||z||, never below J's
+    smallest singular value, and z / ||z||, the next estimate of its null vector.
     """
-    from scipy.linalg import lu_solve
-
-    y = lu_solve(factors, x, check_finite=False)
-    z = lu_solve(factors, y, trans=1, check_finite=False)
+    y = lu_solve(factors, x)
+    z = lu_solve(factors, y, trans=1)
     nz = np.linalg.norm(z)
     return float(np.linalg.norm(y) / nz), z / nz
 

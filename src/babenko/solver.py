@@ -27,7 +27,7 @@ matrix is the K-mode system's own Jacobian, the leading rows and columns
 of the N-mode one (Boyd, Chebyshev and Fourier Spectral Methods, 2001,
 ch. 2, on the spectral tail).  Newton uses
 one bordered buffer per band, (len(band)+1) square, assembles the
-Jacobian into it, factors it in place with scipy.linalg.lu_factor and
+Jacobian into it, factors it in place with LAPACK getrf and
 takes further steps by back-substitution on those factors, the chord
 steps (Kelley, Solving Nonlinear Equations with Newton's Method, SIAM
 2003, ch. 5).  A chord step that leaves more than CONTRACTION of the
@@ -54,16 +54,19 @@ and of the C5 benchmark peak below 0.1, at least ten times inside that
 guard, so it never ends one of them; the correctors stepped too far along
 a C5 secondary branch cross it after 4 to 18 iterations instead of
 running to MAX_ITER.  A SolveFailure from newton_solve carries the steps,
-factorizations and residual history of the failed solve.  scipy.linalg is
-imported inside the functions that factor, and it is the only scipy module
-the package uses (the spectral transforms run on numpy.fft), so importing
+factorizations and residual history of the failed solve.  getrf and getrs
+are scipy's LAPACK wrappers, loaded by the first factorization without the
+scipy.linalg package; the spectral transforms run on numpy.fft, so importing
 babenko, and every command that never factors, loads no scipy at all.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
-import warnings
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -370,23 +373,47 @@ def _residual(c: np.ndarray, mu: float, rho: float, sigma) -> np.ndarray:
     return out
 
 
-def lu_factor_in_place(A: np.ndarray):
-    """LU factors of the square matrix A, in A's own memory when it is contiguous.
+@functools.cache
+def _flapack():
+    """scipy's f2py LAPACK wrappers, those scipy.linalg.lu_factor and lu_solve call.
 
-    The factors are those of A.T, the Fortran-ordered view of a C-ordered
-    A, so LAPACK works in place with no copy, as on newton_solve's
-    bordered buffer.  A non-contiguous A, such as the (L, L) view
-    DiscreteSystem.jacobian returns of its (L, L+1) buffer, is copied
-    first and left as it was.  Solve A x = b with
-    scipy.linalg.lu_solve(factors, b, trans=1).  det A = det A.T.  An exact
-    zero pivot shows as a zero on the diagonal of the factors, which
-    callers check; lu_factor's LinAlgWarning about it is suppressed.
+    import scipy runs only the top-level package (on Windows wheels it
+    registers the bundled OpenBLAS); the module is then loaded from its
+    file, so the scipy.linalg package and its array-API layer never load.
     """
-    from scipy.linalg import LinAlgWarning, lu_factor
+    import scipy
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(A.T, overwrite_a=True, check_finite=False)
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    path = os.path.join(directory, "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's LAPACK wrappers _flapack not found in {directory}")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def lu_factor_in_place(A: np.ndarray):
+    """LU factors (lu, piv) of the square matrix A, in A's own memory when it is contiguous.
+
+    They are LAPACK getrf's of A.T, the Fortran-ordered view of a C-ordered
+    A, made in place, as on newton_solve's bordered buffer.  A non-contiguous
+    A, such as the (L, L) view DiscreteSystem.jacobian returns, is copied
+    first and left as it was.  det A = det A.T.  An exact zero pivot shows as
+    a zero on the diagonal of the factors, which callers check.
+    """
+    lu, piv, info = _flapack().dgetrf(A.T, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    return lu, piv
+
+
+def lu_solve(factors, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """x with A.T x = b (trans=0) or A x = b (trans=1), from lu_factor_in_place(A)."""
+    x, info = _flapack().dgetrs(*factors, b, trans=trans)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
 
 
 # a chord step that leaves more than CONTRACTION of the residual begins
@@ -489,8 +516,6 @@ def newton_solve(
     iteration has diverged once the residual norm exceeds
     max(|R_0|, 1); converged solves peak more than ten times below that.
     """
-    from scipy.linalg import lu_solve
-
     if not residual_tol > 0:
         raise ValueError("residual_tol must be positive")
     c = np.array(c0, dtype=float)
@@ -551,8 +576,7 @@ def newton_solve(
                 if not np.all(np.diagonal(factors[0])):
                     raise SingularJacobian("exactly singular Jacobian")
             c[K:] = 0.0
-            step = lu_solve(factors, -np.append(R[:K:n], R[-1]), trans=1,
-                            check_finite=False)
+            step = lu_solve(factors, -np.append(R[:K:n], R[-1]), trans=1)
             # good Broyden in product form (Kelley 1995, alg. 7.3.1)
             for s0, s1 in zip(steps, steps[1:]):
                 step += s1 * ((s0 @ step) / (s0 @ s0))

@@ -74,6 +74,24 @@ class TestBifpoints:
             res = runner.invoke(main, ["bifpoints", "--depth", depth])
             assert res.exit_code == EXIT_CONFIG, depth
 
+    def test_config_file_gives_depth_and_format_only(self, runner, tmp_path):
+        # bifpoints reads and checks the file's depth and format alone; trace,
+        # which reads modes, refuses the same file
+        cfgfile = tmp_path / "m.json"
+        cfgfile.write_text(json.dumps({"modes": 100}))
+        res = runner.invoke(main, ["bifpoints", "--config", str(cfgfile)])
+        assert res.exit_code == EXIT_OK, res.output
+        res = runner.invoke(main, ["trace", "--config", str(cfgfile)])
+        assert res.exit_code == EXIT_CONFIG
+        cfgfile.write_text(json.dumps({"modes": 100, "depth": 1.0, "format": "json"}))
+        res = runner.invoke(main, ["bifpoints", "--config", str(cfgfile)])
+        assert res.exit_code == EXIT_OK, res.output
+        assert json.loads(res.output)["depth"] == 1.0
+        for doc in ({"depth": -1}, {"format": "xml"}):
+            cfgfile.write_text(json.dumps(doc))
+            res = runner.invoke(main, ["bifpoints", "--config", str(cfgfile)])
+            assert res.exit_code == EXIT_CONFIG, doc
+
 
 class TestTrace:
     def test_writes_branch_and_events(self, traced_dir):
@@ -485,12 +503,13 @@ class TestVerify:
 
 
 class TestColdImports:
-    # one fresh interpreter per command; at exit it prints the scipy
-    # modules it loaded, as a JSON list on its last line of output
+    # one fresh interpreter per command; at exit it prints the scipy and
+    # numpy.f2py modules it loaded, as a JSON list on its last line of output
     CODE = (
         "import atexit, json, sys\n"
         "atexit.register(lambda: print(json.dumps(sorted(\n"
-        "    m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))))\n"
+        "    m for m in sys.modules\n"
+        "    if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'f2py']))))\n"
         "from babenko.cli import main\n"
         "if sys.argv[1:]:\n"
         "    main(sys.argv[1:])\n"
@@ -507,12 +526,16 @@ class TestColdImports:
         return run.returncode, run.stderr, json.loads(run.stdout.splitlines()[-1])
 
     def test_only_tracing_loads_scipy(self, tmp_path):
-        # the transforms run on numpy.fft and scipy.linalg is imported only
-        # where Newton factors, so the import and the read-side commands on
-        # a stored C1@64 branch load no scipy module
-        status, err, _ = self.run_cold("trace", "--branch", "C1", "--modes", "64",
-                                       "--out", str(tmp_path))
+        # the transforms run on numpy.fft and scipy's LAPACK wrappers are
+        # loaded only where Newton factors, so the import and the read-side
+        # commands on a stored C1@64 branch load no scipy module; the trace
+        # loads the wrappers without the scipy.linalg package, its array-API
+        # layer or the numpy.f2py that layer imports
+        status, err, loaded = self.run_cold("trace", "--branch", "C1", "--modes", "64",
+                                            "--out", str(tmp_path))
         assert status == EXIT_OK, err
+        assert "scipy.linalg._flapack" in loaded
+        assert not {"scipy.linalg", "scipy._lib._array_api", "numpy.f2py"} & set(loaded)
         branch = str(tmp_path / "C1.csv")
         for args in ([], ["profile", branch, "--point", "3", "--out", str(tmp_path / "p.csv")],
                      ["rcurve", branch, "--out", str(tmp_path / "r.csv")],

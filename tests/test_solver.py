@@ -351,6 +351,34 @@ class TestChordNewton:
                 B[[0, 1]] = B[[1, 0]]  # one interchange, an odd permutation
                 assert _det_sign(lu_factor_in_place(B)) == -np.linalg.slogdet(A)[0]
 
+    @pytest.mark.parametrize("n", [1, 14, 205, 513])
+    def test_lu_matches_scipy_linalg(self, n):
+        # lu_factor_in_place and lu_solve call the f2py getrf and getrs that
+        # scipy.linalg.lu_factor and lu_solve call, so factors, pivots and
+        # solutions are bit-identical to theirs; a non-contiguous (L, L)
+        # view of an (L, L+1) buffer is factored on a copy
+        from scipy.linalg import lu_factor, lu_solve as scipy_lu_solve
+
+        rng = np.random.default_rng(n)
+        buffer = rng.standard_normal((n, n + 1))
+        kept = buffer.copy()
+        b = rng.standard_normal(n)
+        for A, view in ((rng.standard_normal((n, n)), False), (buffer[:, :n], True)):
+            ref = lu_factor(A.T)
+            got = lu_factor_in_place(A if view else A.copy())
+            assert np.array_equal(got[0], ref[0])
+            assert np.array_equal(got[1], ref[1]) and got[1].dtype == ref[1].dtype
+            for trans in (0, 1):
+                x = solver.lu_solve(got, b, trans)
+                assert np.array_equal(x, scipy_lu_solve(ref, b, trans=trans))
+        assert np.array_equal(buffer, kept)
+        # exact zero pivots of a singular matrix show on U's diagonal, with
+        # no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lu, _ = lu_factor_in_place(np.ones((n, n)))
+        assert np.count_nonzero(np.diagonal(lu) == 0.0) == n - 1
+
     def test_singular_block_has_sign_zero(self):
         A = np.ones((4, 4))
         with warnings.catch_warnings():
@@ -358,8 +386,8 @@ class TestChordNewton:
             assert _det_sign(lu_factor_in_place(A)) == 0.0
 
     def test_singular_system_raises(self):
-        # a zero closing row leaves the bordered Jacobian exactly singular;
-        # lu_factor's LinAlgWarning must not escape
+        # a zero closing row leaves the bordered Jacobian exactly singular,
+        # and no warning escapes
         x = 0.01 * np.cos(nodes(16))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -498,11 +526,9 @@ def newton_log(monkeypatch, push=None):
     push, when given, replaces the first back-substitution's step by
     push(step), and the log holds the pushed step.
     """
-    import scipy.linalg
-
     log = []
     residual, jacobian = DiscreteSystem.stacked_residual, DiscreteSystem.stacked_jacobian
-    lu_solve = scipy.linalg.lu_solve
+    lu_solve = solver.lu_solve
 
     def spy_residual(self, c, *args):
         log.append(("r", c.copy()))
@@ -521,7 +547,7 @@ def newton_log(monkeypatch, push=None):
 
     monkeypatch.setattr(DiscreteSystem, "stacked_residual", spy_residual)
     monkeypatch.setattr(DiscreteSystem, "stacked_jacobian", spy_jacobian)
-    monkeypatch.setattr(scipy.linalg, "lu_solve", spy_solve)
+    monkeypatch.setattr(solver, "lu_solve", spy_solve)
     return log
 
 
