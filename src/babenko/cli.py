@@ -4,8 +4,8 @@ Subcommands: bifpoints, trace, profile, rcurve, verify.  Options may come
 from flags, from a JSON config file (--config), or, for the output
 directory, from the environment (BABENKO_OUTDIR).  Requested branches are
 traced one after another in this process.  Exit codes: 0 success, 2 bad
-configuration or a malformed branch file, 3 numerical hard failure,
-4 verification failure.
+configuration, a path that cannot be read or written, or a malformed
+branch file, 3 numerical hard failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -170,11 +170,28 @@ def _config_options(fn):
                         help="JSON config file with the run configuration.")(fn)
 
 
-def _in_existing_dir(ctx, param, value):
-    """An output file path whose directory exists, checked before any work."""
-    if value is not None and not Path(value).parent.is_dir():
-        raise ConfigError(f"cannot write '{value}': '{Path(value).parent}' is not a directory")
-    return value
+def _writable(path, directory=False) -> Path:
+    """`path` if an output can go there; otherwise a ConfigError, one line.
+
+    An output file must not be a directory, and its directory must exist.
+    write_branch makes an output directory with its missing parents, so the
+    nearest of them that exists must be a directory.
+    """
+    path = Path(path)
+    if directory:
+        holder = next(p for p in (path, *path.parents) if p.exists())
+    elif path.is_dir():
+        raise ConfigError(f"cannot write '{path}': it is a directory")
+    else:
+        holder = path.parent
+    if not holder.is_dir():
+        raise ConfigError(f"cannot write '{path}': '{holder}' is not a directory")
+    return path
+
+
+def _out_file(ctx, param, value):
+    """--out callback: the file is checked while the options are parsed."""
+    return value if value is None else _writable(value)
 
 
 @click.group()
@@ -221,15 +238,11 @@ def _trace_one(spec, depth, ccfg):
 @click.option("--branch", multiple=True, help="Branch spec, e.g. C1 or C5+.")
 @click.option("--amplitude-max", type=float, default=None)
 @click.option("--step", type=float, default=None, help="Initial amplitude step.")
-@click.option("--out", type=click.Path(file_okay=False), default=None,
-              help="Output directory.")
+@click.option("--out", type=click.Path(), default=None, help="Output directory.")
 def trace(**kw):
     """Trace branches and write per-branch tables plus an events file."""
     cfg = _build_config(**kw)
-    # write_branch makes the missing directories; the nearest existing one must not be a file
-    made = next(p for p in (cfg.outdir, *cfg.outdir.parents) if p.exists())
-    if not made.is_dir():
-        raise ConfigError(f"output directory '{cfg.outdir}': '{made}' is a file")
+    _writable(cfg.outdir, directory=True)
     if not cfg.branches:
         click.echo("no branches requested", err=True)
         sys.exit(EXIT_OK)
@@ -251,6 +264,8 @@ def trace(**kw):
 def _read_branch(path) -> bio.BranchData:
     try:
         return bio.read_branch(path)
+    except OSError as exc:  # a missing file, or a directory
+        raise ConfigError(f"cannot read '{exc.filename or path}': {exc.strerror}")
     except bio.BranchFormatError as exc:
         raise ConfigError(str(exc))
 
@@ -283,59 +298,59 @@ def _select_point(data: bio.BranchData, selector: str):
 
 
 @main.command()
-@click.argument("branch_file", type=click.Path(exists=True))
+@click.argument("branch_file", type=click.Path())
 @click.option("--point", "selector", default="endpoint", show_default=True,
               help="Point selector: index, 'endpoint', or 'mu=VALUE'.")
 @click.option("--samples", "M", type=click.IntRange(min=1), default=None,
               help="Surface sample count (default 4N).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              callback=_in_existing_dir)
+@click.option("--out", type=click.Path(), default=None, callback=_out_file)
 def profile(branch_file, selector, M, fmt, out):
     """Reconstruct the free-surface profile of one stored solution."""
     data = _read_branch(branch_file)
     idx = _select_point(data, selector)
+    if out is None:
+        out = _writable(Path(branch_file).with_suffix(f".profile{idx}.{fmt}"))
     pt = data.point(idx)
     try:
         prof = surface_curve(pt.coeffs, pt.mu, data.depth, M=M)
     except DomainError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
-    if out is None:
-        out = Path(branch_file).with_suffix(f".profile{idx}.{fmt}")
     path = bio.write_profile(prof, pt, out, fmt)
     click.echo(str(path))
 
 
 @main.command()
-@click.argument("branch_file", type=click.Path(exists=True))
+@click.argument("branch_file", type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              callback=_in_existing_dir)
+@click.option("--out", type=click.Path(), default=None, callback=_out_file)
 def rcurve(branch_file, fmt, out):
     """Emit the conformal-radius series r(sup norm) along a stored branch."""
     data = _read_branch(branch_file)
-    series = np.array([(row["sup_norm"], row["r"]) for row in data.table])
     if out is None:
-        out = Path(branch_file).with_suffix(f".rcurve.{fmt}")
+        out = _writable(Path(branch_file).with_suffix(f".rcurve.{fmt}"))
+    series = np.array([(row["sup_norm"], row["r"]) for row in data.table])
     path = bio.write_rcurve(series, out, fmt)
     click.echo(str(path))
 
 
 @main.command()
-@click.argument("branch_files", type=click.Path(exists=True), nargs=-1)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              callback=_in_existing_dir,
+@click.argument("branch_files", type=click.Path(), nargs=-1)
+@click.option("--out", type=click.Path(), default=None, callback=_out_file,
               help="Report path (default verify_report.json next to first input).")
 @click.option("--sample", type=click.IntRange(min=1), default=20, show_default=True,
               help="Points sampled per branch for the round-trip checks; "
                    "the last point is always one of them.")
 def verify(branch_files, out, sample):
     """Run the invariant suite over stored branch points; nonzero exit on failure."""
-    if not branch_files:
+    branches = [_read_branch(bf) for bf in branch_files]
+    if out is None:
+        where = Path(branch_files[0]).parent if branch_files else Path()
+        out = _writable(where / "verify_report.json")
+    if not branches:
         click.echo("no branch files given; vacuous pass", err=True)
-        bio.write_report({"checks": [], "passed": True, "warning": "empty input"},
-                         out or "verify_report.json")
+        bio.write_report({"checks": [], "passed": True, "warning": "empty input"}, out)
         sys.exit(EXIT_OK)
     checks = []
 
@@ -343,8 +358,7 @@ def verify(branch_files, out, sample):
         checks.append({"check": name, "branch": branch, "passed": bool(ok),
                        "detail": detail})
 
-    for bf in branch_files:
-        data = _read_branch(bf)
+    for data in branches:
         pts = data.points
         if not pts:
             record("sidecar_present", data.label, False, "no solutions sidecar")
@@ -352,13 +366,22 @@ def verify(branch_files, out, sample):
         # every step-th point, and always the last: the highest wave
         step = max(1, len(pts) // sample)
         sampled = pts[:-1:step] + pts[-1:]
-        worst_rt = 0.0
+        # a stored c_0 < -h puts r = exp(-h - c_0) above 1, where the
+        # operators are not defined; such a point fails both round trips
+        worst_rt = worst_mean_res = 0.0
+        outside = 0
         for p in sampled:
-            res_fixed = float(np.max(np.abs(residual_fixed_r(p.coeffs, p.mu, p.r))))
-            res_mod = float(np.max(np.abs(residual_modified(p.coeffs, p.mu, data.depth))))
+            try:
+                res_fixed = float(np.max(np.abs(residual_fixed_r(p.coeffs, p.mu, p.r))))
+                res_mod = float(np.max(np.abs(residual_modified(p.coeffs, p.mu, data.depth))))
+                prof = surface_curve(p.coeffs, p.mu, data.depth)
+            except DomainError:
+                outside += 1
+                continue
             worst_rt = max(worst_rt, res_fixed, res_mod)
-        record("proposition1_roundtrip", data.label, worst_rt < 1e-9,
-               {"max_residual": worst_rt})
+            worst_mean_res = max(worst_mean_res, abs(prof.mean_residual))
+        record("proposition1_roundtrip", data.label, worst_rt < 1e-9 and not outside,
+               {"max_residual": worst_rt, "outside_domain": outside})
         means = np.array([p.mean for p in pts])
         record("mean_nonpositive", data.label, bool(np.all(means <= 1e-14)),
                {"max_mean": float(means.max())})
@@ -369,17 +392,12 @@ def verify(branch_files, out, sample):
         record("radius_in_unit_interval", data.label,
                bool(np.all((rs > 0) & (rs < 1))),
                {"r_range": [float(rs.min()), float(rs.max())]})
-        worst_mean_res = 0.0
-        for p in sampled:
-            prof = surface_curve(p.coeffs, p.mu, data.depth)
-            worst_mean_res = max(worst_mean_res, abs(prof.mean_residual))
-        record("zero_mean_surface", data.label, worst_mean_res < 1e-8,
-               {"max_mean_residual": worst_mean_res})
+        record("zero_mean_surface", data.label, worst_mean_res < 1e-8 and not outside,
+               {"max_mean_residual": worst_mean_res, "outside_domain": outside})
 
     passed = all(c["passed"] for c in checks)
-    report_path = out or str(Path(branch_files[0]).parent / "verify_report.json")
-    bio.write_report({"checks": checks, "passed": passed}, report_path)
-    click.echo(report_path)
+    bio.write_report({"checks": checks, "passed": passed}, out)
+    click.echo(str(out))
     sys.exit(EXIT_OK if passed else EXIT_VERIFY)
 
 

@@ -221,16 +221,15 @@ def _parse_header_meta(line: str) -> dict:
 def read_branch(path) -> BranchData:
     """Load a branch table (CSV or JSON) and, if present, its solution sidecar.
 
-    Raises BranchFormatError when either file is not a well-formed branch
-    file: a missing or truncated header, a row that does not parse, a
-    sidecar row whose length does not match its N, or a sidecar whose
+    Raises OSError when a file cannot be read, such as a missing file or a
+    directory, and BranchFormatError when either file is not a well-formed
+    branch file: a missing or truncated header, a row that does not parse,
+    sidecar rows whose length does not match its N, or a sidecar whose
     point count or mu column differs from the table's.  write_branch
     writes both mu columns exactly (%.17g or the JSON repr), so a sidecar
     left beside another run's table does not read as the same branch.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"branch file not found: {path}")
     try:
         label, depth, table = _read_table(path)
         sidecar = path.parent / f"{label}.solutions.csv"
@@ -277,21 +276,21 @@ def _read_sidecar(sidecar: Path) -> np.ndarray:
     """The (mu, c_0, ..., c_{N-1}) rows of a sidecar, parsed in one call.
 
     np.loadtxt makes no Python object per value, so a read holds little
-    more than the text and the array.
+    more than the text and the array.  It parses every column, the index
+    too, so a row longer or shorter than the first is a ValueError.
     """
     slines = sidecar.read_text().splitlines()
     N = int(_parse_header_meta(slines[1])["N"])
     rows = [line for line in slines[3:] if line]
-    for line in rows:
-        if line.count(",") != N + 1:
-            raise BranchFormatError(
-                f"{sidecar}: row has {line.count(',') - 1} coefficients, expected N={N}"
-            )
     if not rows:
         return np.empty((0, N + 1))
     # comments=None: a '#' in a row is a bad value, not the start of a comment
-    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
-                      usecols=range(1, N + 2))
+    table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] != N + 2:
+        raise BranchFormatError(
+            f"{sidecar}: rows hold {table.shape[1] - 2} coefficients, expected N={N}"
+        )
+    return table[:, 1:]
 
 
 def write_events(branches: list[Branch], outdir, depth: float) -> Path:

@@ -341,6 +341,21 @@ def _short_sidecar_row(src, dst):
     (dst / "C1.solutions.csv").write_text("\n".join(lines) + "\n")
 
 
+def _long_sidecar_row(src, dst):
+    (dst / "C1.csv").write_text((src / "C1.csv").read_text())
+    lines = (src / "C1.solutions.csv").read_text().splitlines()
+    lines[-1] += ",0"  # one coefficient too many
+    (dst / "C1.solutions.csv").write_text("\n".join(lines) + "\n")
+
+
+def _sidecar_header_n_off(src, dst):
+    # every row is as long as the others, but not as long as the header's N
+    (dst / "C1.csv").write_text((src / "C1.csv").read_text())
+    text = (src / "C1.solutions.csv").read_text()
+    assert text.count(" N=32\n") == 1
+    (dst / "C1.solutions.csv").write_text(text.replace(" N=32\n", " N=33\n"))
+
+
 def _sidecar_missing_row(src, dst):
     (dst / "C1.csv").write_text((src / "C1.csv").read_text())
     lines = (src / "C1.solutions.csv").read_text().splitlines()
@@ -373,7 +388,8 @@ def _table_mu_shifted(src, dst):
 # validating the whole sidecar on read
 @pytest.mark.parametrize("damage", [
     _truncated_header, _not_a_branch_file, _truncated_sidecar, _short_sidecar_row,
-    _sidecar_missing_row, _non_numeric_coefficient, _table_mu_shifted,
+    _long_sidecar_row, _sidecar_header_n_off, _sidecar_missing_row,
+    _non_numeric_coefficient, _table_mu_shifted,
 ])
 def test_malformed_branch_file_is_config_error(runner, traced_dir, tmp_path, damage):
     damage(traced_dir, tmp_path)
@@ -426,10 +442,53 @@ def test_unwritable_output_path_is_config_error(runner, traced_dir, tmp_path, ca
     cfgfile.write_text(json.dumps(doc))
     res = runner.invoke(main, args, env=env)
     assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
-    if where.endswith(("missing-dir", "below-file")):
-        assert len(res.output.strip().splitlines()) == 1, res.output
+    assert len(res.output.strip().splitlines()) == 1, res.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "taken"]
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["profile", "rcurve", "verify"])
+def test_unreadable_branch_file_is_config_error(runner, traced_dir, tmp_path, monkeypatch,
+                                                command, kind):
+    # a missing file or a directory as the branch file exits 2 with one
+    # line and writes nothing; verify reads every file before it checks
+    # one, so a good file before the bad one is not checked either
+    def no_work(*args, **kwargs):
+        raise AssertionError("a point was checked before every branch was read")
+
+    monkeypatch.setattr(cli, "residual_fixed_r", no_work)
+    monkeypatch.setattr(cli, "surface_curve", no_work)
+    path = tmp_path / "C1.csv"
+    if kind == "directory":
+        path.mkdir()
+    args = [command, str(path)]
+    if command == "verify":
+        args = ["verify", str(traced_dir / "C1.csv"), str(path),
+                "--out", str(tmp_path / "rep.json")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
+    assert res.output.strip().splitlines() == [f"Error: cannot read '{path}': " + (
+        "No such file or directory" if kind == "missing" else "Is a directory")]
+    assert [p.name for p in tmp_path.rglob("*")] == (["C1.csv"] if kind == "directory" else [])
+
+
+@pytest.mark.parametrize("command, default", [
+    ("profile", "C1.profile0.csv"), ("rcurve", "C1.rcurve.csv"), ("verify", "verify_report.json"),
+])
+def test_default_output_path_is_checked(runner, traced_dir, tmp_path, command, default):
+    # with no --out, each command writes beside its input; a directory
+    # there exits 2 with one line, as it does when --out names it
+    for name in ("C1.csv", "C1.solutions.csv"):
+        (tmp_path / name).write_text((traced_dir / name).read_text())
+    (tmp_path / default).mkdir()
+    args = [command, str(tmp_path / "C1.csv"), *(["--point", "0"] if command == "profile" else [])]
+    res = runner.invoke(main, args)
+    assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
+    assert res.output.strip().splitlines() == [
+        f"Error: cannot write '{tmp_path / default}': it is a directory"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+        ["C1.csv", "C1.solutions.csv", default])
 
 
 class TestVerify:
@@ -477,6 +536,22 @@ class TestVerify:
         doc = json.loads((tmp_path / "rep.json").read_text())
         failed = {c["check"] for c in doc["checks"] if not c["passed"]}
         assert failed == {"proposition1_roundtrip"}
+
+    def test_point_outside_the_domain_fails(self, runner, traced_dir, tmp_path):
+        # c_0 = -1 at depth pi/5 puts r = exp(-h - c_0) = 1.45 outside (0, 1),
+        # where neither residual nor the surface is defined: the round trips
+        # fail beside the radius check, and the report is written
+        path = self.damage_last_point(traced_dir, tmp_path, 2, lambda _: "-1")
+        res = runner.invoke(main, ["verify", str(path), "--out", str(tmp_path / "rep.json")])
+        assert res.exit_code == EXIT_VERIFY, (res.output, res.exception)
+        doc = json.loads((tmp_path / "rep.json").read_text())
+        failed = {c["check"]: c["detail"] for c in doc["checks"] if not c["passed"]}
+        assert set(failed) == {"proposition1_roundtrip", "height_below_mu_half",
+                               "radius_in_unit_interval", "zero_mean_surface"}
+        assert failed["radius_in_unit_interval"]["r_range"][1] == pytest.approx(
+            math.exp(1 - H))
+        assert failed["proposition1_roundtrip"]["outside_domain"] == 1
+        assert failed["zero_mean_surface"]["outside_domain"] == 1
 
     def test_missing_sidecar_fails(self, runner, table_without_sidecar, tmp_path):
         report = tmp_path / "rep.json"
