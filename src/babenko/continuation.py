@@ -26,7 +26,7 @@ symmetry, each assembled over its own index set (Golubitsky, Stewart &
 Schaeffer 1988, ch. XIII) and factored once: the LU gives the sign, and
 inverse iteration on it the smallest singular value and the null vector;
 the navigator seeds new branches along those null vectors and abandons a
-seed that retraces an earlier one.
+seed that retraces an earlier one or an even shift of it.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class Branch:
     # continuation state, not part of the recorded data: the fixed row whose
     # value row . c parametrizes the branch, the point it leaves from (its
     # first secant point), a secondary branch's first step and the branches
-    # traced before it, whose retrace ends its trace
+    # kept before it, whose retrace, or an even shift's, ends its trace
     row: np.ndarray | None = field(default=None, repr=False)
     origin: SolutionPoint | None = field(default=None, repr=False)
     step: float | None = None
@@ -276,7 +276,8 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     location solve fails), and the event's diagnostics carry the
     endpoint's rho (stop_ratio) and the solves made (location_solves).
     Turning points are then appended as events.  It ends in a retrace
-    event alone once a point retraces a branch.twins.
+    event alone once a point retraces a branch.twins or an even shift of
+    one (_retraces).
 
     Every corrector and location solve of the call, on a primary or a
     secondary, shares one Chord, so a solve starts from the previous one's
@@ -644,39 +645,32 @@ def _switch_along(
 
 
 def _retraces(pt: SolutionPoint, other: Branch) -> bool:
-    """Whether pt lies within RETRACE_TOL of other in every coefficient.
+    """Whether pt lies within RETRACE_TOL of other, or of an even shift of
+    it, in every coefficient.
 
     other is interpolated linearly at pt's amplitude, which increases along
-    a secondary branch; outside other's amplitudes it never matches.
+    a secondary branch; outside other's amplitudes it never matches.  The
+    shifts that keep other even are t0 = j pi/d, j = 0..2d-1, with d the
+    gcd of the indices of its nonzero coefficients, the subspace that
+    newton_solve keeps it on exactly; each maps c_k to c_k cos(k t0), which
+    is c_k for even j and (-1)^(k/d) c_k for odd j, so other has two images.
     """
     i = int(np.searchsorted(other.amplitudes(), pt.sup_norm))
     if not 0 < i < len(other.points):
         return False
     p0, p1 = other.points[i - 1 : i + 1]
     t = (pt.sup_norm - p0.sup_norm) / (p1.sup_norm - p0.sup_norm)
-    dc = pt.coeffs - p0.coeffs - t * (p1.coeffs - p0.coeffs)
-    return bool(np.max(np.abs(dc)) < RETRACE_TOL)
+    c = p0.coeffs + t * (p1.coeffs - p0.coeffs)
+    d = max(int(np.gcd.reduce(np.flatnonzero(c))), 1)  # gcd(0, k) = k
+    sign = 1 - 2 * (np.arange(c.size) // d % 2)
+    gaps = np.max(np.abs(pt.coeffs - np.array([c, sign * c])), axis=1)
+    return bool(np.min(gaps) < RETRACE_TOL)
 
 
 def _dihedral(seq: np.ndarray) -> np.ndarray:
     """The 2n rotations and reflections of a cyclic sequence, one per row."""
     turns = (np.arange(seq.size)[:, None] + np.arange(seq.size)) % seq.size
     return np.concatenate([seq[turns], seq[::-1][turns]])
-
-
-def _distinct(h1: np.ndarray, h2: np.ndarray, sup: float) -> bool:
-    """Whether two endpoints' positive crest heights, in t order, differ.
-
-    One wave is reached through shifted and reflected even
-    representatives, whose crests come in another t order, so the
-    sequences are compared up to rotation and reflection: the endpoints
-    are the same wave if some dihedral image of h1 lies within
-    EQUAL_CREST_RTOL * sup of h2 in every crest.
-    """
-    if h1.size != h2.size:
-        return True
-    gap = np.min(np.max(np.abs(_dihedral(h1) - h2), axis=1))
-    return bool(gap > geometry.EQUAL_CREST_RTOL * sup)
 
 
 def _word(h: np.ndarray) -> str:
@@ -704,14 +698,14 @@ def navigate_secondaries(
     treated as nearly degenerate and the four normalized combinations
     +-phi_i +- phi_j are seeded as well; mixed-symmetry branches (for
     instance the one-high-crest family of a mode-5 parent) emanate only
-    along such combined directions.  Each seed's twins are the seeds
-    traced before it, kept or dropped, so its trace stops at the first
-    point that retraces one of them (on C5 within 1e-6 from the second
-    point, against at least 1.7e-4 between distinct seeds); it would have
-    been dropped as its twin was.  The rest are traced to the end, and
-    one is dropped if its endpoint's positive crest heights, in t order,
-    match a kept branch's up to rotation and reflection (_distinct): the
-    same wave, reached through a shifted or reflected even representative.
+    along such combined directions.  Each seed's twins are the branches
+    kept before it, and its trace stops at the first point that retraces
+    one of them or an even shift of one (_retraces): the same wave, reached
+    through another even representative.  Over C2-C6 at N = 256..1024 and
+    h = 0.4..1, such a point lies within 1.5e-6 of an image of its twin,
+    and distinct seeds stay at least 1.1e-4 apart.  Every other seed is
+    kept, unless its trace ended at its first point, where no retrace
+    check can compare it.
 
     The same sequence names each kept branch: its census, the number of
     crests level with the highest, and its word (_word), which marks
@@ -737,26 +731,22 @@ def navigate_secondaries(
                 for s2 in (1.0, -1.0):
                     seeds.append((e1, s1 * p1 + s2 * p2))
 
-    kept: list[tuple[Branch, np.ndarray, str]] = []
-    traced: list[Branch] = []
+    kept: list[Branch] = []
     for ev, phi in seeds:
         try:
             sec = _switch_along(branch, ev, phi, depth, cfg)
         except SolveFailure:
             continue
-        sec.twins = list(traced)
+        sec.twins = list(kept)
         continue_branch(sec, depth, cfg)
-        if any(e.kind == "retrace" for e in sec.events):
-            continue
-        traced.append(sec)
-        h = np.array([y for _, y in geometry.crest_heights(sec.last.coeffs)])
-        if all(_distinct(h, h2, sec.last.sup_norm) for _, h2, _ in kept):
-            kept.append((sec, h, _word(h)))
-    kept.sort(key=lambda k: (k[2].count("1"), k[2], k[0].last.mu))
+        if len(sec.points) > 1 and not any(e.kind == "retrace" for e in sec.events):
+            kept.append(sec)
+    words = [_word(np.array([y for _, y in geometry.crest_heights(s.last.coeffs)])) for s in kept]
+    named = sorted(zip(words, kept), key=lambda ws: (ws[0].count("1"), ws[0], ws[1].last.mu))
     seen: dict[int, int] = {}
-    for sec, _, word in kept:
+    for word, sec in named:
         census = word.count("1")
         rep = seen.get(census, 0)
         sec.label = f"{branch.label}{census}{chr(ord('a') + rep) if rep else ''}"
         seen[census] = rep + 1
-    return [sec for sec, *_ in kept]
+    return [sec for _, sec in named]

@@ -277,15 +277,26 @@ def _read_sidecar(sidecar: Path) -> np.ndarray:
 
     np.loadtxt makes no Python object per value, so a read holds little
     more than the text and the array.  It parses every column, the index
-    too, so a row longer or shorter than the first is a ValueError.
+    too, so a row longer or shorter than the first fails the parse; only
+    then are the rows counted, and the error names the first line whose
+    value count is not N + 2.
     """
     slines = sidecar.read_text().splitlines()
     N = int(_parse_header_meta(slines[1])["N"])
     rows = [line for line in slines[3:] if line]
     if not rows:
         return np.empty((0, N + 1))
-    # comments=None: a '#' in a row is a bad value, not the start of a comment
-    table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    try:
+        # comments=None: a '#' in a row is a bad value, not the start of a comment
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        for i, line in enumerate(slines[3:], start=4):
+            values = line.count(",") + 1
+            if line and values != N + 2:
+                raise BranchFormatError(
+                    f"{sidecar}: line {i} holds {values} values, expected N + 2 = {N + 2}"
+                ) from exc
+        raise
     if table.shape[1] != N + 2:
         raise BranchFormatError(
             f"{sidecar}: rows hold {table.shape[1] - 2} coefficients, expected N={N}"

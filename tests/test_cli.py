@@ -394,10 +394,18 @@ def _table_mu_shifted(src, dst):
 def test_malformed_branch_file_is_config_error(runner, traced_dir, tmp_path, damage):
     damage(traced_dir, tmp_path)
     path = str(tmp_path / "C1.csv")
+    # a row of the wrong length is named by its line and value count,
+    # against the N + 2 = 34 values of a row at N = 32
+    sidecar = tmp_path / "C1.solutions.csv"
+    count = {_short_sidecar_row: 33, _long_sidecar_row: 35}.get(damage)
     for args in (["profile", path, "--point", "0"], ["rcurve", path],
                  ["verify", path, "--out", str(tmp_path / "rep.json")]):
         res = runner.invoke(main, args)
         assert res.exit_code == EXIT_CONFIG, (args[0], res.output, res.exception)
+        if count is not None:
+            last = len(sidecar.read_text().splitlines())
+            assert res.output.strip().splitlines() == [
+                f"Error: {sidecar}: line {last} holds {count} values, expected N + 2 = 34"]
 
 
 @pytest.mark.parametrize("case", [

@@ -29,7 +29,7 @@ from babenko.continuation import (
     start_branch,
     trivial_bifurcation_mu,
 )
-from babenko.geometry import crest_heights
+from babenko.geometry import EQUAL_CREST_RTOL, crest_heights
 from babenko.solver import DiscreteSystem, SolutionPoint, SolveFailure, lu_factor_in_place
 
 from conftest import H, crest_word
@@ -695,73 +695,115 @@ class TestAmplitudeIsSeriesCrest:
             self.check(sec.points)
 
 
-@pytest.fixture(scope="module")
-def c5_seeds(c5_bundle):
-    """C5's navigation rerun with the retrace check recorded, never acted on.
+def even_shift_gaps(pt, other):
+    """max |dc_k| between pt and each image of other under t -> t + j pi/d,
+    j = 0..2d-1, the shifts that keep other even (d the gcd of the indices
+    of its nonzero coefficients), with other interpolated at pt's
+    amplitude; [inf] outside other's amplitudes.  Index 0 is other as traced.
+    """
+    a = other.amplitudes()
+    if not a[0] <= pt.sup_norm <= a[-1]:
+        return np.array([math.inf])
+    c = interp1d(a, np.array([p.coeffs for p in other.points]), axis=0)(pt.sup_norm)
+    k = np.arange(c.size)
+    d = int(np.gcd.reduce(np.flatnonzero(c)))
+    return np.array([np.max(np.abs(pt.coeffs - c * np.cos(k * j * np.pi / d)))
+                     for j in range(2 * d)])
 
-    Returns the branches it keeps and, per traced seed, the seed and a log
-    of (point index, index of the earlier seed, the check's decision,
-    max |dc_k| against that seed interpolated at the point's amplitude).
+
+def recorded_navigation(parent, cfg, act):
+    """Navigate parent with every retrace check recorded; with act False the
+    check never stops a trace.
+
+    Returns the branches kept and, per traced seed, the seed and a log of
+    (point index, index of the earlier seed, the check's decision, the
+    seed's even_shift_gaps to that earlier seed).
     """
     seeds = []
     trace, retraces = continuation.continue_branch, continuation._retraces
 
     def traced(sec, depth, cfg):
-        seeds.append((sec, list(sec.twins), []))
+        seeds.append((sec, []))
         return trace(sec, depth, cfg)
 
     def recorded(pt, other):
-        sec, twins, log = seeds[-1]
-        j = next(j for j, t in enumerate(twins) if t is other)
-        a = other.amplitudes()
-        dist = math.inf
-        if a[0] <= pt.sup_norm <= a[-1]:
-            c = interp1d(a, np.array([p.coeffs for p in other.points]), axis=0)(pt.sup_norm)
-            dist = float(np.max(np.abs(pt.coeffs - c)))
-        log.append((len(sec.points) - 1, j, retraces(pt, other), dist))
-        return False
+        sec, log = seeds[-1]
+        j = next(j for j, (s, _) in enumerate(seeds) if s is other)
+        hit = retraces(pt, other)
+        log.append((len(sec.points) - 1, j, hit, even_shift_gaps(pt, other)))
+        return hit and act
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "continue_branch", traced)
         mp.setattr(continuation, "_retraces", recorded)
-        kept = continuation.navigate_secondaries(c5_bundle["parent"], H, c5_bundle["cfg"])
-    return kept, [(sec, log) for sec, _, log in seeds]
+        kept = navigate_secondaries(parent, H, cfg)
+    return kept, seeds
+
+
+def distinct(h1, h2, sup):
+    """Whether two endpoints' positive crest heights, in t order, differ:
+    no rotation or reflection of h1 lies within EQUAL_CREST_RTOL * sup of
+    h2 in every crest.  An oracle of the navigator's retrace check, from
+    the endpoints' crests alone: a shifted or reflected even representative
+    of a wave ends with the same crests."""
+    if h1.size != h2.size:
+        return True
+    gap = np.min(np.max(np.abs(continuation._dihedral(h1) - h2), axis=1))
+    return bool(gap > EQUAL_CREST_RTOL * sup)
+
+
+@pytest.fixture(scope="module")
+def c5_seeds(c5_bundle):
+    """C5's navigation rerun with the retrace check recorded, never acted on."""
+    return recorded_navigation(c5_bundle["parent"], c5_bundle["cfg"], act=False)
+
+
+@pytest.fixture(scope="module")
+def c4_seeds():
+    """C4 at N=256 navigated with the retrace check recorded and acted on."""
+    cfg = ContinuationConfig(N=256)
+    b = continue_branch(start_branch(4, 0.01, H, cfg), H, cfg)
+    detect_secondary_bifurcations(b, H, cfg)
+    return recorded_navigation(b, cfg, act=True)
 
 
 @pytest.mark.blas_threads
 class TestRetraceCheck:
-    """The navigator abandons a seed that retraces one it traced before."""
+    """The navigator abandons a seed that retraces one it kept before, or
+    an even shift of it."""
 
     def test_abandons_the_duplicate_pair_only(self, c5_seeds):
         _, seeds = c5_seeds
         assert len(seeds) == 8
         first = {}
         for i, (_, log) in enumerate(seeds):
-            hits = [(k, j, dist) for k, j, hit, dist in log if hit]
+            hits = [(k, j, gaps[0]) for k, j, hit, gaps in log if hit]
             if hits:
                 first[i] = hits[0]
-        # seeds 5 and 6 retrace seeds 3 and 2 from their first accepted point
+        # seeds 5 and 6 retrace seeds 3 and 2, as traced, from their first
+        # accepted point
         assert sorted(first) == [5, 6]
         assert first[5][:2] == (1, 3) and first[6][:2] == (1, 2)
         assert max(dist for _, _, dist in first.values()) < RETRACE_TOL / 10
-        # every other seed stays far from every earlier one
+        # every other seed stays far from every earlier one and its shifts
         for i, (_, log) in enumerate(seeds):
             if i not in first:
-                assert min(dist for *_, dist in log or [(math.inf,)]) > 5 * RETRACE_TOL
+                assert min((min(gaps) for *_, gaps in log), default=np.inf) > 5 * RETRACE_TOL
 
     def test_keeps_tracing_the_distinct_census2_pair(self, c5_bundle, c5_seeds):
-        # seeds 0 (C52) and 2 end within 3e-6 of each other in mu and are
-        # two crest arrangements; seed 2 is traced to its end and kept
+        # seeds 0 (C52) and 2 (C52b) end within 3e-6 of each other in mu
+        # and are two crest arrangements; seed 2 is traced to its end and kept
         kept, seeds = c5_seeds
-        c52 = next(b for b in c5_bundle["secondaries"] if b.label == "C52")
+        ref = {b.label: b for b in c5_bundle["secondaries"]}
         (s0, _), (s2, log2) = seeds[0], seeds[2]
-        assert s0.last.mu == c52.last.mu
-        assert abs(s2.last.mu - c52.last.mu) < 3e-6
+        for s, r in ((s0, ref["C52"]), (s2, ref["C52b"])):
+            assert s.last.mu == r.last.mu and np.array_equal(s.last.coeffs, r.last.coeffs)
+        assert abs(s2.last.mu - s0.last.mu) < 3e-6
         assert s2.terminated()
-        vs0 = [dist for k, j, hit, dist in log2 if j == 0]
+        vs0 = [min(gaps) for k, j, hit, gaps in log2 if j == 0]
         assert len(vs0) >= len(s2.points) - 2
         assert min(vs0) > 10 * RETRACE_TOL
-        assert any(b is s2 for b in kept) and s2.label == "C52b"
+        assert any(b is s2 for b in kept)
 
     def test_abandoned_seed_stops_at_its_second_point(self, c5_bundle, c5_seeds):
         _, seeds = c5_seeds
@@ -776,16 +818,82 @@ class TestRetraceCheck:
         assert again.terminated()
 
     def test_branches_identical_without_the_early_stop(self, c5_bundle, c5_seeds):
-        kept, _ = c5_seeds
+        # traced to their ends, the two retracing seeds end where their
+        # twins do, and the crest oracle drops them; what it keeps is the
+        # navigator's set, bit for bit
+        kept, seeds = c5_seeds
+        ends = []
+        for sec, _ in seeds:
+            if all(distinct(crests(sec), crests(e), sec.last.sup_norm) for e in ends):
+                ends.append(sec)
+        assert len(ends) == 6
+        got = [b for b in kept if any(b is e for e in ends)]
         ref = c5_bundle["secondaries"]
-        assert [b.label for b in kept] == [b.label for b in ref]
-        for b, r in zip(kept, ref):
+        assert [crest_word(b) for b in got] == [crest_word(r) for r in ref]
+        for b, r in zip(got, ref):
             assert len(b.points) == len(r.points)
             for p, q in zip(b.points, r.points):
                 assert p.mu == q.mu
                 assert np.array_equal(p.coeffs, q.coeffs)
             assert [(e.kind, e.mu, e.amplitude) for e in b.events] == \
                 [(e.kind, e.mu, e.amplitude) for e in r.events]
+
+    def test_c2_second_seed_stops_at_its_second_point(self, c2_256):
+        # C2's seeds +-phi are one wave shifted by pi, c_k -> (-1)^k c_k:
+        # the second is far from the first as traced and on its shift
+        b, cfg = c2_256
+        kept, seeds = recorded_navigation(b, cfg, act=True)
+        (first, _), (second, log) = seeds
+        assert len(kept) == 1 and kept[0] is first and first.label == "C21"
+        assert len(second.points) == 2
+        assert [e.kind for e in second.events] == ["retrace"]
+        k, j, hit, gaps = log[-1]
+        assert (k, j, hit) == (1, 0, True)
+        assert gaps[0] > 5 * RETRACE_TOL and gaps[1] < RETRACE_TOL / 10
+
+    @pytest.mark.parametrize("name", ["c5_seeds", "c4_seeds"])
+    def test_margins_hold_over_every_even_shift(self, request, name):
+        # every check the navigator makes, up to a seed's first hit, against
+        # all 2d even shifts of the twin, t0 = j pi/d: a hit is within
+        # RETRACE_TOL/10 of one of them, a miss beyond 5 RETRACE_TOL of all
+        _, seeds = request.getfixturevalue(name)
+        checks = 0
+        for _, log in seeds:
+            for k, j, hit, gaps in log:
+                checks += 1
+                if hit:
+                    assert min(gaps) < RETRACE_TOL / 10
+                    break
+                assert min(gaps) > 5 * RETRACE_TOL
+        assert checks > 40
+
+    def test_seed_ending_at_its_first_point_is_not_kept(self):
+        # at h = 0.8, C5 seeds two branches at the primary's end whose
+        # traces end at their first point, every crest level (11111) and
+        # within 4e-5 of the primary's endpoint: neither is kept
+        h, cfg = 0.8, ContinuationConfig(N=256)
+        b = continue_branch(start_branch(5, 0.01, h, cfg), h, cfg)
+        detect_secondary_bifurcations(b, h, cfg)
+        traced = []
+        trace = continuation.continue_branch
+
+        def recorded(sec, depth, cfg):
+            traced.append(sec)
+            return trace(sec, depth, cfg)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(continuation, "continue_branch", recorded)
+            kept = navigate_secondaries(b, h, cfg)
+        short = [s for s in traced if len(s.points) == 1]
+        assert len(short) == 2
+        for s in short:
+            assert crest_word(s) == "11111"
+            assert abs(s.last.mu - b.last.mu) < 4e-5
+            assert abs(s.last.sup_norm - b.last.sup_norm) < 4e-5
+            assert not any(s is k for k in kept)
+        assert [(s.label, crest_word(s)) for s in kept] == [
+            ("C51", "00001"), ("C52", "00011"), ("C52b", "00101"), ("C52c", "00101"),
+            ("C53", "01011"), ("C54", "01111")]
 
 
 @pytest.mark.blas_threads
@@ -798,38 +906,30 @@ class TestBranchIdentity:
         assert continuation._word(np.array([1.0, 1.0, 0.5, 0.5, 0.5])) == "00011"
         # the same wave read from another crest and the other way round
         g = np.array([1.0, 0.9, 0.7, 0.5, 0.6])
-        assert not continuation._distinct(np.roll(g[::-1], 2), g, 1.0)
-        assert continuation._distinct(np.array([1.0, 1.0, 0.5, 0.5, 0.5]), h, 1.0)
-        assert continuation._distinct(h[:4], h[:4] + 2e-3, 1.0)
-        assert continuation._distinct(h[:4], h, 1.0)
+        assert not distinct(np.roll(g[::-1], 2), g, 1.0)
+        assert distinct(np.array([1.0, 1.0, 0.5, 0.5, 0.5]), h, 1.0)
+        assert distinct(h[:4], h[:4] + 2e-3, 1.0)
+        assert distinct(h[:4], h, 1.0)
 
-    def test_c4_keeps_one_branch_per_wave(self, monkeypatch):
-        cfg = ContinuationConfig(N=256)
-        b = continue_branch(start_branch(4, 0.01, H, cfg), H, cfg)
-        detect_secondary_bifurcations(b, H, cfg)
-        traced = []
-        trace = continuation.continue_branch
-
-        def recorded(sec, depth, cfg):
-            traced.append(sec)
-            return trace(sec, depth, cfg)
-
-        monkeypatch.setattr(continuation, "continue_branch", recorded)
-        kept = navigate_secondaries(b, H, cfg)
+    def test_c4_keeps_one_branch_per_wave(self, c4_seeds):
+        kept, seeds = c4_seeds
         # C41 and C41b share a word, and mu orders them
         assert [(s.label, len(s.points), crest_word(s)) for s in kept] == [
             ("C41", 15, "0001"), ("C41b", 19, "0001"), ("C42", 16, "0101")]
-        ends = [s for s in traced if s.events[-1].kind != "retrace"]
-        dropped = [s for s in ends if not any(s is k for k in kept)]
-        assert len(ends) == 6 and len(dropped) == 3
-        # each dropped branch is a kept one shifted along the period: its
-        # crests, rotated or reflected, match that one's to rounding and
-        # the others' by no less than 0.1 sup
-        for s in dropped:
-            gaps = sorted(
-                np.min(np.max(np.abs(continuation._dihedral(crests(s)) - crests(k)), axis=1))
-                for k in kept)
-            assert gaps[0] < 1e-12 * s.last.sup_norm and gaps[1] > 0.1 * s.last.sup_norm
+        ends = [s for s, _ in seeds if not any(e.kind == "retrace" for e in s.events)]
+        assert len(ends) == 3 and all(any(s is k for k in kept) for s in ends)
+        # the other five stop at their second point against a kept branch,
+        # seed 4 on it as traced and the others on its shift by pi/d
+        stopped = []
+        for i, (s, log) in enumerate(seeds):
+            if s.events[-1].kind == "retrace":
+                k, j, hit, gaps = log[-1]
+                assert len(s.points) == 2 and k == 1 and hit
+                assert any(seeds[j][0] is b for b in kept)
+                assert min(gaps) < RETRACE_TOL / 10
+                stopped.append((i, j, bool(gaps[0] > 5 * RETRACE_TOL)))
+        assert stopped == [(1, 0, True), (3, 2, True), (4, 0, False), (6, 0, True),
+                           (7, 5, True)]
 
     def test_c6_kept_branches_are_pinned(self):
         # seven families, two pairs of them (C61 and C61b, C62 and C62b)

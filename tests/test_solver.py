@@ -829,6 +829,33 @@ class TestNewton:
         assert np.all(np.isfinite(res))
 
 
+class TestThirdOrderDispersion:
+    """C1's mu at small amplitude against a closed form, at six depths.
+
+    With T = tanh h and c_1 the first cosine coefficient of the conformal
+    series, mu = T (1 + kappa(h) c_1^2 + O(c_1^4)) with
+    kappa(h) = (9 - 6 T^2 + 5 T^4) / (8 T^4).  This kappa is the
+    coefficient of Stokes's third-order dispersion relation for c^2
+    (Whitham 1974, Linear and Nonlinear Waves, section 13.13),
+    (9 - 10 T^2 + 9 T^4) / (8 T^4), plus (1 - T^2) / (2 T^2), which
+    vanishes in deep water.  The extra term is measured, not yet derived;
+    c_1 and the mean level being those of the conformal variable, not the
+    physical ones, is the expected source.
+    Every operator of the residual enters at third order, so this checks
+    them all at each depth.
+    """
+
+    @pytest.mark.parametrize("h", [0.15, 0.3, math.pi / 5, 1.0, 2.0, 4.0])
+    def test_kappa_matches_the_closed_form(self, h):
+        # kappa(a) = (mu/T - 1)/a^2 is linear in a^2; its intercept is kappa(h)
+        N, T = 64, math.tanh(h)
+        row = np.eye(N)[1]
+        a = np.array([4e-4, 6e-4, 8e-4, 1e-3]) * min(1.0, h)
+        kappa = [(newton_solve(s * row, T, h, row, s, 1e-14).mu / T - 1) / s**2 for s in a]
+        intercept = np.polyfit(a**2, kappa, 1)[1]
+        assert intercept == pytest.approx((9 - 6 * T**2 + 5 * T**4) / (8 * T**4), rel=1e-6)
+
+
 class TestConfigs:
     def test_residual_tol_must_be_positive(self):
         for tol in (0.0, -1.0, math.nan):
