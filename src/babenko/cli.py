@@ -274,7 +274,8 @@ def _select_point(data: bio.BranchData, selector: str):
     n = len(data.solutions)
     if not n:
         raise ConfigError(
-            f"branch {data.label} has no solution sidecar; re-run trace first"
+            f"branch {data.label} has no solution sidecar {data.label}.solutions.npy; "
+            "re-run trace first"
         )
     if selector == "endpoint":
         return n - 1

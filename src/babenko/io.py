@@ -1,28 +1,32 @@
 """Flat-file emission and loading of branch data, profiles and r-curves.
 
 Tabular series go to CSV with a versioned comment header; events,
-metadata and verification reports go to JSON.  All floats are written
-with 17 significant digits so that files are byte-stable across runs of
-the same build and round-trip exactly through float parsing.
+metadata and verification reports go to JSON.  All floats in these text
+files are written with 17 significant digits so that files are
+byte-stable across runs of the same build and round-trip exactly through
+float parsing.
 
 Each traced branch produces two files: `<label>.csv` with one summary
-row per point, and `<label>.solutions.csv` carrying the full coefficient
-vectors, from which profiles can be reconstructed without re-solving.
+row per point, and the sidecar `<label>.solutions.npy`, one float64
+array of rows (mu, c_0, ..., c_{N-1}) in numpy's .npy format, from which
+profiles can be reconstructed bit for bit without re-solving.  The text
+sidecar `<label>.solutions.csv` of format version 1 is not read.
 
 CSV rows are formatted one `%` per block of rows, and every file is
 written to a temporary file beside its path and renamed onto it, so a
-reader never sees a partly written file.  A branch is read with one parse
+reader never sees a partly written file.  A branch is read with one load
 of its sidecar; the SolutionPoint of a stored row is built only when it is
 asked for.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
 import secrets
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -44,7 +48,7 @@ __all__ = [
     "write_report",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class BranchFormatError(ValueError):
@@ -72,8 +76,9 @@ def _csv_rows(row_fmt: str, rows: np.ndarray) -> Iterator[str]:
         yield (row_fmt * len(block)) % tuple(block.ravel().tolist())
 
 
-def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
-    """Write the text chunks to a new file beside `path`, then rename it onto `path`.
+@contextlib.contextmanager
+def _write_atomic(path: Path, mode: str = "w") -> Iterator:
+    """A new file beside `path`, opened in `mode` ("w" or "wb"), renamed onto `path` on exit.
 
     A reader sees the old file or the whole new one.  If writing or the
     rename fails, `path` keeps its old bytes and the temporary file is
@@ -81,14 +86,14 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     since renaming onto it would replace it.
     """
     if path.exists() and not path.is_file():
-        with path.open("w") as fh:
-            fh.writelines(chunks)
+        with path.open(mode) as fh:
+            yield fh
         return
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    fh = tmp.open("x")  # exclusive, so never another writer's file
+    fh = tmp.open(mode.replace("w", "x"))  # exclusive, so never another writer's file
     try:
         with fh:
-            fh.writelines(chunks)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -96,7 +101,8 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _write_atomic(path, [json.dumps(doc, indent=1, default=float), "\n"])
+    with _write_atomic(path) as fh:
+        fh.write(json.dumps(doc, indent=1, default=float) + "\n")
 
 
 def _event_flags(branch: Branch) -> list[str]:
@@ -121,7 +127,6 @@ def write_branch(branch: Branch, outdir, depth: float, fmt: str = "csv") -> list
     rows = [
         {
             "index": i,
-            "a_target": p.sup_norm,
             "mu": p.mu,
             "sup_norm": p.sup_norm,
             "mean": p.mean,
@@ -151,32 +156,28 @@ def write_branch(branch: Branch, outdir, depth: float, fmt: str = "csv") -> list
             f"# babenko-branch v{FORMAT_VERSION}\n",
             f"# label={branch.label} mode={branch.mode} "
             f"parent={branch.parent} depth={_f(depth)}\n",
-            "index,a_target,mu,sup_norm,mean,r,residual,event_flags\n",
+            "index,mu,sup_norm,mean,r,residual,event_flags\n",
         ]
-        row_fmt = "%d," + "%.17g," * 6 + "%s\n"
-        _write_atomic(path, itertools.chain(header, (
-            row_fmt % (
-                row["index"], row["a_target"], row["mu"], row["sup_norm"],
-                row["mean"], row["r"], row["residual"], row["event_flags"],
-            )
-            for row in rows
-        )))
+        row_fmt = "%d," + "%.17g," * 5 + "%s\n"
+        with _write_atomic(path) as fh:
+            fh.writelines(itertools.chain(header, (
+                row_fmt % (
+                    row["index"], row["mu"], row["sup_norm"], row["mean"], row["r"],
+                    row["residual"], row["event_flags"],
+                )
+                for row in rows
+            )))
         written.append(path)
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 
     if branch.points:
-        coeffs = np.array([p.coeffs for p in branch.points])
-        n, N = coeffs.shape
-        spath = outdir / f"{branch.label}.solutions.csv"
-        header = [
-            f"# babenko-solutions v{FORMAT_VERSION}\n",
-            f"# label={branch.label} depth={_f(depth)} N={N}\n",
-            "index,mu," + ",".join(f"c{k}" for k in range(N)) + "\n",
-        ]
-        table = np.column_stack((np.arange(n), [p.mu for p in branch.points], coeffs))
-        row_fmt = "%d," + ",".join(["%.17g"] * (N + 1)) + "\n"
-        _write_atomic(spath, itertools.chain(header, _csv_rows(row_fmt, table)))
+        spath = outdir / f"{branch.label}.solutions.npy"
+        table = np.column_stack((
+            [p.mu for p in branch.points], [p.coeffs for p in branch.points]
+        ))
+        with _write_atomic(spath, "wb") as fh:
+            np.save(fh, table, allow_pickle=False)
         written.append(spath)
     return written
 
@@ -185,7 +186,7 @@ def write_branch(branch: Branch, outdir, depth: float, fmt: str = "csv") -> list
 class BranchData:
     """Branch data read from a summary file plus its sidecar.
 
-    solutions holds the sidecar as parsed, one row (mu, c_0, ..., c_{N-1})
+    solutions holds the sidecar as loaded, one row (mu, c_0, ..., c_{N-1})
     per point, and no rows when the branch has no sidecar.  point(i) builds
     the SolutionPoint of row i; points builds every one on first use and
     keeps the list.
@@ -224,15 +225,16 @@ def read_branch(path) -> BranchData:
     Raises OSError when a file cannot be read, such as a missing file or a
     directory, and BranchFormatError when either file is not a well-formed
     branch file: a missing or truncated header, a row that does not parse,
-    sidecar rows whose length does not match its N, or a sidecar whose
-    point count or mu column differs from the table's.  write_branch
-    writes both mu columns exactly (%.17g or the JSON repr), so a sidecar
-    left beside another run's table does not read as the same branch.
+    a sidecar that is not a 2-D float64 .npy array, or one whose point
+    count or mu column differs from the table's.  write_branch writes both
+    mu columns exactly (%.17g or the JSON repr, and the .npy bytes), so a
+    sidecar left beside another run's table does not read as the same
+    branch.
     """
     path = Path(path)
     try:
         label, depth, table = _read_table(path)
-        sidecar = path.parent / f"{label}.solutions.csv"
+        sidecar = path.parent / f"{label}.solutions.npy"
         solutions = np.empty((0, 0))
         if sidecar.exists():
             solutions = _read_sidecar(sidecar)
@@ -265,7 +267,7 @@ def _read_table(path: Path) -> tuple[str, float, list]:
         if not line:
             continue
         row = dict(zip(cols, line.split(",")))
-        for key in ("a_target", "mu", "sup_norm", "mean", "r", "residual"):
+        for key in ("mu", "sup_norm", "mean", "r", "residual"):
             row[key] = float(row[key])
         row["index"] = int(row["index"])
         table.append(row)
@@ -273,41 +275,27 @@ def _read_table(path: Path) -> tuple[str, float, list]:
 
 
 def _read_sidecar(sidecar: Path) -> np.ndarray:
-    """The (mu, c_0, ..., c_{N-1}) rows of a sidecar, parsed in one call.
+    """The (mu, c_0, ..., c_{N-1}) rows of a sidecar, loaded in one call.
 
-    np.loadtxt makes no Python object per value, so a read holds little
-    more than the text and the array.  It parses every column, the index
-    too, so a row longer or shorter than the first fails the parse; only
-    then are the rows counted, and the error names the first line whose
-    value count is not N + 2.
+    np.load without pickling raises EOFError on an empty file and
+    ValueError on a truncated one, a pickled object array or text.  A
+    float32 or 1-D array loads, and a .npz archive loads as an NpzFile, so
+    the result is checked to be a 2-D float64 array with a mu column.
     """
-    slines = sidecar.read_text().splitlines()
-    N = int(_parse_header_meta(slines[1])["N"])
-    rows = [line for line in slines[3:] if line]
-    if not rows:
-        return np.empty((0, N + 1))
-    try:
-        # comments=None: a '#' in a row is a bad value, not the start of a comment
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        for i, line in enumerate(slines[3:], start=4):
-            values = line.count(",") + 1
-            if line and values != N + 2:
-                raise BranchFormatError(
-                    f"{sidecar}: line {i} holds {values} values, expected N + 2 = {N + 2}"
-                ) from exc
-        raise
-    if table.shape[1] != N + 2:
-        raise BranchFormatError(
-            f"{sidecar}: rows hold {table.shape[1] - 2} coefficients, expected N={N}"
-        )
-    return table[:, 1:]
+    with sidecar.open("rb") as fh:  # ours, so an NpzFile leaves no file open
+        try:
+            table = np.load(fh, allow_pickle=False)
+        except (EOFError, ValueError) as exc:
+            raise BranchFormatError(f"{sidecar} does not load as a plain .npy array") from exc
+    if not (isinstance(table, np.ndarray) and table.dtype == np.float64
+            and table.ndim == 2 and table.shape[1] >= 2):
+        raise BranchFormatError(f"{sidecar} is not a 2-D float64 array of (mu, coefficients) rows")
+    return table
 
 
 def write_events(branches: list[Branch], outdir, depth: float) -> Path:
     """One JSON file collecting the events of every traced branch.
 
-    An event's amplitude is written under both sup_norm and amplitude.
     Each event carries its scalar diagnostics, the numbers, bools and
     strings, such as a fold's refined, solves and factorizations; its
     arrays, such as a null vector, are left out.
@@ -324,7 +312,6 @@ def write_events(branches: list[Branch], outdir, depth: float) -> Path:
                 "branch": b.label,
                 "kind": ev.kind,
                 "mu": ev.mu,
-                "sup_norm": ev.amplitude,
                 "amplitude": ev.amplitude,
                 "diagnostics": {
                     k: v for k, v in ev.diagnostics.items() if isinstance(v, (str, int, float))
@@ -356,7 +343,8 @@ def _write_samples(path, fmt: str, meta: dict, columns: dict) -> Path:
             ",".join(columns) + "\n",
         ]
         row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
-        _write_atomic(path, itertools.chain(header, _csv_rows(row_fmt, table)))
+        with _write_atomic(path) as fh:
+            fh.writelines(itertools.chain(header, _csv_rows(row_fmt, table)))
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     return path

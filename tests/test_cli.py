@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -96,7 +98,7 @@ class TestBifpoints:
 class TestTrace:
     def test_writes_branch_and_events(self, traced_dir):
         assert (traced_dir / "C1.csv").exists()
-        assert (traced_dir / "C1.solutions.csv").exists()
+        assert (traced_dir / "C1.solutions.npy").exists()
         assert (traced_dir / "events.json").exists()
 
     def test_navigation_writes_each_secondary(self, runner, tmp_path):
@@ -104,8 +106,8 @@ class TestTrace:
                                    "--out", str(tmp_path)])
         assert res.exit_code == EXIT_OK, res.output
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "C3.csv", "C3.solutions.csv", "C32.csv", "C32.solutions.csv",
-            "C33.csv", "C33.solutions.csv", "events.json"]
+            "C3.csv", "C3.solutions.npy", "C32.csv", "C32.solutions.npy",
+            "C33.csv", "C33.solutions.npy", "events.json"]
         events = json.loads((tmp_path / "events.json").read_text())["events"]
         found = [e for e in events if e["kind"] == "secondary_bifurcation"]
         assert [e["branch"] for e in found] == ["C3"]
@@ -317,59 +319,106 @@ class TestRcurve:
         assert res.exit_code == EXIT_OK, res.output
         out = table_without_sidecar.with_name("C1.rcurve.csv")
         assert res.output.strip() == str(out)
-        assert out.read_text().startswith("# babenko-rcurve v1\n")
+        assert out.read_text().startswith("# babenko-rcurve v2\n")
 
 
 def _truncated_header(src, dst):
-    (dst / "C1.csv").write_text("# babenko-branch v1\n")
+    (dst / "C1.csv").write_text("# babenko-branch v2\n")
 
 
 def _not_a_branch_file(src, dst):
     (dst / "C1.csv").write_text("hello,world\n1,2\n")
 
 
-def _truncated_sidecar(src, dst):
-    (dst / "C1.csv").write_text((src / "C1.csv").read_text())
-    first = (src / "C1.solutions.csv").read_text().splitlines()[0]
-    (dst / "C1.solutions.csv").write_text(first + "\n")
+def _npy_bytes(array, **kw):
+    buf = io.BytesIO()
+    np.save(buf, array, **kw)
+    return buf.getvalue()
 
 
-def _short_sidecar_row(src, dst):
-    (dst / "C1.csv").write_text((src / "C1.csv").read_text())
-    lines = (src / "C1.solutions.csv").read_text().splitlines()
-    lines[-1] = lines[-1].rsplit(",", 1)[0]  # drop the last coefficient
-    (dst / "C1.solutions.csv").write_text("\n".join(lines) + "\n")
+def _sidecar_damage(make):
+    """A damage that copies the table and writes make(bytes, rows) as its sidecar.
+
+    bytes is the traced .npy file and rows its (mu, c_0, ..., c_31) array.
+    """
+    def damage(src, dst):
+        (dst / "C1.csv").write_text((src / "C1.csv").read_text())
+        raw = (src / "C1.solutions.npy").read_bytes()
+        (dst / "C1.solutions.npy").write_bytes(make(raw, np.load(io.BytesIO(raw))))
+    damage.__name__ = make.__name__
+    return damage
 
 
-def _long_sidecar_row(src, dst):
-    (dst / "C1.csv").write_text((src / "C1.csv").read_text())
-    lines = (src / "C1.solutions.csv").read_text().splitlines()
-    lines[-1] += ",0"  # one coefficient too many
-    (dst / "C1.solutions.csv").write_text("\n".join(lines) + "\n")
+@_sidecar_damage
+def _empty_sidecar(raw, rows):
+    return b""
 
 
-def _sidecar_header_n_off(src, dst):
-    # every row is as long as the others, but not as long as the header's N
-    (dst / "C1.csv").write_text((src / "C1.csv").read_text())
-    text = (src / "C1.solutions.csv").read_text()
-    assert text.count(" N=32\n") == 1
-    (dst / "C1.solutions.csv").write_text(text.replace(" N=32\n", " N=33\n"))
+@_sidecar_damage
+def _truncated_sidecar(raw, rows):
+    return raw[:-8]
 
 
-def _sidecar_missing_row(src, dst):
-    (dst / "C1.csv").write_text((src / "C1.csv").read_text())
-    lines = (src / "C1.solutions.csv").read_text().splitlines()
-    (dst / "C1.solutions.csv").write_text("\n".join(lines[:-1]) + "\n")
+@_sidecar_damage
+def _sidecar_header_only(raw, rows):
+    return raw[:-rows.nbytes]
 
 
-def _non_numeric_coefficient(src, dst):
-    (dst / "C1.csv").write_text((src / "C1.csv").read_text())
-    lines = (src / "C1.solutions.csv").read_text().splitlines()
-    middle = 3 + (len(lines) - 3) // 2
-    cells = lines[middle].split(",")
-    cells[5] = "abc"
-    lines[middle] = ",".join(cells)
-    (dst / "C1.solutions.csv").write_text("\n".join(lines) + "\n")
+@_sidecar_damage
+def _sidecar_header_n_off(raw, rows):
+    # the header's shape claims N = 33 coefficients per row, the data 32
+    n = len(rows)
+    assert raw.count(b"(%d, 33)" % n) == 1
+    return raw.replace(b"(%d, 33)" % n, b"(%d, 34)" % n)
+
+
+@_sidecar_damage
+def _float32_sidecar(raw, rows):
+    return _npy_bytes(rows.astype(np.float32))
+
+
+@_sidecar_damage
+def _int64_sidecar(raw, rows):
+    return _npy_bytes(rows.astype(np.int64))
+
+
+@_sidecar_damage
+def _one_dimensional_sidecar(raw, rows):
+    return _npy_bytes(rows[-1])
+
+
+@_sidecar_damage
+def _non_numeric_coefficient(raw, rows):
+    # an object array can only be saved pickled, which the reader refuses
+    rows = rows.astype(object)
+    rows[len(rows) // 2, 5] = "abc"
+    return _npy_bytes(rows, allow_pickle=True)
+
+
+@_sidecar_damage
+def _npz_under_npy_name(raw, rows):
+    buf = io.BytesIO()
+    np.savez(buf, solutions=rows)
+    return buf.getvalue()
+
+
+def _v1_sidecar_text(rows):
+    """The text sidecar format version 1 wrote for the (mu, c_0, ..., c_{N-1}) rows."""
+    N = rows.shape[1] - 1
+    header = ["# babenko-solutions v1", f"# label=C1 depth={H!r} N={N}",
+              "index,mu," + ",".join(f"c{k}" for k in range(N))]
+    return "\n".join(header + [
+        f"{i}," + ",".join("%.17g" % v for v in row) for i, row in enumerate(rows)]) + "\n"
+
+
+@_sidecar_damage
+def _text_under_npy_name(raw, rows):
+    return _v1_sidecar_text(rows).encode()
+
+
+@_sidecar_damage
+def _sidecar_missing_row(raw, rows):
+    return _npy_bytes(rows[:-1])
 
 
 def _table_mu_shifted(src, dst):
@@ -378,34 +427,64 @@ def _table_mu_shifted(src, dst):
     lines = (src / "C1.csv").read_text().splitlines()
     for i in range(3, len(lines)):
         cells = lines[i].split(",")
-        cells[2] = "%.17g" % (float(cells[2]) + 0.01)
+        cells[1] = "%.17g" % (float(cells[1]) + 0.01)
         lines[i] = ",".join(cells)
     (dst / "C1.csv").write_text("\n".join(lines) + "\n")
-    (dst / "C1.solutions.csv").write_text((src / "C1.solutions.csv").read_text())
+    (dst / "C1.solutions.npy").write_bytes((src / "C1.solutions.npy").read_bytes())
 
 
 # profile reads point 0, so a bad row elsewhere is caught only by
 # validating the whole sidecar on read
 @pytest.mark.parametrize("damage", [
-    _truncated_header, _not_a_branch_file, _truncated_sidecar, _short_sidecar_row,
-    _long_sidecar_row, _sidecar_header_n_off, _sidecar_missing_row,
-    _non_numeric_coefficient, _table_mu_shifted,
-])
+    _truncated_header, _not_a_branch_file, _empty_sidecar, _truncated_sidecar,
+    _sidecar_header_only, _sidecar_header_n_off, _float32_sidecar, _int64_sidecar,
+    _one_dimensional_sidecar, _non_numeric_coefficient, _npz_under_npy_name,
+    _text_under_npy_name, _sidecar_missing_row, _table_mu_shifted,
+], ids=lambda damage: damage.__name__)
 def test_malformed_branch_file_is_config_error(runner, traced_dir, tmp_path, damage):
     damage(traced_dir, tmp_path)
     path = str(tmp_path / "C1.csv")
-    # a row of the wrong length is named by its line and value count,
-    # against the N + 2 = 34 values of a row at N = 32
-    sidecar = tmp_path / "C1.solutions.csv"
-    count = {_short_sidecar_row: 33, _long_sidecar_row: 35}.get(damage)
     for args in (["profile", path, "--point", "0"], ["rcurve", path],
                  ["verify", path, "--out", str(tmp_path / "rep.json")]):
         res = runner.invoke(main, args)
         assert res.exit_code == EXIT_CONFIG, (args[0], res.output, res.exception)
-        if count is not None:
-            last = len(sidecar.read_text().splitlines())
-            assert res.output.strip().splitlines() == [
-                f"Error: {sidecar}: line {last} holds {count} values, expected N + 2 = 34"]
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: "), (args[0], res.output)
+        if damage not in (_truncated_header, _not_a_branch_file):
+            assert str(tmp_path / "C1.solutions.npy") in lines[0], (args[0], res.output)
+
+
+def test_v1_directory_reads_as_a_branch_without_sidecar(runner, traced_dir, tmp_path):
+    # a directory written by format version 1: the table carries an
+    # a_target column, and the coefficients sit in a text sidecar
+    # C1.solutions.csv, which is not read
+    lines = (traced_dir / "C1.csv").read_text().splitlines()
+    assert lines[0] == "# babenko-branch v2"
+    v1 = ["# babenko-branch v1", lines[1], "index,a_target," + lines[2].split(",", 1)[1]]
+    for line in lines[3:]:
+        index, mu, sup_norm, rest = line.split(",", 3)
+        v1.append(",".join([index, sup_norm, mu, sup_norm, rest]))
+    (tmp_path / "C1.csv").write_text("\n".join(v1) + "\n")
+    rows = np.load(traced_dir / "C1.solutions.npy")
+    (tmp_path / "C1.solutions.csv").write_text(_v1_sidecar_text(rows))
+    path = str(tmp_path / "C1.csv")
+
+    res = runner.invoke(main, ["profile", path])
+    assert res.exit_code == EXIT_CONFIG, (res.output, res.exception)
+    assert res.output.strip().splitlines() == [
+        "Error: branch C1 has no solution sidecar C1.solutions.npy; re-run trace first"]
+    # the r-curve comes from the table alone, as from the v2 table
+    for where in (tmp_path, traced_dir):
+        res = runner.invoke(main, ["rcurve", str(where / "C1.csv"),
+                                   "--out", str(tmp_path / f"{where.name}.r.csv")])
+        assert res.exit_code == EXIT_OK, res.output
+    assert ((tmp_path / f"{tmp_path.name}.r.csv").read_text()
+            == (tmp_path / f"{traced_dir.name}.r.csv").read_text())
+    report = tmp_path / "rep.json"
+    res = runner.invoke(main, ["verify", path, "--out", str(report)])
+    assert res.exit_code == EXIT_VERIFY, (res.output, res.exception)
+    assert [(c["check"], c["passed"]) for c in json.loads(report.read_text())["checks"]] == [
+        ("sidecar_present", False)]
 
 
 @pytest.mark.parametrize("case", [
@@ -487,8 +566,8 @@ def test_unreadable_branch_file_is_config_error(runner, traced_dir, tmp_path, mo
 def test_default_output_path_is_checked(runner, traced_dir, tmp_path, command, default):
     # with no --out, each command writes beside its input; a directory
     # there exits 2 with one line, as it does when --out names it
-    for name in ("C1.csv", "C1.solutions.csv"):
-        (tmp_path / name).write_text((traced_dir / name).read_text())
+    for name in ("C1.csv", "C1.solutions.npy"):
+        (tmp_path / name).write_bytes((traced_dir / name).read_bytes())
     (tmp_path / default).mkdir()
     args = [command, str(tmp_path / "C1.csv"), *(["--point", "0"] if command == "profile" else [])]
     res = runner.invoke(main, args)
@@ -496,7 +575,7 @@ def test_default_output_path_is_checked(runner, traced_dir, tmp_path, command, d
     assert res.output.strip().splitlines() == [
         f"Error: cannot write '{tmp_path / default}': it is a directory"]
     assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
-        ["C1.csv", "C1.solutions.csv", default])
+        ["C1.csv", "C1.solutions.npy", default])
 
 
 class TestVerify:
@@ -514,18 +593,18 @@ class TestVerify:
 
     @staticmethod
     def damage_last_point(traced_dir, tmp_path, column, value):
-        """Copy the branch and overwrite one stored coefficient of its last point."""
-        for name in ("C1.csv", "C1.solutions.csv"):
-            (tmp_path / name).write_text((traced_dir / name).read_text())
-        lines = (tmp_path / "C1.solutions.csv").read_text().splitlines()
-        cells = lines[-1].split(",")
-        cells[column] = value(cells[column])
-        lines[-1] = ",".join(cells)
-        (tmp_path / "C1.solutions.csv").write_text("\n".join(lines) + "\n")
+        """Copy the branch and overwrite one stored value of its last point.
+
+        Column 0 of a sidecar row is mu, column k + 1 holds c_k.
+        """
+        (tmp_path / "C1.csv").write_text((traced_dir / "C1.csv").read_text())
+        rows = np.load(traced_dir / "C1.solutions.npy")
+        rows[-1, column] = value(rows[-1, column])
+        np.save(tmp_path / "C1.solutions.npy", rows)
         return tmp_path / "C1.csv"
 
     def test_corrupted_solution_fails(self, runner, traced_dir, tmp_path):
-        path = self.damage_last_point(traced_dir, tmp_path, 3, lambda _: "0.01")
+        path = self.damage_last_point(traced_dir, tmp_path, 2, lambda _: 0.01)
         res = runner.invoke(main, ["verify", str(path),
                                    "--out", str(tmp_path / "rep.json")])
         assert res.exit_code == EXIT_VERIFY
@@ -536,8 +615,7 @@ class TestVerify:
         # --sample 1 strides past every point after the first; the last
         # one, the highest wave of the branch, is checked all the same.
         # A 1e-6 change in its highest mode moves only the residual.
-        path = self.damage_last_point(traced_dir, tmp_path, -1,
-                                      lambda cell: repr(float(cell) + 1e-6))
+        path = self.damage_last_point(traced_dir, tmp_path, -1, lambda c: c + 1e-6)
         res = runner.invoke(main, ["verify", str(path), "--sample", "1",
                                    "--out", str(tmp_path / "rep.json")])
         assert res.exit_code == EXIT_VERIFY, res.output
@@ -549,7 +627,7 @@ class TestVerify:
         # c_0 = -1 at depth pi/5 puts r = exp(-h - c_0) = 1.45 outside (0, 1),
         # where neither residual nor the surface is defined: the round trips
         # fail beside the radius check, and the report is written
-        path = self.damage_last_point(traced_dir, tmp_path, 2, lambda _: "-1")
+        path = self.damage_last_point(traced_dir, tmp_path, 1, lambda _: -1.0)
         res = runner.invoke(main, ["verify", str(path), "--out", str(tmp_path / "rep.json")])
         assert res.exit_code == EXIT_VERIFY, (res.output, res.exception)
         doc = json.loads((tmp_path / "rep.json").read_text())

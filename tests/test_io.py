@@ -26,7 +26,7 @@ from conftest import H
 class TestBranchRoundTrip:
     def test_csv_round_trip(self, c1_coarse, tmp_path):
         paths = write_branch(c1_coarse, tmp_path, H, fmt="csv")
-        assert [p.name for p in paths] == ["C1.csv", "C1.solutions.csv"]
+        assert [p.name for p in paths] == ["C1.csv", "C1.solutions.npy"]
         data = read_branch(paths[0])
         assert isinstance(data, BranchData)
         assert data.label == "C1"
@@ -34,14 +34,23 @@ class TestBranchRoundTrip:
         assert np.array_equal(data.mus, c1_coarse.mus())
         assert np.array_equal([row["sup_norm"] for row in data.table], c1_coarse.amplitudes())
 
-    def test_sidecar_restores_solution_points(self, c1_coarse, tmp_path):
-        paths = write_branch(c1_coarse, tmp_path, H)
-        data = read_branch(paths[0])
-        assert len(data.points) == len(c1_coarse.points)
-        for got, want in zip(data.points, c1_coarse.points):
-            assert got.mu == want.mu
-            assert got.r == pytest.approx(want.r, abs=1e-15)
-            assert np.array_equal(got.coeffs, want.coeffs)
+    @pytest.mark.parametrize("fixture", ["c1_coarse", "c1_full", "c2_full", "c5_bundle"])
+    def test_sidecar_restores_solution_points(self, request, tmp_path, fixture):
+        # N = 64, 512, 1024, and every C5@512 branch: the .npy sidecar
+        # holds each mu and coefficient bit for bit
+        traced = request.getfixturevalue(fixture)
+        if fixture == "c5_bundle":
+            branches = [traced["parent"], *traced["secondaries"]]
+        else:
+            branches = [traced]
+        for branch in branches:
+            data = read_branch(write_branch(branch, tmp_path, H)[0])
+            assert data.solutions.dtype == np.float64
+            assert len(data.points) == len(branch.points)
+            for got, want in zip(data.points, branch.points):
+                assert got.mu == want.mu
+                assert got.r == pytest.approx(want.r, abs=1e-15)
+                assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_json_round_trip(self, c1_coarse, tmp_path):
         paths = write_branch(c1_coarse, tmp_path, H, fmt="json")
@@ -61,7 +70,7 @@ class TestBranchRoundTrip:
                                              block_values):
         # the writers format a block of rows with one `%`; the oracle formats
         # each value on its own with "%.17g" % float(value); 7 values per
-        # block puts one sidecar row or two profile rows in each block
+        # block puts two profile rows in each block
         monkeypatch.setattr(io, "_BLOCK_VALUES", block_values)
 
         def f(x):
@@ -75,14 +84,10 @@ class TestBranchRoundTrip:
         branch.events.append(
             BranchEvent("turning_point", target.mu, target.sup_norm)
         )
-        table, sidecar = write_branch(branch, tmp_path, H)
+        table = write_branch(branch, tmp_path, H)[0]
         assert body(table) == "".join(
-            f"{i},{f(p.sup_norm)},{f(p.mu)},{f(p.sup_norm)},{f(p.mean)},{f(p.r)},"
+            f"{i},{f(p.mu)},{f(p.sup_norm)},{f(p.mean)},{f(p.r)},"
             f"{f(p.residual_norm)},{'turning_point' if i == 3 else ''}\n"
-            for i, p in enumerate(branch.points)
-        )
-        assert body(sidecar) == "".join(
-            f"{i},{f(p.mu)}," + ",".join(f(c) for c in p.coeffs) + "\n"
             for i, p in enumerate(branch.points)
         )
         pt = branch.last
@@ -129,10 +134,9 @@ class TestBranchReadErrors:
     @pytest.mark.parametrize("edit", ["drop_last_row", "repeat_last_row"])
     def test_sidecar_point_count_must_match_table(self, c1_coarse, tmp_path, edit):
         paths = write_branch(c1_coarse, tmp_path, H)
-        lines = paths[1].read_text().splitlines()
-        lines = lines[:-1] if edit == "drop_last_row" else lines + lines[-1:]
-        paths[1].write_text("\n".join(lines) + "\n")
-        with pytest.raises(BranchFormatError):
+        rows = np.load(paths[1])
+        np.save(paths[1], rows[:-1] if edit == "drop_last_row" else np.vstack([rows, rows[-1:]]))
+        with pytest.raises(BranchFormatError, match="points"):
             read_branch(paths[0])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -171,7 +175,7 @@ class TestEventsFile:
         assert doc["depth"] == pytest.approx(H)
         assert doc["events"] == [
             {"branch": "C1", "kind": "extreme_termination", "mu": 0.7,
-             "sup_norm": 0.35, "amplitude": 0.35, "diagnostics": {}}
+             "amplitude": 0.35, "diagnostics": {}}
         ]
 
     def test_events_keep_scalar_diagnostics(self, c1_full, tmp_path):
@@ -276,7 +280,7 @@ def _write_one_kind(kind, branch, outdir, k):
 
 
 @pytest.mark.parametrize("kind, target", [
-    ("branch", "C1.csv"), ("branch", "C1.solutions.csv"), ("events", "events.json"),
+    ("branch", "C1.csv"), ("branch", "C1.solutions.npy"), ("events", "events.json"),
     ("profile", "p.csv"), ("rcurve", "r.csv"), ("report", "v.json"),
 ])
 def test_failed_write_keeps_old_file(c1_coarse, tmp_path, monkeypatch, kind, target):
