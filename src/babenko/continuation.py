@@ -2,9 +2,9 @@
 
 Every branch is traced in one parameter, row . c on a fixed coefficient
 row that the branch carries, from the point it leaves from: every solve
-along it, fold refinement, detection's bisection and the location of its
-extreme endpoint included, goes through one corrector (_correct), the
-secant through two earlier points closed by that row.  The correctors
+along it, fold refinement and the location of its events and extreme
+endpoint included, goes through one corrector (_correct), the secant
+through two earlier points closed by that row.  The correctors
 and location solves of one trace share the Jacobian factors of a
 solver.Chord, which newton_solve updates by Broyden steps within each
 solve; fold refinement shares a chord of its own, whose first solve is
@@ -20,13 +20,16 @@ coefficients k < K that the iterate resolves to rounding.  A secondary
 branch's row is the unit null-vector direction phi it was seeded along,
 since near its bifurcation the amplitude cannot separate it from its
 parent, and its first secant point is the event point.  Secondary
-bifurcations are located from sign changes of the determinants of the
+bifurcations are bracketed by sign changes of the determinants of the
 mu-frozen Jacobian's symmetry-class blocks that break the branch's
 symmetry, each assembled over its own index set (Golubitsky, Stewart &
 Schaeffer 1988, ch. XIII) and factored once: the LU gives the sign, and
-inverse iteration on it the smallest singular value and the null vector;
-the navigator seeds new branches along those null vectors and abandons a
-seed that retraces an earlier one or an even shift of it.
+inverse iteration on it the smallest singular value and the null vector.
+One search (_locate) finds an endpoint and an event alike, as a root of a
+scalar function of the solved point: for an event, the sign times the
+smallest singular value.  The navigator seeds new branches along the
+null vectors and abandons a seed that retraces an earlier one or an even
+shift of it.
 """
 
 from __future__ import annotations
@@ -68,8 +71,6 @@ STEP_MAX = 2e-2
 EXTREME_STOP_RATIO = 1e-3
 # a trace stops after this many points
 MAX_POINTS = 2000
-# detection bisects a determinant sign change down to this bracket in row . c
-BIFURCATION_MONITOR_TOL = 1e-6
 # interior parameter values of the finer scan over an interval with a deep
 # dip in a class' smallest singular value, as its inverse-iteration estimate
 REFINE_SCAN = 6
@@ -208,28 +209,29 @@ def _terminate(branch: Branch, reason, **diagnostics) -> None:
     ))
 
 
-# the stop-ratio location ends once |rho - EXTREME_STOP_RATIO| is below
-# this, or after LOCATE_SOLVES corrector solves
+# a location search ends once |f| is below its tolerance, or after
+# LOCATE_SOLVES corrector solves: rho - EXTREME_STOP_RATIO for an endpoint,
+# a class block's signed smallest singular value for a bifurcation
 STOP_RATIO_TOL = 1e-11
-LOCATE_SOLVES = 8
+EVENT_TOL = 1e-12
+LOCATE_SOLVES = 12
 
 
-def _locate_stop(
-    lo: SolutionPoint, hi: SolutionPoint, row: np.ndarray, depth, cfg: ContinuationConfig,
-    chord: Chord,
+def _locate(
+    f, a: SolutionPoint, b: SolutionPoint, fa: float, fb: float, tol: float,
+    row: np.ndarray, depth, cfg: ContinuationConfig, chord: Chord | None = None,
 ) -> tuple[SolutionPoint | None, int]:
-    """The point at rho = EXTREME_STOP_RATIO between lo and hi, and the solves made.
+    """The point between a and b where f, a scalar function of a solved
+    point, has its root, and the solves made.
 
-    rho = (mu/2 - a)/(mu/2) is below the threshold at hi.  Each solve is a
-    _correct solve, from the secant through the bracketing points, at the
-    Illinois (safeguarded secant) root of rho in row . c (Dahlquist &
-    Bjorck, Numerical Methods, 1974, ch. 6).  None, after no solve, if rho
-    is not above the threshold at lo, and None if a solve fails or
-    LOCATE_SOLVES are made.
+    fa and fb are f at a and b.  Each solve is a _correct solve, from the
+    secant through the bracketing points, at the Illinois (safeguarded
+    secant) root of f in row . c (Dahlquist & Bjorck, Numerical Methods,
+    1974, ch. 6), until |f| <= tol.  None, after no solve, if fa and fb do
+    not have opposite signs, and None if a solve fails or LOCATE_SOLVES
+    are made.
     """
-    a, b = lo, hi
-    fa, fb = (_stop_ratio(p) - EXTREME_STOP_RATIO for p in (a, b))
-    if not fa > 0:
+    if not fa * fb < 0:
         return None, 0
     sa, sb = float(row @ a.coeffs), float(row @ b.coeffs)
     side = 0
@@ -239,10 +241,10 @@ def _locate_stop(
             p = _correct(depth, cfg, s, a, b, row, chord)
         except SolveFailure:
             return None, solves
-        fp = _stop_ratio(p) - EXTREME_STOP_RATIO
-        if abs(fp) <= STOP_RATIO_TOL:
+        fp = f(p)
+        if abs(fp) <= tol:
             return p, solves
-        if fp < 0:  # the root lies between a and p
+        if (fp < 0) == (fb < 0):  # the root lies between a and p
             b, fb, sb = p, fp, s
             if side == -1:
                 fa *= 0.5
@@ -270,7 +272,7 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
     amplitude_max, exactly on a primary; the trace stops after that solve,
     or at once if the last point is within STEP_MIN of it.  A trace ends in
     extreme_termination once the gap ratio rho = (mu/2 - a)/(mu/2) falls
-    below EXTREME_STOP_RATIO: _locate_stop then solves for the point at
+    below EXTREME_STOP_RATIO: _locate then solves for the point at
     rho = EXTREME_STOP_RATIO between the last two points, which replaces
     the crossing point as the endpoint (the crossing point stays if a
     location solve fails), and the event's diagnostics carry the
@@ -300,7 +302,11 @@ def continue_branch(branch: Branch, depth, cfg: ContinuationConfig | None = None
         prev2 = branch.points[-2] if len(branch.points) > 1 else branch.origin
         gap = 0.5 * prev.mu - prev.sup_norm
         if _stop_ratio(prev) < EXTREME_STOP_RATIO:
-            end, solves = _locate_stop(prev2, prev, row, depth, cfg, chord)
+            def excess(p: SolutionPoint) -> float:
+                return _stop_ratio(p) - EXTREME_STOP_RATIO
+
+            end, solves = _locate(excess, prev2, prev, excess(prev2), excess(prev),
+                                  STOP_RATIO_TOL, row, depth, cfg, chord)
             if end is not None:
                 branch.points[-1] = end
             _terminate(branch, "stop_ratio", stop_ratio=_stop_ratio(branch.last),
@@ -492,20 +498,22 @@ def detect_secondary_bifurcations(
     class 0 carries the branch and its folds, which are the turning
     points, and a mode-1 or secondary branch has no other class, so it
     yields no event and costs no solve.  The system's N is the branch's
-    own, and cfg supplies the residual tolerance only.  The determinant sign
-    of each scanned symmetry-class block of the mu-frozen Jacobian,
-    assembled over the class' index set alone, is monitored across the
-    recorded points; every sign change is bracketed by bisection in
-    branch.row . c down to BIFURCATION_MONITOR_TOL, each midpoint a
-    _correct solve between the bracketing points.  A block is the (L, L)
-    view DiscreteSystem.jacobian returns of an (L, L+1) buffer, so its LU
-    is made on a copy, not in place.  A block's one LU gives
-    its sign, and one _inverse_step per point, carried along the branch, an
-    estimate of its smallest singular value; three more steps at the
-    bracket's lower end give the null vector, its largest entry positive.
-    Intervals where a class' estimate dips far below its neighbours are
-    re-scanned at REFINE_SCAN interior parameter values, so nearby
-    crossings of the same class are resolved individually.
+    own, and cfg supplies the residual tolerance only.  Each scanned
+    symmetry-class block of the mu-frozen Jacobian is assembled over the
+    class' index set alone; it is the (L, L) view DiscreteSystem.jacobian
+    returns of an (L, L+1) buffer, so its LU is made on a copy, not in
+    place.  Its one LU gives its determinant sign, and one _inverse_step
+    per point, carried along the branch, an estimate of its smallest
+    singular value; their product tau is monitored across the recorded
+    points.  Every sign change of tau is located by _locate, in
+    branch.row . c from the two bracketing points, to |tau| <= EVENT_TOL,
+    each evaluation one LU and two _inverse_steps carried from the last.
+    The event is the located point, with its sigma_min = |tau|, its null
+    vector, largest entry positive, and the solves made; should the search
+    fail, the bracket end with the smaller |tau| stands, and located is
+    False.  Intervals where a class' estimate dips far below its
+    neighbours are re-scanned at REFINE_SCAN interior parameter values, so
+    nearby crossings of the same class are resolved individually.
     Detected events are returned and replace the branch's earlier
     secondary_bifurcation events, so repeated calls leave the same events.
     """
@@ -518,62 +526,31 @@ def detect_secondary_bifurcations(
     # class 0 carries the branch itself and its folds, the turning points
     scanned = range(1, len(classes))
 
-    def factors(pt: SolutionPoint, ci: int):
-        return lu_factor_in_place(sys.jacobian(pt.coeffs, pt.mu, classes[ci])[0])
+    def tau(pt: SolutionPoint, ci: int, v: np.ndarray, steps: int = 1):
+        # the class-ci block's determinant sign times its smallest singular
+        # value estimate, from one LU and steps _inverse_steps from v, and
+        # the vector they leave
+        f = lu_factor_in_place(sys.jacobian(pt.coeffs, pt.mu, classes[ci])[0])
+        for _ in range(steps):
+            sigma, v = _inverse_step(f, v)
+        return _det_sign(f) * sigma, v
 
-    # per point and scanned class: (determinant sign, estimate of the
-    # smallest singular value, the inverse-iteration vector it leaves)
+    # per point and scanned class: (tau, the inverse-iteration vector it leaves)
     data = []
-    x = {ci: np.full(classes[ci].size, classes[ci].size ** -0.5) for ci in scanned}
+    x = {ci: (0.0, np.full(classes[ci].size, classes[ci].size ** -0.5)) for ci in scanned}
     for pt in branch.points:
-        data.append({})
-        for ci in scanned:
-            f = factors(pt, ci)
-            sigma, x[ci] = _inverse_step(f, x[ci])
-            data[-1][ci] = (_det_sign(f), sigma, x[ci])
+        x = {ci: tau(pt, ci, x[ci][1]) for ci in scanned}
+        data.append(x)
 
     events: list[BranchEvent] = []
-
-    def bisect(p0: SolutionPoint, p1: SolutionPoint, ci: int, sign_lo: float, v: np.ndarray):
-        # sign_lo is the class-ci determinant sign at p0, v a scan vector
-        lo, hi = p0, p1
-        while row @ (hi.coeffs - lo.coeffs) > BIFURCATION_MONITOR_TOL:
-            t_mid = 0.5 * float(row @ (lo.coeffs + hi.coeffs))
-            try:
-                mid = _correct(depth, cfg, t_mid, lo, hi, row)
-            except SolveFailure:
-                break
-            if _det_sign(factors(mid, ci)) == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        f = factors(lo, ci)
-        for _ in range(3):
-            sigma, v = _inverse_step(f, v)
-        v = v * np.sign(v[np.argmax(np.abs(v))])
-        phi = np.zeros(sys.N)
-        phi[classes[ci]] = v
-        a_ev = 0.5 * (lo.sup_norm + hi.sup_norm)
-        mu_ev = 0.5 * (lo.mu + hi.mu)
-        events.append(BranchEvent(
-            "secondary_bifurcation", mu_ev, a_ev,
-            diagnostics={
-                "class": ci,
-                "sigma_min": sigma,
-                "null_vector_coeffs": phi,
-                "w_coeffs": lo.coeffs.copy(),
-                "mu_at_event": lo.mu,
-            },
-        ))
-
     npts = len(branch.points)
     for ci in scanned:
         for i in range(npts - 1):
             p0, p1 = branch.points[i], branch.points[i + 1]
-            (s0, m0, v0), (s1, m1, _) = data[i][ci], data[i + 1][ci]
-            sub = [p0, p1]
-            if s0 == s1 and 0 < i < npts - 2 and (
-                m0 < 0.1 * data[i - 1][ci][1] and m1 < 0.1 * data[i + 2][ci][1]
+            (t0, v0), (t1, _) = data[i][ci], data[i + 1][ci]
+            sub, taus = [p0, p1], [t0, t1]
+            if (t0 < 0) == (t1 < 0) and 0 < i < npts - 2 and (
+                abs(t0) < 0.1 * abs(data[i - 1][ci][0]) and abs(t1) < 0.1 * abs(data[i + 2][ci][0])
             ):
                 # deep dip without net sign change: scan finer for an even
                 # number of nearby crossings
@@ -582,10 +559,33 @@ def detect_secondary_bifurcations(
                     sub[1:1] = [_correct(depth, cfg, float(t), p0, p1, row) for t in grid]
                 except SolveFailure:
                     continue
-            signs = [s0] + [_det_sign(factors(q, ci)) for q in sub[1:-1]] + [s1]
-            for k in range(len(sub) - 1):
-                if signs[k] != signs[k + 1]:
-                    bisect(sub[k], sub[k + 1], ci, signs[k], v0)
+                v = v0
+                for q in sub[1:-1]:
+                    t, v = tau(q, ci, v)
+                    taus.insert(-1, t)
+            for (q0, q1), (t0, t1) in zip(zip(sub, sub[1:]), zip(taus, taus[1:])):
+                if (t0 < 0) == (t1 < 0):
+                    continue
+                last = [t0, v0]  # tau and vector of the last evaluation
+
+                def f(pt: SolutionPoint) -> float:
+                    last[:] = tau(pt, ci, last[1], 2)
+                    return last[0]
+
+                pt, solves = _locate(f, q0, q1, t0, t1, EVENT_TOL, row, depth, cfg)
+                located = pt is not None
+                if not located:  # the bracket end nearer the root stands
+                    pt = q0 if abs(t0) <= abs(t1) else q1
+                    f(pt)
+                v = last[1] * np.sign(last[1][np.argmax(np.abs(last[1]))])
+                phi = np.zeros(sys.N)
+                phi[classes[ci]] = v
+                events.append(BranchEvent(
+                    "secondary_bifurcation", pt.mu, pt.sup_norm,
+                    diagnostics={"class": ci, "sigma_min": abs(last[0]), "solves": solves,
+                                 "located": located, "null_vector_coeffs": phi,
+                                 "w_coeffs": pt.coeffs.copy()},
+                ))
 
     branch.events = [
         e for e in branch.events if e.kind != "secondary_bifurcation"
@@ -623,13 +623,12 @@ def _switch_along(
     c_ev = np.asarray(event.diagnostics["w_coeffs"], dtype=float)
     phi_c = np.asarray(phi_c, dtype=float)
     phi_c = phi_c / np.linalg.norm(phi_c)
-    mu_ev = float(event.diagnostics.get("mu_at_event", event.mu))
 
     last_exc: Exception | None = None
     for eps_rel in (2e-3, 1e-3, 4e-3):
         eps = eps_rel * event.amplitude
         try:
-            pt = newton_solve(c_ev + eps * phi_c, mu_ev, depth, phi_c,
+            pt = newton_solve(c_ev + eps * phi_c, event.mu, depth, phi_c,
                               float(phi_c @ c_ev) + eps, cfg.residual_tol)
         except SolveFailure as exc:
             last_exc = exc
@@ -638,7 +637,7 @@ def _switch_along(
             return Branch(
                 label=f"{branch.label}x", mode=None, points=[pt],
                 parent=branch.label, parent_mode=branch.mode, row=phi_c,
-                origin=SolutionPoint.from_solution(c_ev, mu_ev, depth), step=eps,
+                origin=SolutionPoint.from_solution(c_ev, event.mu, depth), step=eps,
             )
         last_exc = SolveFailure("iterate collapsed back onto the parent branch")
     raise SolveFailure(f"branch switching failed: {last_exc}")

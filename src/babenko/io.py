@@ -25,7 +25,6 @@ import contextlib
 import itertools
 import json
 import os
-import secrets
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -89,7 +88,7 @@ def _write_atomic(path: Path, mode: str = "w") -> Iterator:
         with path.open(mode) as fh:
             yield fh
         return
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     fh = tmp.open(mode.replace("w", "x"))  # exclusive, so never another writer's file
     try:
         with fh:

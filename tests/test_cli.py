@@ -235,7 +235,7 @@ class TestProfile:
         res = runner.invoke(main, ["profile", str(traced_dir / "C1.csv")])
         assert res.exit_code == EXIT_OK, res.output
         out = res.output.strip().splitlines()[-1]
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0].startswith("# babenko-profile")
         meta = json.loads(lines[1].lstrip("# "))
         assert meta["n_highest"] == 1

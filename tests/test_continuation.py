@@ -534,7 +534,9 @@ class TestSecondaryDetection:
     @pytest.mark.parametrize("name", ["c2_256", "c5_bundle"])
     def test_null_vector_and_sigma_min_match_the_svd(self, request, name):
         # the SVD of the class block at the event point is the oracle of the
-        # inverse iteration on its LU factors
+        # inverse iteration on its LU factors: the event is located where
+        # the block is singular to EVENT_TOL, and the estimate of its
+        # smallest singular value is exact to rounding in the block's norm
         from scipy.linalg import svd
 
         b, cfg = self.branch_and_cfg(request, name)
@@ -543,14 +545,55 @@ class TestSecondaryDetection:
         for e in evs:
             d = e.diagnostics
             idx = _symmetry_classes(cfg.N, b.mode)[d["class"]]
-            pt = SolutionPoint.from_solution(d["w_coeffs"], d["mu_at_event"], H)
+            pt = SolutionPoint.from_solution(d["w_coeffs"], e.mu, H)
             _, s, Vt = svd(class_block(pt, cfg, b.mode, d["class"]))
             phi = d["null_vector_coeffs"]
             assert not np.any(np.delete(phi, idx))
             v = phi[idx]
             assert v[np.argmax(np.abs(v))] > 0
             assert np.max(np.abs(v - np.sign(v @ Vt[-1]) * Vt[-1])) < 1e-12
-            assert abs(d["sigma_min"] - s[-1]) < 1e-6 * s[-1]
+            assert s[-1] <= continuation.EVENT_TOL
+            assert abs(d["sigma_min"] - s[-1]) <= 1e-14 * s[0]
+
+    @pytest.mark.parametrize("name, solves", [("c2_256", [5]), ("c5_bundle", [6, 7])])
+    def test_events_are_located_points(self, request, name, solves):
+        # each event is the point its Illinois search located, in at most
+        # these solves, two or more below LOCATE_SOLVES
+        b, _ = self.branch_and_cfg(request, name)
+        evs = [e for e in b.events if e.kind == "secondary_bifurcation"]
+        assert [e.diagnostics["solves"] for e in evs] == solves
+        assert max(solves) <= continuation.LOCATE_SOLVES - 2
+        for e in evs:
+            assert e.diagnostics["located"] is True
+            pt = SolutionPoint.from_solution(e.diagnostics["w_coeffs"], e.mu, H)
+            assert e.amplitude == pytest.approx(pt.sup_norm, abs=1e-14)
+
+    @pytest.mark.parametrize("how", ["failed", "capped"])
+    def test_unlocated_event_keeps_the_nearer_bracket_end(self, c2_256, monkeypatch, how):
+        # with the location solve failing, or the search capped at one
+        # solve, the event stays at the bracket end with the smaller |tau|,
+        # never the far end, and says it is not located
+        from scipy.linalg import svdvals
+
+        b, cfg = c2_256
+        ref = next(e for e in b.events if e.kind == "secondary_bifurcation")
+        if how == "failed":
+            monkeypatch.setattr(continuation, "_correct", fail_every_solve)
+        else:
+            monkeypatch.setattr(continuation, "LOCATE_SOLVES", 1)
+        again = dataclasses.replace(b, events=list(b.events))
+        (ev,) = detect_secondary_bifurcations(again, H, cfg)
+        assert (ev.diagnostics["located"], ev.diagnostics["solves"]) == (False, 1)
+        s = np.array([b.row @ p.coeffs for p in b.points])
+        i = int(np.searchsorted(s, b.row @ ref.diagnostics["w_coeffs"]))
+        ends = b.points[i - 1 : i + 1]
+        sigma = [svdvals(class_block(p, cfg, 2, 1))[-1] for p in ends]
+        near, far = (ends[0], ends[1]) if sigma[0] < sigma[1] else (ends[1], ends[0])
+        assert np.array_equal(ev.diagnostics["w_coeffs"], near.coeffs)
+        assert (ev.mu, ev.amplitude) == (near.mu, near.sup_norm)
+        assert ev.diagnostics["sigma_min"] == pytest.approx(min(sigma), rel=1e-3)
+        assert abs(b.row @ (near.coeffs - ref.diagnostics["w_coeffs"])) < \
+            abs(b.row @ (far.coeffs - ref.diagnostics["w_coeffs"]))
 
     @pytest.mark.parametrize("name", ["c2_256", "c5_bundle"])
     def test_detection_takes_no_svd(self, request, name, monkeypatch):
@@ -625,7 +668,7 @@ class TestParameterRow:
         events = c5_bundle["events"]
         for sec in c5_bundle["secondaries"]:
             assert any(np.array_equal(sec.origin.coeffs, e.diagnostics["w_coeffs"])
-                       and sec.origin.mu == e.diagnostics["mu_at_event"] for e in events)
+                       and sec.origin.mu == e.mu for e in events)
             # the seed lies one first step along the row from the event
             dt = sec.row @ (sec.points[0].coeffs - sec.origin.coeffs)
             assert dt == pytest.approx(sec.step, rel=1e-9)

@@ -184,8 +184,8 @@ class TestEventsFile:
         # arrays and stay out
         branch = Branch(label="C1", mode=1, events=list(c1_full.events))
         branch.events.append(BranchEvent("secondary_bifurcation", 0.7, 0.3, diagnostics={
-            "class": 1, "sigma_min": 1e-9, "null_vector_coeffs": np.ones(4),
-            "w_coeffs": np.ones(4), "mu_at_event": 0.7}))
+            "class": 1, "sigma_min": 1e-13, "solves": 5, "located": True,
+            "null_vector_coeffs": np.ones(4), "w_coeffs": np.ones(4)}))
         doc = json.loads(write_events([branch], tmp_path, H).read_text())
         fold = next(e for e in c1_full.events if e.kind == "turning_point")
         got = {e["kind"]: e["diagnostics"] for e in doc["events"]}
@@ -195,7 +195,7 @@ class TestEventsFile:
         assert set(got["extreme_termination"]) == {
             "stagnation", "reason", "stop_ratio", "location_solves"}
         assert got["secondary_bifurcation"] == {
-            "class": 1, "sigma_min": 1e-9, "mu_at_event": 0.7}
+            "class": 1, "sigma_min": 1e-13, "solves": 5, "located": True}
 
 
 class TestProfileAndCurves:

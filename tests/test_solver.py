@@ -715,7 +715,7 @@ class TestDivergenceGuard:
         c53 = next(b for b in c5_bundle["secondaries"] if b.label == "C53")
         row = c53.row
         p7, p8 = c53.points[7:9]
-        assert row @ p8.coeffs == pytest.approx(0.0051918101, abs=1e-10)
+        assert row @ p8.coeffs == pytest.approx(0.0051917980, abs=1e-10)
         p9 = _correct(H, cfg, 0.005998147185085595, p8, p7, row)
         p10 = _correct(H, cfg, 0.007046385387918883, p9, p8, row)
         for prev, prev2, target in ((p8, p7, 0.0076108213430455506),
